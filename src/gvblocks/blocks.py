@@ -3,24 +3,25 @@
 For a pointed category every simple object x pairs with D(x) to g0, so the
 canonical coend collapses to |G| copies of g0 and the dimension for genus g
 with boundary labels X_1..X_n is |G|^g when X_1 + ... + X_n + (g-1)*g0 = 0
-and zero otherwise.  The gluing count sums over group labelings of the
-internal edges of a pants decomposition, one side of each edge carrying e
-and the other D(e), with a three-point multiplicity at every vertex.
+and zero otherwise.  The gluing count labels the internal edges of a pants
+decomposition, one side of each edge carrying e and the other D(e), and
+asks every vertex for a non-zero three-point multiplicity.  That is an
+integer linear system on the edge labels, A e = c with A the signed
+incidence matrix of the dual graph, and its solutions in G^E are counted
+exactly from the Smith normal form of A.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import string
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DegenerateDataError, ValidationError
-from .forms import Element
+from .errors import DegenerateDataError, ValidationError
+from .forms import Element, smith_normal_form
 from .pointed import PointedGVCategory
 from .surfaces import PantsDecomposition, SurfaceSpec
 
@@ -100,27 +101,24 @@ def pants_multiplicity(C: PointedGVCategory, x, y, z) -> int:
     return 1 if s == C.g0 else 0
 
 
-@lru_cache(maxsize=64)
-def _group_tables(group):
-    elements = group.sorted_elements
-    index_of = {x: i for i, x in enumerate(elements)}
-    add_table = np.array(
-        [[index_of[group.add(x, y)] for y in elements] for x in elements],
-        dtype=np.int64,
-    )
-    return elements, index_of, add_table
-
-
 def block_dim_glued(
     C: PointedGVCategory, pd: PantsDecomposition, labels: Sequence[Sequence[int]]
 ) -> int:
-    """Factorization count over group labelings of the internal edges.
+    """Factorization count: the solutions in G^E of the vertex equations.
 
-    Each internal edge carries e on its lexicographically first half and
-    D(e) on the other; each vertex contributes the three-point multiplicity
-    of its incident values, with legs reading the boundary labels.  A loop
-    contributes e + D(e) = g0 for every e and therefore scales the count by
-    the group order.
+    Each non-loop internal edge (a, b) of the dual graph carries an unknown
+    e on its lexicographically first half a and D(e) = g0 - e on b; every
+    vertex requires its incident values, legs reading the boundary labels,
+    to sum to g0.  This is the system A e = c with A the signed incidence
+    matrix (+1 at a, -1 at b) and c_v = g0 - (boundary labels at v)
+    - (number of second halves at v, loops included) * g0.  A loop carries
+    e + D(e) = g0 for every e, so it leaves A and scales the count by |G|.
+
+    With U A W = D the Smith normal form, each cyclic factor Z/n of G
+    contributes prod_r gcd(d_r, n) over the unknowns when gcd(d_r, n)
+    divides (U c)_r for every equation, and 0 otherwise; d_r = 0 off the
+    diagonal.  The genus is never read, so the count stays an independent
+    check of :func:`block_dim_direct`.
     """
     group = C.group
     if len(labels) != pd.n:
@@ -128,65 +126,29 @@ def block_dim_glued(
             "blocks.label_mismatch",
             f"decomposition has {pd.n} boundary legs, got {len(labels)} labels",
         )
-    label_of_leg = {h: group.reduce(labels[i]) for h, i in pd.leg_map.items()}
-    elements, index_of, add_table = _group_tables(group)
-    m = len(elements)
-    side_vals = (
-        np.arange(m, dtype=np.int64),
-        np.array([index_of[C.dual(x)] for x in elements], dtype=np.int64),
-    )
     g = pd.dual
     attach = g.attach_map
-    loop_count = 0
-    real_edges = []
-    for a, b in g.pairing:
-        if attach[a] == attach[b]:
-            loop_count += 1
-        else:
-            real_edges.append((a, b))
-    if len(real_edges) > len(string.ascii_letters):
-        raise CapacityError(
-            "blocks.capacity", f"{len(real_edges)} internal edges exceed the contraction cap"
-        )
-    side_of = {}
-    for k, (a, b) in enumerate(real_edges):
-        side_of[a] = (k, 0)
-        side_of[b] = (k, 1)
-    g0_idx = index_of[C.g0]
-    zero_idx = index_of[group.zero]
-    tensors = []
-    subscripts = []
-    scalar = 1
-    loops_at = {v: 0 for v in g.vertices}
-    for a, b in g.pairing:
-        if attach[a] == attach[b]:
-            loops_at[attach[a]] += 1
-    for v in g.vertices:
-        const_idx = zero_idx
-        axes = []
-        for h in g.vertex_half_edges[v]:
-            if h in label_of_leg:
-                const_idx = add_table[const_idx, index_of[label_of_leg[h]]]
-            elif h in side_of:
-                axes.append(side_of[h])
-        for _ in range(loops_at[v]):
-            const_idx = add_table[const_idx, g0_idx]
-        if not axes:
-            if const_idx != g0_idx:
-                scalar = 0
-            continue
-        running = np.asarray(const_idx, dtype=np.int64)
-        for k, side in axes:
-            running = add_table[running[..., None], side_vals[side][(None,) * running.ndim]]
-        tensors.append((running == g0_idx).astype(np.int64))
-        subscripts.append("".join(string.ascii_letters[k] for k, _ in axes))
-    if scalar == 0:
-        return 0
-    if tensors:
-        total = int(np.einsum(",".join(subscripts) + "->", *tensors))
-    else:
-        total = 1
-    return total * m**loop_count
+    rhs = {v: C.g0 for v in g.vertices}
+    for h, i in pd.leg_map.items():
+        rhs[attach[h]] = group.add(rhs[attach[h]], group.neg(group.reduce(labels[i])))
+    for _, b in g.pairing:
+        rhs[attach[b]] = group.add(rhs[attach[b]], group.neg(C.g0))
+    edges = [(a, b) for a, b in g.pairing if attach[a] != attach[b]]
+    loops = len(g.pairing) - len(edges)
+    incidence = [
+        [(attach[a] == v) - (attach[b] == v) for a, b in edges] for v in g.vertices
+    ]
+    U, D, _ = smith_normal_form(incidence)
+    n_rows, n_cols = len(incidence), len(edges)
+    d = [D[r][r] if r < min(n_rows, n_cols) else 0 for r in range(max(n_rows, n_cols))]
+    c = [rhs[v] for v in g.vertices]
+    count = group.order**loops
+    for k, n in enumerate(group.invariant_factors):
+        for r in range(n_rows):
+            if sum(u * c_v[k] for u, c_v in zip(U[r], c)) % math.gcd(d[r], n):
+                return 0
+        count *= math.prod(math.gcd(d[r], n) for r in range(n_cols))
+    return count
 
 
 @dataclass(frozen=True)

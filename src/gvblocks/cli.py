@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from . import __version__
 from .blocks import (
+    ModularData,
     block_dim_direct,
     block_dim_glued,
     builtin_modular_data,
@@ -146,14 +147,11 @@ def _cmd_blocks(config: Config, args) -> dict:
         raise ValidationError("cli.bad_genus", "blocks needs --genus INT >= 0")
     labels = _parse_labels(args.labels, C.group.rank)
     spec = make_surface(args.genus, labels)
-    total = C.group.zero
-    for lab in spec.boundary_labels:
-        total = C.group.add(total, C.group.reduce(lab))
-    total = C.group.add(total, C.group.scale(spec.genus - 1, C.g0))
-    condition_met = total == C.group.zero
+    direct_dim = block_dim_direct(C, spec)
+    condition_met = direct_dim != 0
     results = [
         {
-            "dim": block_dim_direct(C, spec),
+            "dim": direct_dim,
             "method": "direct",
             "condition_met": condition_met,
         }
@@ -177,15 +175,25 @@ def _cmd_blocks(config: Config, args) -> dict:
     }
 
 
-def _torus_data(config: Config):
+def _tolerance(config: Config, args) -> float:
+    tol = config.tolerance if args.tol is None else args.tol
+    if not tol > 0:
+        raise ValidationError("cli.bad_tolerance", f"--tol must be > 0, got {tol}")
+    return tol
+
+
+def _torus_data(config: Config) -> tuple[ModularData, PointedGVCategory | None]:
+    """Modular data of the config and the pointed category behind it, if any."""
     if isinstance(config.category, BuiltinSpec):
-        return builtin_modular_data(config.category.name)
-    return st_matrices(build_category(config))
+        return builtin_modular_data(config.category.name), None
+    C = build_category(config)
+    return st_matrices(C), C
 
 
 def _cmd_torus_rep(config: Config, args) -> dict:
-    md = _torus_data(config)
-    rel = check_relations(md, tol=args.tol or config.tolerance)
+    tol = _tolerance(config, args)
+    md, C = _torus_data(config)
+    rel = check_relations(md, tol=tol)
     data = {
         "command": "torus-rep",
         "labels": list(md.labels),
@@ -200,8 +208,8 @@ def _cmd_torus_rep(config: Config, args) -> dict:
         },
         "relations_pass": rel.passed,
     }
-    if not isinstance(config.category, BuiltinSpec):
-        rep = anomaly(build_category(config))
+    if C is not None:
+        rep = anomaly(C)
         data["anomaly"] = {
             "gamma": _c12(rep.gamma),
             "central_charge_mod8": _r12(rep.central_charge_mod8),
@@ -210,22 +218,21 @@ def _cmd_torus_rep(config: Config, args) -> dict:
 
 
 def _cmd_verlinde(config: Config, args) -> dict:
-    max_genus = args.max_genus or 3
+    max_genus = args.max_genus
     if max_genus < 1:
         raise ValidationError("cli.bad_genus", "--max-genus must be >= 1")
-    md = _torus_data(config)
-    pointed = not isinstance(config.category, BuiltinSpec)
-    C = build_category(config) if pointed else None
+    tol = _tolerance(config, args)
+    md, C = _torus_data(config)
     table = []
     for g in range(1, max_genus + 1):
-        rep = verlinde_dim(md, g)
+        rep = verlinde_dim(md, g, tol=tol)
         row = {
             "genus": g,
             "value": _c12(rep.value),
             "rounded": rep.rounded,
             "residual": _r12(rep.residual),
         }
-        if pointed:
+        if C is not None:
             row["direct_dim"] = block_dim_direct(C, make_surface(g))
         table.append(row)
     return {"command": "verlinde", "max_genus": max_genus, "table": table}

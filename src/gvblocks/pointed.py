@@ -47,6 +47,11 @@ class PointedGVCategory:
         return bilinear(self.qform)
 
     @cached_property
+    def radical(self) -> Subgroup:
+        """Transparent objects: the radical of the double braiding b."""
+        return radical(self.bform)
+
+    @cached_property
     def g0(self) -> Element:
         """Degree of the dualizing object."""
         return self.group.scale(2, self.h0)
@@ -269,7 +274,7 @@ class MuegerCenter:
 
 def mueger_center(C: PointedGVCategory) -> MuegerCenter:
     """Radical of b, and within it the elements with trivial twist."""
-    rad = radical(C.bform)
+    rad = C.radical
     bal = tuple(x for x in rad.elements if C.theta(x) == 0)
     return MuegerCenter(
         rad, Subgroup(C.group, bal, subgroup_invariants(C.group, bal))
@@ -293,7 +298,7 @@ class Verdicts:
 
 
 def verdicts(C: PointedGVCategory) -> Verdicts:
-    nondeg = radical(C.bform).is_trivial
+    nondeg = C.radical.is_trivial
     modular = nondeg and C.g0 == C.group.zero
     connected = True if nondeg else None
     return Verdicts(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .blocks import ModularData, make_modular_data
 from .errors import CapacityError, DegenerateDataError, UnsupportedError
-from .forms import _element_array, gauss_sum, radical
+from .forms import _element_array, gauss_sum
 from .pointed import PointedGVCategory, verdicts
 
 
@@ -37,7 +37,7 @@ def st_matrices(C: PointedGVCategory) -> ModularData:
         raise CapacityError(
             "torus.capacity", f"group order {group.order} exceeds the matrix cap 4096"
         )
-    if not radical(C.bform).is_trivial:
+    if not C.radical.is_trivial:
         raise DegenerateDataError(
             "torus.degenerate", "double braiding is degenerate; no torus representation"
         )
@@ -114,7 +114,7 @@ def anomaly(C: PointedGVCategory) -> AnomalyReport:
         raise UnsupportedError(
             "torus.unsupported", "h0 != 0: anomaly phase is not defined here"
         )
-    if not radical(C.bform).is_trivial:
+    if not C.radical.is_trivial:
         raise DegenerateDataError("torus.degenerate", "degenerate double braiding")
     gamma = gauss_sum(C.qform)
     if abs(abs(gamma) - 1) > 1e-9:

@@ -6,7 +6,11 @@ import pytest
 
 import gvblocks as gv
 from gvblocks.errors import DegenerateDataError, ValidationError
-from gvblocks.surfaces import enumerate_decompositions, make_surface
+from gvblocks.surfaces import (
+    enumerate_decompositions,
+    make_pants_decomposition,
+    make_surface,
+)
 
 from conftest import glued_dim_oracle, make_pointed
 
@@ -117,6 +121,52 @@ class TestGluedFormula:
                     expected = gv.block_dim_direct(C, make_surface(g, labels))
                     for pd in pds:
                         assert gv.block_dim_glued(C, pd, list(labels)) == expected
+
+    def test_gluing_equals_direct_large_groups(self):
+        rng = random.Random(202)
+        cats = [
+            make_pointed([64], [[F(1, 128)]], (1,)),
+            make_pointed([4096], [[F(3, 8192)]], (5,)),
+            make_pointed([8, 8], [[F(1, 16), F(1, 8)], [F(1, 8), F(3, 16)]], (1, 3)),
+        ]
+        for C in cats:
+            group = C.group
+            for g, n in surfaces_up_to_complexity(4):
+                pds = enumerate_decompositions(make_surface(g, [group.zero] * n))
+                label_sets = [[]]
+                if n:
+                    # the last label is solved for, then pushed off the condition
+                    head = [tuple(rng.randrange(f) for f in group.invariant_factors)
+                            for _ in range(n - 1)]
+                    total = group.scale(g - 1, C.g0)
+                    for lab in head:
+                        total = group.add(total, lab)
+                    meets = head + [group.neg(total)]
+                    misses = head + [group.add(group.neg(total), group.generator(0))]
+                    label_sets = [meets, misses]
+                    assert gv.block_dim_direct(C, make_surface(g, meets)) == group.order**g
+                    assert gv.block_dim_direct(C, make_surface(g, misses)) == 0
+                for labels in label_sets:
+                    expected = gv.block_dim_direct(C, make_surface(g, labels))
+                    for pd in pds:
+                        assert gv.block_dim_glued(C, pd, labels) == expected
+
+    def test_closed_genus_19_necklace(self, z3, z8_ff):
+        # 36 vertices in a cycle, the edge of every other neighbouring pair doubled
+        vhe = {f"v{i}": [f"v{i}.l", f"v{i}.r", f"v{i}.x"] for i in range(36)}
+        edges = [(f"v{i}.r", f"v{(i + 1) % 36}.l") for i in range(36)]
+        edges += [(f"v{i}.x", f"v{i + 1}.x") for i in range(0, 36, 2)]
+        pd = make_pants_decomposition(gv.make_graph(vhe, edges), {})
+        assert len(pd.dual.pairing) == 54 and pd.genus == 19
+        cats = [
+            z3,
+            z8_ff,
+            make_pointed([64], [[F(1, 128)]], (1,)),
+            make_pointed([64], [[F(1, 128)]], (16,)),
+        ]
+        dims = [gv.block_dim_glued(C, pd, []) for C in cats]
+        assert dims == [gv.block_dim_direct(C, make_surface(19)) for C in cats]
+        assert dims == [3**19, 0, 0, 64**19]
 
 
 class TestModularData:

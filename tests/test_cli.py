@@ -213,6 +213,29 @@ class TestSubcommands:
         data = json.loads(out)
         assert [row["rounded"] for row in data["table"]] == [2, 5]
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["verlinde", "--max-genus", "0"], "cli.bad_genus"),
+            (["torus-rep", "--tol", "0"], "cli.bad_tolerance"),
+            (["torus-rep", "--tol", "-1"], "cli.bad_tolerance"),
+        ],
+    )
+    def test_out_of_range_flags_exit_2(self, tmp_path, capsys, argv, code):
+        cfg = write_config(tmp_path, SEMION_POINTED)
+        status, out, _ = run_cli(capsys, *argv, "--config", cfg, "--json")
+        assert status == 2
+        assert json.loads(out)["error"]["code"] == code
+
+    def test_verlinde_reads_the_tolerance(self, tmp_path, capsys):
+        # the smallest vacuum entry of the Fibonacci S-matrix is about 0.526
+        cfg = write_config(tmp_path, dict(FIB, tolerance=0.6))
+        status, out, _ = run_cli(capsys, "verlinde", "--config", cfg, "--json")
+        assert status == 3
+        assert json.loads(out)["error"]["code"] == "blocks.degenerate"
+        status, _, _ = run_cli(capsys, "verlinde", "--config", cfg, "--tol", "0.5", "--json")
+        assert status == 0
+
     def test_config_error_exit_2(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("{nope", encoding="utf-8")
