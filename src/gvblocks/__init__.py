@@ -61,8 +61,8 @@ from .graphs import (
 )
 from .lattice import (
     LatticeData,
+    discriminant_data,
     discriminant_form,
-    discriminant_group,
     make_lattice,
     to_pointed_gv,
 )
@@ -86,7 +86,6 @@ from .surfaces import (
 from .torus import (
     anomaly,
     check_relations,
-    connectedness_verdict,
     fusion_from_s,
     st_matrices,
 )

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
-from .forms import Element, smith_normal_form
+from .forms import Element, FinAbGroup, smith_normal_form
 from .pointed import PointedGVCategory
 from .surfaces import PantsDecomposition, SurfaceSpec
 
@@ -31,20 +31,26 @@ class ModularData:
     """Labels with distinguished unit 0, S-matrix, diagonal T-matrix.
 
     ``conjugation`` is the charge-conjugation permutation as an index tuple;
-    for pointed data it realizes x -> -x.  ``elements`` carries the group
-    elements when the data comes from a pointed category.
+    for pointed data it realizes x -> -x.  ``group`` is set when the data
+    comes from a pointed category, whose labels are then its elements in
+    sorted order.
     """
 
     labels: tuple[str, ...]
     S: np.ndarray
     T: np.ndarray
     conjugation: tuple[int, ...]
-    elements: tuple[Element, ...] | None = None
+    group: FinAbGroup | None = None
     nondegenerate: bool = True
 
     @property
     def rank(self) -> int:
         return len(self.labels)
+
+    @property
+    def elements(self) -> tuple[Element, ...] | None:
+        """The group elements behind the labels, for pointed data."""
+        return None if self.group is None else self.group.sorted_elements
 
 
 def make_modular_data(
@@ -52,7 +58,7 @@ def make_modular_data(
     S,
     T,
     conjugation: Sequence[int],
-    elements=None,
+    group: FinAbGroup | None = None,
     nondegenerate: bool = True,
     tol: float = 1e-9,
 ) -> ModularData:
@@ -79,7 +85,7 @@ def make_modular_data(
         S,
         T,
         tuple(int(i) for i in conjugation),
-        elements=tuple(elements) if elements is not None else None,
+        group=group,
         nondegenerate=nondegenerate,
     )
 

@@ -304,7 +304,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--tol", type=float, default=None, help="numeric tolerance")
+        if name in ("torus-rep", "verlinde"):
+            p.add_argument("--tol", type=float, default=None, help="numeric tolerance")
         if name == "blocks":
             p.add_argument("--genus", type=int, default=None)
             p.add_argument(

@@ -6,16 +6,23 @@ integer tuples with the i-th coordinate reduced modulo the i-th invariant
 factor.  Invariant factors are kept in the shape the caller supplied (no
 forced divisibility chain); only :func:`smith_normal_form` output follows the
 chain.
+
+Whole-group computations index the elements one way: position in sorted
+(mixed-radix) order, through :attr:`FinAbGroup.element_array`,
+:meth:`FinAbGroup.index_of` and the add/neg index tables.  A form is
+evaluated on those arrays through its integer matrix M*A reduced modulo its
+common denominator M; for a validated form M divides 2*lcm(n_i), so within
+the group-order caps every int64 product stays below 2^62 and the tables
+are exact.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -84,6 +91,40 @@ class FinAbGroup:
     def sorted_elements(self) -> tuple[Element, ...]:
         return tuple(self.elements())
 
+    @cached_property
+    def element_array(self) -> np.ndarray:
+        """All elements as an (order, rank) int64 array, in sorted order."""
+        grid = np.indices(self.invariant_factors, dtype=np.int64)
+        return grid.reshape(self.rank, self.order).T
+
+    @cached_property
+    def _radix(self) -> tuple[np.ndarray, np.ndarray]:
+        factors = np.array(self.invariant_factors, dtype=np.int64).reshape(self.rank)
+        strides = np.ones(self.rank, dtype=np.int64)
+        for i in range(self.rank - 2, -1, -1):
+            strides[i] = strides[i + 1] * factors[i + 1]
+        return factors, strides
+
+    def index_of(self, coords: np.ndarray) -> np.ndarray:
+        """Sorted-order index of each integer vector along the last axis,
+        reduced into the group first."""
+        factors, strides = self._radix
+        return (coords % factors) @ strides
+
+    def add_index(self, rows: slice = slice(None)) -> np.ndarray:
+        """Index of x + y for x in ``element_array[rows]`` and every y."""
+        X = self.element_array
+        factors, strides = self._radix
+        out = np.zeros((X[rows].shape[0], self.order), dtype=np.int64)
+        for i in range(self.rank):
+            out += (X[rows, None, i] + X[None, :, i]) % factors[i] * strides[i]
+        return out
+
+    @cached_property
+    def neg_index(self) -> np.ndarray:
+        """Index of -x for every x."""
+        return self.index_of(-self.element_array)
+
 
 def make_group(invariant_factors: Iterable[int]) -> FinAbGroup:
     """Build the group with the given cyclic factors (each n_i >= 1)."""
@@ -95,36 +136,43 @@ def make_group(invariant_factors: Iterable[int]) -> FinAbGroup:
 
 
 def _integerize(matrix: tuple[tuple[Fraction, ...], ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Common denominator M and the integer matrix M * A."""
+    """Common denominator M and the integer matrix M * A reduced modulo M.
+
+    The reduction changes x^T (M A) y only by multiples of M for integer
+    x and y, so every value mod 1 is unchanged.
+    """
     den = 1
     for row in matrix:
         for a in row:
             den = den * a.denominator // math.gcd(den, a.denominator)
     return den, tuple(
-        tuple(a.numerator * (den // a.denominator) for a in row) for row in matrix
+        tuple(a.numerator * (den // a.denominator) % den for a in row) for row in matrix
     )
 
 
-@lru_cache(maxsize=128)
-def _element_array(group: FinAbGroup) -> np.ndarray:
-    """All group elements as an (order, rank) int64 array, sorted."""
-    return np.array(group.sorted_elements, dtype=np.int64).reshape(group.order, group.rank)
-
-
-def _np_safe(den: int, max_coord: int, rank: int) -> bool:
-    # keep x^T A x within int64 for the vectorized paths
-    return den * max_coord * max_coord * max(rank, 1) ** 2 < 2**62
-
-
-def _quadratic_values(int_matrix, den: int, X: np.ndarray) -> np.ndarray:
+def _quadratic_values(A: np.ndarray, den: int, X: np.ndarray) -> np.ndarray:
     """Numerators of q on the rows of X: (x^T (den*A) x) mod den."""
-    k = len(int_matrix)
-    A = np.array(int_matrix, dtype=np.int64).reshape(k, k)
     return np.einsum("ij,jk,ik->i", X, A, X) % den
 
 
 @dataclass(frozen=True)
-class QForm:
+class _MatrixForm:
+    group: FinAbGroup
+    matrix: tuple[tuple[Fraction, ...], ...]
+
+    @cached_property
+    def int_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        return _integerize(self.matrix)
+
+    @cached_property
+    def int_array(self) -> np.ndarray:
+        """The reduced integer matrix of :attr:`int_form` as int64."""
+        k = self.group.rank
+        return np.array(self.int_form[1], dtype=np.int64).reshape(k, k)
+
+
+@dataclass(frozen=True)
+class QForm(_MatrixForm):
     """Quadratic form q(x) = x^T A x mod 1 on a finite abelian group.
 
     ``matrix`` is symmetric with exact rational entries; construct through
@@ -133,12 +181,10 @@ class QForm:
     arithmetic exact and cheap.
     """
 
-    group: FinAbGroup
-    matrix: tuple[tuple[Fraction, ...], ...]
-
     @cached_property
-    def int_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        return _integerize(self.matrix)
+    def values(self) -> np.ndarray:
+        """Numerators of q over all elements in sorted order (denominator M)."""
+        return _quadratic_values(self.int_array, self.int_form[0], self.group.element_array)
 
     def eval_raw(self, vec: Sequence[int]) -> Fraction:
         """Evaluate on an arbitrary (unreduced) integer vector."""
@@ -155,15 +201,17 @@ class QForm:
 
 
 @dataclass(frozen=True)
-class BilinearForm:
+class BilinearForm(_MatrixForm):
     """Symmetric biadditive form b(x, y) = x^T B y mod 1."""
 
-    group: FinAbGroup
-    matrix: tuple[tuple[Fraction, ...], ...]
+    def against_generators(self) -> np.ndarray:
+        """Numerators of b(x, e_j): one row per element in sorted order."""
+        return (self.group.element_array @ self.int_array) % self.int_form[0]
 
-    @cached_property
-    def int_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        return _integerize(self.matrix)
+    def table_rows(self, rows: slice = slice(None)) -> np.ndarray:
+        """Numerators of b(x, y) for x in ``element_array[rows]`` and every y."""
+        X = self.group.element_array
+        return (X[rows] @ self.int_array @ X.T) % self.int_form[0]
 
     def __call__(self, x: Sequence[int], y: Sequence[int]) -> Fraction:
         x = self.group.reduce(x)
@@ -215,34 +263,19 @@ def make_qform(group: FinAbGroup, matrix) -> QForm:
                 witness=witness,
             )
     if group.order <= 256:
-        den, int_rows = q.int_form
-        max_coord = 2 * max(group.invariant_factors, default=1)
-        if _np_safe(den, max_coord, k):
-            X = _element_array(group)
-            base = _quadratic_values(int_rows, den, X)
-            for i, n in enumerate(group.invariant_factors):
-                shift = np.zeros(k, dtype=np.int64)
-                shift[i] = n
-                moved = _quadratic_values(int_rows, den, X + shift)
-                bad = np.nonzero(moved != base)[0]
-                if bad.size:
-                    witness = tuple(int(c) for c in (X[bad[0]] + shift))
-                    raise InvalidQForm(
-                        "forms.invalid_qform",
-                        f"q not invariant under x -> x + {n}*e_{i} at x={tuple(int(c) for c in X[bad[0]])}",
-                        witness=witness,
-                    )
-        else:
-            for i, n in enumerate(group.invariant_factors):
-                shift = tuple(n if j == i else 0 for j in range(k))
-                for x in group.elements():
-                    moved = tuple(a + s for a, s in zip(x, shift))
-                    if q.eval_raw(moved) != q.eval_raw(x):
-                        raise InvalidQForm(
-                            "forms.invalid_qform",
-                            f"q not invariant under x -> x + {n}*e_{i} at x={x}",
-                            witness=moved,
-                        )
+        X = group.element_array
+        for i, n in enumerate(group.invariant_factors):
+            shift = np.zeros(k, dtype=np.int64)
+            shift[i] = n
+            moved = _quadratic_values(q.int_array, q.int_form[0], X + shift)
+            bad = np.nonzero(moved != q.values)[0]
+            if bad.size:
+                witness = tuple(int(c) for c in (X[bad[0]] + shift))
+                raise InvalidQForm(
+                    "forms.invalid_qform",
+                    f"q not invariant under x -> x + {n}*e_{i} at x={tuple(int(c) for c in X[bad[0]])}",
+                    witness=witness,
+                )
     return q
 
 
@@ -298,29 +331,22 @@ class Subgroup:
         return len(self.elements) == 1
 
 
+def _check_enumerable(group: FinAbGroup) -> None:
+    if group.order > ENUMERATION_CAP:
+        raise CapacityError(
+            "forms.capacity", f"group order {group.order} exceeds {ENUMERATION_CAP}"
+        )
+
+
 def radical(b: BilinearForm) -> Subgroup:
     """All x with b(x, -) = 0, found by enumeration.
 
     Biadditivity makes it enough to test x against the generators.
     """
     group = b.group
-    if group.order > ENUMERATION_CAP:
-        raise CapacityError(
-            "forms.capacity", f"group order {group.order} exceeds {ENUMERATION_CAP}"
-        )
-    den, int_rows = b.int_form
-    max_coord = max(group.invariant_factors, default=1)
-    if _np_safe(den, max_coord, group.rank):
-        X = _element_array(group)
-        B = np.array(int_rows, dtype=np.int64).reshape(group.rank, group.rank)
-        pairings = (X @ B) % den
-        mask = ~pairings.any(axis=1)
-        elems = tuple(tuple(int(c) for c in row) for row in X[mask])
-    else:
-        gens = group.generators()
-        elems = tuple(
-            x for x in group.elements() if all(b(x, g) == 0 for g in gens)
-        )
+    _check_enumerable(group)
+    mask = ~b.against_generators().any(axis=1)
+    elems = tuple(map(tuple, group.element_array[mask].tolist()))
     return Subgroup(group, elems, subgroup_invariants(group, elems))
 
 
@@ -383,15 +409,8 @@ def _prime_factors(n: int) -> list[int]:
 def gauss_sum(q: QForm) -> complex:
     """gamma(q) = |G|^(-1/2) * sum over x of exp(2 pi i q(x))."""
     group = q.group
-    den, int_rows = q.int_form
-    max_coord = max(group.invariant_factors, default=1)
-    if _np_safe(den, max_coord, group.rank):
-        vals = _quadratic_values(int_rows, den, _element_array(group))
-        total = complex(np.exp(2j * math.pi * vals / den).sum())
-    else:
-        total = sum(
-            cmath.exp(2j * math.pi * float(q.eval_raw(x))) for x in group.elements()
-        )
+    _check_enumerable(group)
+    total = complex(np.exp(2j * math.pi * q.values / q.int_form[0]).sum())
     return total / math.sqrt(group.order)
 
 

@@ -120,12 +120,6 @@ def discriminant_data(lattice: LatticeData) -> DiscriminantData:
     return DiscriminantData(make_group(factors), lifts, proj_rows)
 
 
-def discriminant_group(lattice: LatticeData) -> tuple[FinAbGroup, tuple[tuple[Fraction, ...], ...]]:
-    """The finite abelian group dual/lattice with rational generator lifts."""
-    data = discriminant_data(lattice)
-    return data.group, data.lifts
-
-
 def discriminant_form(lattice: LatticeData) -> QForm:
     """q(x) = <lift(x), lift(x)>/2 mod 1 on the discriminant group.
 

@@ -19,14 +19,15 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .errors import CapacityError
+import numpy as np
+
+from .errors import CapacityError, ValidationError
 from .forms import (
     BilinearForm,
     Element,
     FinAbGroup,
     QForm,
     Subgroup,
-    _np_safe,
     bilinear,
     radical,
     subgroup_invariants,
@@ -52,6 +53,15 @@ class PointedGVCategory:
         return radical(self.bform)
 
     @cached_property
+    def twist_numerators(self) -> tuple[int, np.ndarray]:
+        """Denominator T and the numerators T*theta(x) for x in sorted order."""
+        qden, bden = self.qform.int_form[0], self.bform.int_form[0]
+        tden = math.lcm(qden, bden)
+        h0_idx = int(self.group.index_of(np.array(self.h0, dtype=np.int64)))
+        b_h0 = self.bform.table_rows(slice(h0_idx, h0_idx + 1))[0]
+        return tden, (self.qform.values * (tden // qden) - b_h0 * (tden // bden)) % tden
+
+    @cached_property
     def g0(self) -> Element:
         """Degree of the dualizing object."""
         return self.group.scale(2, self.h0)
@@ -68,7 +78,10 @@ class PointedGVCategory:
 
 def make_category(group: FinAbGroup, qform: QForm, h0: Sequence[int]) -> PointedGVCategory:
     """Assemble the category; q must be a validated form on ``group``."""
-    assert qform.group == group, "quadratic form lives on a different group"
+    if qform.group != group:
+        raise ValidationError(
+            "pointed.group_mismatch", "quadratic form lives on a different group"
+        )
     return PointedGVCategory(group, qform, group.reduce(h0))
 
 
@@ -98,170 +111,78 @@ def check_axioms(
 
     ``twist`` substitutes an alternative balancing map, which is how a
     deliberately broken structure can be probed; by default the derived
-    twist of the category is used.  Groups of order up to 4096 are
-    exhausted; biadditivity uses the full triple loop up to order 128 and
-    the equivalent generator form above that.  The checks run on exact
-    integer value tables; a plain loop fallback covers inputs whose
-    denominators exceed the table range.
+    twist of the category is used.  Groups of order up to ``AXIOM_CAP`` are
+    exhausted; biadditivity uses the full triple check up to order 128 and
+    the equivalent generator form above that.  The checks compare exact
+    integer value tables, built in row chunks of about 2^20 pairs so that
+    memory stays bounded at every order; twist values whose common
+    denominator reaches 2^61 are held as Python integers.
     """
     group = C.group
-    if group.order > AXIOM_CAP:
-        raise CapacityError(
-            "pointed.capacity", f"group order {group.order} exceeds axiom cap {AXIOM_CAP}"
-        )
-    bden, _ = C.bform.int_form
-    qden, _ = C.qform.int_form
-    max_coord = max(group.invariant_factors, default=1)
-    use_tables = group.order <= 1024 and _np_safe(
-        max(bden, qden), max_coord, group.rank
-    )
-    if use_tables:
-        return _check_axioms_tables(C, twist)
-    return _check_axioms_loops(C, twist)
-
-
-def _check_axioms_tables(C: PointedGVCategory, twist) -> AxiomReport:
-    import numpy as np
-
-    from .forms import _element_array
-
-    group = C.group
     m = group.order
-    k = group.rank
+    if m > AXIOM_CAP:
+        raise CapacityError(
+            "pointed.capacity", f"group order {m} exceeds axiom cap {AXIOM_CAP}"
+        )
     elements = group.sorted_elements
-    X = _element_array(group)
-    factors = np.array(group.invariant_factors, dtype=np.int64).reshape(k)
-    strides = np.ones(k, dtype=np.int64)
-    for i in range(k - 2, -1, -1):
-        strides[i] = strides[i + 1] * factors[i + 1]
-
-    def idx_of(rows: np.ndarray) -> np.ndarray:
-        return rows @ strides if k else np.zeros(len(rows), dtype=np.int64)
-
-    bden, bint = C.bform.int_form
-    qden, qint = C.qform.int_form
-    B = np.array(bint, dtype=np.int64).reshape(k, k)
-    Q = np.array(qint, dtype=np.int64).reshape(k, k)
-    V = (X @ B @ X.T) % bden
-    qv = np.einsum("ij,jk,ik->i", X, Q, X) % qden
-    add_idx = np.zeros((m, m), dtype=np.int64)
-    for i in range(k):
-        add_idx += ((X[:, None, i] + X[None, :, i]) % int(factors[i])) * int(strides[i])
-    neg_idx = idx_of((-X) % factors) if k else np.zeros(m, dtype=np.int64)
-    g0 = np.array(C.g0, dtype=np.int64)
-    dual_idx = idx_of((g0 - X) % factors) if k else np.zeros(m, dtype=np.int64)
-
+    b = C.bform
+    bden = b.int_form[0]
     if twist is None:
-        tden = math.lcm(qden, bden)
-        h0_idx = int(idx_of(np.array([C.h0], dtype=np.int64).reshape(1, k))[0])
-        tnum = (qv * (tden // qden) - V[:, h0_idx] * (tden // bden)) % tden
+        tden, tnum = C.twist_numerators
     else:
         tvals = [twist(x) % 1 for x in elements]
-        tden0 = 1
-        for t in tvals:
-            tden0 = math.lcm(tden0, t.denominator)
-        tden = math.lcm(tden0, bden)
-        tnum = np.array([int(t * tden) for t in tvals], dtype=np.int64) % tden
-
-    checks = []
-
-    def report(name, mask, witness_fn):
-        bad = np.argwhere(~mask)
-        if bad.size:
-            checks.append(AxiomCheck(name, False, witness_fn(bad[0])))
-        else:
-            checks.append(AxiomCheck(name, True, None))
-
-    if m <= 128:
-        lhs = V[add_idx]  # b(x+y, z) numerators
-        rhs = (V[:, None, :] + V[None, :, :]) % bden
-        report(
-            "braiding biadditive",
-            lhs == rhs,
-            lambda w: (elements[w[0]], elements[w[1]], elements[w[2]]),
-        )
-    else:
-        gidx = idx_of(np.array(group.generators(), dtype=np.int64).reshape(k, k))
-        Vg = V[:, gidx]
-        lhs = Vg[add_idx]
-        rhs = (Vg[:, None, :] + Vg[None, :, :]) % bden
-        report(
-            "braiding biadditive",
-            lhs == rhs,
-            lambda w: (elements[w[0]], elements[w[1]], group.generator(int(w[2]))),
-        )
+        tden = math.lcm(bden, *(t.denominator for t in tvals))
+        # the multiplicativity sum adds three values below tden
+        dtype = object if tden >= 2**61 else np.int64
+        tnum = np.array([int(t * tden) for t in tvals], dtype=dtype) % tden
     scale = tden // bden
-    mult_ok = tnum[add_idx] == (tnum[:, None] + tnum[None, :] + V * scale) % tden
-    report("twist multiplicative", mult_ok, lambda w: (elements[w[0]], elements[w[1]]))
-    zero_idx = int(idx_of(np.zeros((1, k), dtype=np.int64))[0])
-    report("twist unit", np.array([tnum[zero_idx] == 0]), lambda w: (group.zero,))
-    ribbon_ok = tnum[dual_idx] == tnum
-    report("ribbon", ribbon_ok, lambda w: (elements[w[0]],))
-    report(
-        "pairing balance",
-        ribbon_ok,
-        lambda w: (elements[w[0]], C.dual(elements[w[0]])),
+
+    triple = m <= 128
+    Vg = None if triple else b.against_generators()
+    biadditive = multiplicative = None
+    rows = max(1, 2**20 // m)
+    for start in range(0, m, rows):
+        if biadditive is not None and multiplicative is not None:
+            break
+        chunk = slice(start, min(start + rows, m))
+        V = b.table_rows(chunk)
+        add = group.add_index(chunk)
+        if biadditive is None and triple:
+            # a single chunk: V is the whole table
+            bad = np.argwhere(V[add] != (V[:, None, :] + V[None, :, :]) % bden)
+            if bad.size:
+                biadditive = tuple(elements[i] for i in bad[0])
+        elif biadditive is None:
+            ok = np.ones(add.shape, dtype=bool)
+            for j in range(group.rank):
+                ok &= Vg[add, j] == (Vg[chunk, j, None] + Vg[None, :, j]) % bden
+            bad = np.argwhere(~ok)
+            if bad.size:
+                r, y = bad[0]
+                x = start + r
+                j = np.flatnonzero(Vg[add[r, y]] != (Vg[x] + Vg[y]) % bden)[0]
+                biadditive = (elements[x], elements[y], group.generator(int(j)))
+        if multiplicative is None:
+            V = V.astype(tnum.dtype, copy=False) * scale
+            bad = np.argwhere(tnum[add] != (tnum[chunk, None] + tnum[None, :] + V) % tden)
+            if bad.size:
+                multiplicative = (elements[start + bad[0][0]], elements[bad[0][1]])
+
+    dual_idx = group.index_of(np.array(C.g0, dtype=np.int64) - group.element_array)
+    unbalanced = np.flatnonzero(tnum[dual_idx] != tnum)
+    odd = np.flatnonzero(C.qform.values[group.neg_index] != C.qform.values)
+    u = elements[unbalanced[0]] if unbalanced.size else None
+    witnesses = {
+        "braiding biadditive": biadditive,
+        "twist multiplicative": multiplicative,
+        "twist unit": None if tnum[0] == 0 else (group.zero,),
+        "ribbon": None if u is None else (u,),
+        "pairing balance": None if u is None else (u, C.dual(u)),
+        "quadratic even": (elements[odd[0]],) if odd.size else None,
+    }
+    return AxiomReport(
+        tuple(AxiomCheck(name, w is None, w) for name, w in witnesses.items())
     )
-    report("quadratic even", qv[neg_idx] == qv, lambda w: (elements[w[0]],))
-    return AxiomReport(tuple(checks))
-
-
-def _check_axioms_loops(C: PointedGVCategory, twist) -> AxiomReport:
-    group = C.group
-    th = twist if twist is not None else C.theta
-    b = C.bform
-    elements = list(group.elements())
-    checks = []
-
-    def run(name, witness_iter):
-        witness = next(witness_iter, None)
-        checks.append(AxiomCheck(name, witness is None, witness))
-
-    if group.order <= 128:
-        run(
-            "braiding biadditive",
-            (
-                (x, y, z)
-                for x in elements
-                for y in elements
-                for z in elements
-                if b(group.add(x, y), z) != (b(x, z) + b(y, z)) % 1
-            ),
-        )
-    else:
-        gens = group.generators()
-        run(
-            "braiding biadditive",
-            (
-                (x, y, z)
-                for x in elements
-                for y in elements
-                for z in gens
-                if b(group.add(x, y), z) != (b(x, z) + b(y, z)) % 1
-            ),
-        )
-    run(
-        "twist multiplicative",
-        (
-            (x, y)
-            for x in elements
-            for y in elements
-            if th(group.add(x, y)) % 1 != (th(x) + th(y) + b(x, y)) % 1
-        ),
-    )
-    run("twist unit", ((group.zero,) for _ in range(1) if th(group.zero) % 1 != 0))
-    run("ribbon", ((x,) for x in elements if th(C.dual(x)) % 1 != th(x) % 1))
-    run(
-        "pairing balance",
-        (
-            (x, y)
-            for x in elements
-            for y in [C.dual(x)]
-            if C.kappa(x, y) == 1 and th(x) % 1 != th(y) % 1
-        ),
-    )
-    run("quadratic even", ((x,) for x in elements if C.qform(group.neg(x)) != C.qform(x)))
-    return AxiomReport(tuple(checks))
 
 
 @dataclass(frozen=True)
@@ -275,7 +196,9 @@ class MuegerCenter:
 def mueger_center(C: PointedGVCategory) -> MuegerCenter:
     """Radical of b, and within it the elements with trivial twist."""
     rad = C.radical
-    bal = tuple(x for x in rad.elements if C.theta(x) == 0)
+    coords = np.array(rad.elements, dtype=np.int64).reshape(rad.order, C.group.rank)
+    theta = C.twist_numerators[1][C.group.index_of(coords)]
+    bal = tuple(x for x, t in zip(rad.elements, theta) if t == 0)
     return MuegerCenter(
         rad, Subgroup(C.group, bal, subgroup_invariants(C.group, bal))
     )

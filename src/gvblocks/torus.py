@@ -17,8 +17,8 @@ import numpy as np
 
 from .blocks import ModularData, make_modular_data
 from .errors import CapacityError, DegenerateDataError, UnsupportedError
-from .forms import _element_array, gauss_sum
-from .pointed import PointedGVCategory, verdicts
+from .forms import gauss_sum
+from .pointed import PointedGVCategory
 
 
 def st_matrices(C: PointedGVCategory) -> ModularData:
@@ -41,20 +41,11 @@ def st_matrices(C: PointedGVCategory) -> ModularData:
         raise DegenerateDataError(
             "torus.degenerate", "double braiding is degenerate; no torus representation"
         )
-    elements = group.sorted_elements
-    m = len(elements)
-    k = group.rank
-    X = _element_array(group)
-    bden, bint = C.bform.int_form
-    qden, qint = C.qform.int_form
-    bvals = (X @ np.array(bint, dtype=np.int64).reshape(k, k) @ X.T) % bden
-    S = np.exp(-2j * math.pi * bvals / bden) / math.sqrt(m)
-    qvals = np.einsum("ij,jk,ik->i", X, np.array(qint, dtype=np.int64).reshape(k, k), X) % qden
-    T = np.diag(np.exp(2j * math.pi * qvals / qden))
-    index_of = {x: i for i, x in enumerate(elements)}
-    conj = tuple(index_of[group.neg(x)] for x in elements)
-    labels = tuple(",".join(str(c) for c in x) for x in elements)
-    return make_modular_data(labels, S, T, conj, elements=elements)
+    bden, qden = C.bform.int_form[0], C.qform.int_form[0]
+    S = np.exp(-2j * math.pi * C.bform.table_rows() / bden) / math.sqrt(group.order)
+    T = np.diag(np.exp(2j * math.pi * C.qform.values / qden))
+    labels = tuple(",".join(str(c) for c in x) for x in group.sorted_elements)
+    return make_modular_data(labels, S, T, tuple(group.neg_index.tolist()), group=group)
 
 
 def _opnorm(M: np.ndarray) -> float:
@@ -145,40 +136,10 @@ def fusion_from_s(md: ModularData, tol: float = 1e-9) -> FusionReport:
     raw = np.einsum("xw,yw,zw->xyz", md.S, md.S, md.S.conj() / s0)
     tensor = np.round(raw.real).astype(np.int64)
     residual = float(np.abs(raw - tensor).max())
-    if md.elements is not None:
-        # the group of pointed data is recoverable from its element list
-        factors = tuple(max(x[i] for x in md.elements) + 1 for i in range(len(md.elements[0])))
-        index_of = {x: i for i, x in enumerate(md.elements)}
-        for i, x in enumerate(md.elements):
-            for j, y in enumerate(md.elements):
-                s = tuple((a + b) % nmod for a, b, nmod in zip(x, y, factors))
-                expected = np.zeros(md.rank, dtype=np.int64)
-                expected[index_of[s]] = 1
-                if not np.array_equal(tensor[i, j], expected):
-                    raise RuntimeError(
-                        f"fusion from S disagrees with the group law at ({x}, {y})"
-                    )
+    if md.group is not None:
+        add = md.group.add_index()
+        bad = np.argwhere((tensor != (add[:, :, None] == np.arange(md.rank))).any(axis=2))
+        if bad.size:
+            x, y = (md.elements[i] for i in bad[0])
+            raise RuntimeError(f"fusion from S disagrees with the group law at ({x}, {y})")
     return FusionReport(tensor, residual)
-
-
-@dataclass(frozen=True)
-class ConnectednessVerdict:
-    connected: bool | None  # None = undetermined
-    justification: str
-
-
-def connectedness_verdict(C: PointedGVCategory) -> ConnectednessVerdict:
-    """Sufficient-condition verdict: cofactorizability settles connectedness.
-
-    When the double braiding is degenerate the genus-one comparison of
-    handlebody module maps is not computable in this artifact, so the
-    verdict stays undetermined.
-    """
-    v = verdicts(C)
-    if v.cofactorizable:
-        return ConnectednessVerdict(True, "cofactorizable (non-degenerate b)")
-    return ConnectednessVerdict(
-        None,
-        "undetermined: braiding is degenerate and the genus-one module-map "
-        "comparison is out of computational reach",
-    )

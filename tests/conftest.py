@@ -1,5 +1,9 @@
 """Shared fixtures and generators for the test suite."""
 
+import cmath
+import functools
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -147,3 +151,92 @@ def glued_dim_oracle(C, pd, labels):
         if ok:
             total += 1
     return total
+
+
+# --- brute-force Fraction references for the group-table kernels ----------
+
+
+def _pairing(matrix, x, y):
+    total = Fraction(0)
+    for row, xi in zip(matrix, x):
+        for a, yj in zip(row, y):
+            if a and xi and yj:
+                total += a * (xi * yj)
+    return total % 1
+
+
+def q_reference(q, x):
+    """q(x) = x^T A x mod 1 straight from the rational matrix."""
+    return _pairing(q.matrix, x, x)
+
+
+def b_reference(q, x, y):
+    """b(x, y) = 2 x^T A y mod 1, the polarization of q."""
+    return 2 * _pairing(q.matrix, x, y) % 1
+
+
+def radical_reference(q):
+    """Elements x with b(x, y) = 0 for every y, in sorted order."""
+    els = list(q.group.elements())
+    return tuple(x for x in els if all(b_reference(q, x, y) == 0 for y in els))
+
+
+def gauss_sum_reference(q):
+    total = sum(cmath.exp(2j * math.pi * q_reference(q, x)) for x in q.group.elements())
+    return total / math.sqrt(q.group.order)
+
+
+def twist_table(C, twist=None):
+    """The twist on every element: ``twist`` if given, else q(x) - b(x, h0)."""
+    if twist is None:
+        q = C.qform
+        twist = lambda x: q_reference(q, x) - b_reference(q, x, C.h0)
+    return {x: twist(x) % 1 for x in C.group.elements()}
+
+
+def axiom_violation(C, th, name, witness, b=None):
+    """True when ``witness`` breaks the named axiom under the twist table
+    ``th``, in exact arithmetic; ``b`` may pass a memoized ``b_reference``."""
+    group, q = C.group, C.qform
+    b = b or functools.partial(b_reference, q)
+    if name == "braiding biadditive":
+        x, y, z = witness
+        return b(group.add(x, y), z) != (b(x, z) + b(y, z)) % 1
+    if name == "twist multiplicative":
+        x, y = witness
+        return th[group.add(x, y)] != (th[x] + th[y] + b(x, y)) % 1
+    if name == "twist unit":
+        return witness == (group.zero,) and th[group.zero] != 0
+    if name == "ribbon":
+        return th[C.dual(witness[0])] != th[witness[0]]
+    if name == "pairing balance":
+        x, y = witness
+        return C.kappa(x, y) == 1 and th[x] != th[y]
+    if name == "quadratic even":
+        return q_reference(q, group.neg(witness[0])) != q_reference(q, witness[0])
+    raise KeyError(name)
+
+
+def axioms_reference(C, twist=None):
+    """First witness of each axiom check in lexicographic element order.
+
+    Biadditivity runs over all triples up to order 128 and against the
+    generators above, like the library suite.
+    """
+    group = C.group
+    th = twist_table(C, twist)
+    b = functools.cache(functools.partial(b_reference, C.qform))
+    els = list(group.elements())
+    thirds = els if group.order <= 128 else group.generators()
+    candidates = {
+        "braiding biadditive": itertools.product(els, els, thirds),
+        "twist multiplicative": itertools.product(els, els),
+        "twist unit": [(group.zero,)],
+        "ribbon": ((x,) for x in els),
+        "pairing balance": ((x, C.dual(x)) for x in els),
+        "quadratic even": ((x,) for x in els),
+    }
+    return {
+        name: next((w for w in ws if axiom_violation(C, th, name, w, b)), None)
+        for name, ws in candidates.items()
+    }

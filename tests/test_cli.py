@@ -227,6 +227,14 @@ class TestSubcommands:
         assert status == 2
         assert json.loads(out)["error"]["code"] == code
 
+    @pytest.mark.parametrize("sub", ["inspect", "lattice", "blocks"])
+    def test_tol_only_where_read(self, tmp_path, capsys, sub):
+        cfg = write_config(tmp_path, SEMION_LATTICE)
+        with pytest.raises(SystemExit) as e:
+            cli.main([sub, "--config", cfg, "--tol", "-1"])
+        assert e.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
     def test_verlinde_reads_the_tolerance(self, tmp_path, capsys):
         # the smallest vacuum entry of the Fibonacci S-matrix is about 0.526
         cfg = write_config(tmp_path, dict(FIB, tolerance=0.6))

@@ -14,7 +14,7 @@ from gvblocks.forms import (
     subgroup_invariants,
 )
 
-from conftest import group_shapes
+from conftest import gauss_sum_reference, group_shapes, radical_reference
 
 F = Fraction
 
@@ -60,6 +60,13 @@ class TestQForm:
         g = gv.make_group([5, 7])
         q = gv.make_qform(g, [[0, 0], [0, 0]])
         assert all(q(x) == 0 for x in g.elements())
+
+    def test_large_integer_part(self):
+        # 9 * (2^58 + 1/9) * x^2 overflows int64 unless the matrix is reduced first
+        g = gv.make_group([9])
+        big = gv.make_qform(g, [[2**58 + F(1, 9)]])
+        small = gv.make_qform(g, [[F(1, 9)]])
+        assert [big(x) for x in g.elements()] == [small(x) for x in g.elements()]
 
     def test_asymmetric_rejected(self):
         g = gv.make_group([2, 2])
@@ -159,22 +166,21 @@ class TestRadical:
         with pytest.raises(CapacityError):
             gv.radical(gv.bilinear(gv.make_qform(g, [[0] * 17] * 17)))
 
-    def test_python_fallback_agrees(self, monkeypatch):
-        # force the non-vectorized paths and compare
-        import gvblocks.forms as forms
-
-        cases = []
+    def test_matches_reference(self):
         for factors in [(2,), (2, 4), (12,), (3, 3)]:
             g = gv.make_group(factors)
             for q in enumerate_qforms(g):
-                cases.append((g, q))
-        fast = [
-            (gv.radical(gv.bilinear(q)), gv.gauss_sum(q)) for _, q in cases
-        ]
-        monkeypatch.setattr(forms, "_np_safe", lambda *a: False)
-        for (g, q), (rad, gauss) in zip(cases, fast):
-            assert gv.radical(gv.bilinear(q)) == rad
-            assert abs(gv.gauss_sum(q) - gauss) < 1e-12
+                assert gv.radical(gv.bilinear(q)).elements == radical_reference(q)
+
+    def test_large_integer_part(self):
+        # (600 * 2^50 + 1) * x^2 overflows int64 unless the matrix is reduced first
+        g = gv.make_group([300])
+        big = gv.make_qform(g, [[2**50 + F(1, 600)]])
+        small = gv.make_qform(g, [[F(1, 600)]])
+        assert gv.radical(gv.bilinear(big)) == gv.radical(gv.bilinear(small))
+        assert gv.verdicts(gv.make_category(g, big, (0,))) == gv.verdicts(
+            gv.make_category(g, small, (0,))
+        )
 
 
 class TestSubgroupInvariants:
@@ -204,6 +210,25 @@ class TestGaussSum:
         g = gv.make_group([2, 2])
         gamma = gv.gauss_sum(gv.make_qform(g, [[0, F(1, 4)], [F(1, 4), 0]]))
         assert abs(gamma - 1) < 1e-12
+
+    def test_matches_reference(self):
+        for factors in [(2,), (2, 4), (12,), (3, 3)]:
+            g = gv.make_group(factors)
+            for q in enumerate_qforms(g):
+                assert abs(gv.gauss_sum(q) - gauss_sum_reference(q)) < 1e-12
+
+    def test_large_integer_part(self):
+        g = gv.make_group([300])
+        big = gv.make_qform(g, [[2**50 + F(1, 600)]])
+        small = gv.make_qform(g, [[F(1, 600)]])
+        assert gv.gauss_sum(big) == gv.gauss_sum(small)
+        assert abs(gv.gauss_sum(small) - cmath.exp(1j * math.pi / 4)) < 1e-9
+
+    def test_capacity(self):
+        g = gv.make_group([2] * 17)
+        with pytest.raises(CapacityError) as e:
+            gv.gauss_sum(gv.make_qform(g, [[0] * 17] * 17))
+        assert e.value.code == "forms.capacity"
 
     def test_unit_modulus_iff_nondegenerate_small_orders(self):
         # every valid form on every group of order <= 16

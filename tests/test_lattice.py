@@ -38,16 +38,17 @@ class TestMakeLattice:
 
 class TestDiscriminantGroup:
     def test_a1(self):
-        group, lifts = gv.discriminant_group(gv.make_lattice([[2]], [0]))
+        data = discriminant_data(gv.make_lattice([[2]], [0]))
+        group, lifts = data.group, data.lifts
         assert group.invariant_factors == (2,)
         assert lifts == ((F(1, 2),),)
 
     def test_square_two(self):
-        group, _ = gv.discriminant_group(gv.make_lattice([[2, 0], [0, 2]], [0, 0]))
+        group = discriminant_data(gv.make_lattice([[2, 0], [0, 2]], [0, 0])).group
         assert group.invariant_factors == (2, 2)
 
     def test_a2(self):
-        group, _ = gv.discriminant_group(gv.make_lattice([[2, 1], [1, 2]], [0, 0]))
+        group = discriminant_data(gv.make_lattice([[2, 1], [1, 2]], [0, 0])).group
         assert group.invariant_factors == (3,)
 
     def test_order_is_determinant_randomized(self):
@@ -62,7 +63,7 @@ class TestDiscriminantGroup:
             if det_int(gram) == 0:
                 continue
             L = gv.make_lattice(gram, [0] * k)
-            group, _ = gv.discriminant_group(L)
+            group = discriminant_data(L).group
             assert group.order == abs(L.determinant)
             built += 1
 

@@ -1,13 +1,25 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import gvblocks as gv
-from gvblocks.errors import CapacityError
+from gvblocks.errors import CapacityError, ValidationError
 from gvblocks.forms import enumerate_qforms
+from gvblocks.pointed import PointedGVCategory
 
-from conftest import make_pointed
+from conftest import (
+    axiom_violation,
+    axioms_reference,
+    make_pointed,
+    radical_reference,
+    random_qform,
+    twist_table,
+)
 
 F = Fraction
 
@@ -83,14 +95,86 @@ class TestAxioms:
         with pytest.raises(CapacityError):
             gv.check_axioms(gv.make_category(G, q, G.zero))
 
-    def test_loop_fallback_agrees_with_tables(self, semion, z8_ff, klein, z2_flat):
-        from gvblocks.pointed import _check_axioms_loops, _check_axioms_tables
+    def test_matches_reference(self, semion, z3, z8_ff, klein, trivial_cat, z2_flat):
+        rng = random.Random(23)
+        cases = [(C, None) for C in (semion, z3, z8_ff, klein, trivial_cat, z2_flat)]
+        cases.append((z8_ff, z8_ff.qform))
+        for factors in [(6,), (2, 4), (3, 3), (129,), (2, 65)]:
+            G = gv.make_group(factors)
+            h0 = G.reduce([rng.randrange(n) for n in factors])
+            C = gv.make_category(G, random_qform(rng, G), h0)
+            cases.append((C, None))
+            for x in (G.zero, G.reduce([rng.randrange(n) for n in factors])):
+                broken = twist_table(C)
+                broken[x] = (broken[x] + F(1, 2)) % 1
+                cases.append((C, broken.__getitem__))
+        # matrices that are not well defined on the group break the braiding
+        for factors, mat in [((3,), [[F(1, 4)]]), ((200,), [[F(1, 3)]]), ((2, 100), [[0, 0], [0, F(1, 3)]])]:
+            G = gv.make_group(factors)
+            q = gv.QForm(G, tuple(tuple(F(a) for a in row) for row in mat))
+            cases.append((PointedGVCategory(G, q, G.zero), None))
+        failed = set()
+        for C, twist in cases:
+            report = gv.check_axioms(C, twist=twist)
+            assert {c.name: c.witness for c in report.checks} == axioms_reference(C, twist)
+            assert all(c.passed == (c.witness is None) for c in report.checks)
+            failed |= {c.name for c in report.failed()}
+        assert failed == {c.name for c in report.checks}
 
-        for C in (semion, z8_ff, klein, z2_flat):
-            assert _check_axioms_loops(C, None) == _check_axioms_tables(C, None)
-        broken_t = _check_axioms_tables(z8_ff, z8_ff.qform)
-        broken_l = _check_axioms_loops(z8_ff, z8_ff.qform)
-        assert {c.name for c in broken_t.failed()} == {c.name for c in broken_l.failed()}
+    def test_exhaustive_above_1024(self):
+        for factors, mat in [
+            ((4096,), [[F(1, 8192)]]),
+            ((64, 64), [[F(1, 128), F(1, 64)], [F(1, 64), F(3, 128)]]),
+        ]:
+            G = gv.make_group(factors)
+            C = gv.make_category(G, gv.make_qform(G, mat), G.zero)
+            assert gv.check_axioms(C).all_passed
+
+    def test_broken_twist_above_1024(self):
+        G = gv.make_group([2048])
+        C = gv.make_category(G, gv.make_qform(G, [[F(1, 4096)]]), (0,))
+        th = twist_table(C)
+        th[(5,)] = (th[(5,)] + F(1, 2)) % 1
+        report = gv.check_axioms(C, twist=th.__getitem__)
+        failed = report.failed()
+        assert {c.name for c in failed} == {"twist multiplicative", "ribbon", "pairing balance"}
+        for c in failed:
+            assert axiom_violation(C, th, c.name, c.witness)
+
+    def test_twist_denominator_beyond_int64(self):
+        G = gv.make_group([4])
+        C = gv.make_category(G, gv.make_qform(G, [[F(1, 8)]]), (0,))
+        th = twist_table(C)
+        th[(3,)] += F(1, 3 * 2**61 + 1)
+        report = gv.check_axioms(C, twist=th.__getitem__)
+        assert report.failed()
+        assert {c.name: c.witness for c in report.checks} == axioms_reference(C, th.__getitem__)
+        for c in report.failed():
+            assert axiom_violation(C, th, c.name, c.witness)
+
+
+class TestMakeCategory:
+    def test_group_mismatch(self):
+        q = gv.make_qform(gv.make_group([2]), [[F(1, 4)]])
+        with pytest.raises(ValidationError) as e:
+            gv.make_category(gv.make_group([3]), q, (0,))
+        assert e.value.code == "pointed.group_mismatch"
+
+    def test_group_mismatch_under_optimize(self):
+        # python -O strips assert statements; the check must not be one
+        code = (
+            "import gvblocks as gv\n"
+            "q = gv.make_qform(gv.make_group([2]), [['1/4']])\n"
+            "try:\n"
+            "    gv.make_category(gv.make_group([3]), q, (0,))\n"
+            "except gv.ValidationError as e:\n"
+            "    print(e.code)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(gv.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert out.stdout.strip() == "pointed.group_mismatch", out.stderr
 
 
 class TestMuegerCenter:
@@ -112,6 +196,16 @@ class TestMuegerCenter:
     def test_klein(self, klein):
         c = gv.mueger_center(klein)
         assert c.radical.is_trivial
+
+    def test_matches_reference(self):
+        rng = random.Random(29)
+        for factors in [(2,), (4,), (2, 2), (2, 4), (8,), (3, 6)]:
+            G = gv.make_group(factors)
+            for q in enumerate_qforms(G):
+                C = gv.make_category(G, q, G.reduce([rng.randrange(n) for n in factors]))
+                th = twist_table(C)
+                rad = radical_reference(q)
+                assert gv.mueger_center(C).balanced.elements == tuple(x for x in rad if th[x] == 0)
 
 
 class TestVerdicts:

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -158,16 +159,24 @@ class TestFusion:
                 assert rep.residual < 1e-9
 
 
+    def test_group_law_mismatch_raises(self):
+        # Z/4 data read against the Klein group breaks the group law
+        G = gv.make_group([4])
+        md = gv.st_matrices(gv.make_category(G, gv.make_qform(G, [[F(1, 8)]]), (0,)))
+        with pytest.raises(RuntimeError, match="group law"):
+            gv.fusion_from_s(dataclasses.replace(md, group=gv.make_group([2, 2])))
+
+
 class TestConnectedness:
     def test_semion(self, semion):
-        v = gv.connectedness_verdict(semion)
-        assert v.connected is True and "cofactorizable" in v.justification
+        v = gv.verdicts(semion)
+        assert v.connected is True and v.cofactorizable
 
     def test_feigin_fuchs_nonmodular_yet_connected(self, z8_ff):
-        v = gv.connectedness_verdict(z8_ff)
+        v = gv.verdicts(z8_ff)
         assert v.connected is True
-        assert not gv.verdicts(z8_ff).modular
+        assert not v.modular
 
     def test_degenerate_undetermined(self, z2_flat):
-        v = gv.connectedness_verdict(z2_flat)
-        assert v.connected is None and "undetermined" in v.justification
+        v = gv.verdicts(z2_flat)
+        assert v.connected is None and not v.cofactorizable
