@@ -19,6 +19,7 @@ from .errors import (
     ConfigError,
     DegenerateDataError,
     GVBlocksError,
+    InternalError,
     InvalidQForm,
     MoveNotApplicable,
     UnsupportedError,

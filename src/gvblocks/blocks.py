@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateDataError, ValidationError
+from .errors import DegenerateDataError, InternalError, ValidationError
 from .forms import Element, FinAbGroup, smith_normal_form
 from .pointed import PointedGVCategory
 from .surfaces import PantsDecomposition, SurfaceSpec
@@ -228,5 +228,7 @@ def builtin_modular_data(name: str, category: PointedGVCategory | None = None) -
         raise ValidationError("blocks.bad_builtin", f"unknown modular data {name!r}")
     report = check_relations(md, tol=1e-9)
     if not report.passed:
-        raise RuntimeError(f"embedded table {name} fails relations: {report}")
+        raise InternalError(
+            "blocks.builtin_relations", f"embedded table {name} fails relations: {report}"
+        )
     return md

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``inspect``, ``lattice``, ``blocks``, ``torus-rep``,
-``verlinde``.  Exit codes: 0 success, 2 validation error, 3 capacity or
-unsupported regime.  ``--json`` switches to a machine-readable report with
-floats rounded to 12 digits, which makes repeated runs byte-identical.
+``verlinde``.  Exit codes: 0 success, 2 validation error, 3 capacity,
+unsupported regime or internal inconsistency.  ``--json`` switches to a
+machine-readable report with floats rounded to 12 digits, which makes
+repeated runs byte-identical.
 """
 
 from __future__ import annotations

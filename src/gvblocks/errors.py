@@ -3,7 +3,8 @@
 Every error carries a machine-readable ``code`` of the form
 ``"<module>.<kind>"`` in addition to the human-readable message, so the CLI
 can render structured failures and map them to exit codes: validation
-problems exit with 2, capacity/unsupported regimes with 3.
+problems exit with 2, capacity/unsupported regimes and internal
+inconsistencies with 3.
 """
 
 from __future__ import annotations
@@ -72,3 +73,9 @@ class UnsupportedError(GVBlocksError):
 
 class DegenerateDataError(UnsupportedError):
     """Operation requires non-degenerate data."""
+
+
+class InternalError(GVBlocksError, RuntimeError):
+    """A result failed a consistency check the library runs on itself."""
+
+    exit_code = 3

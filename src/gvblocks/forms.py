@@ -359,6 +359,10 @@ def subgroup_invariants(group: FinAbGroup, elements: Sequence[Element]) -> tuple
     order = len(elements)
     if order <= 1:
         return ()
+    # p^j <= order, so coords * p^j stays below max(factors) * order
+    dtype = np.int64 if max(group.invariant_factors) * order < 2**63 else object
+    coords = np.array(elements, dtype=dtype).reshape(order, group.rank)
+    factors = np.array(group.invariant_factors, dtype=dtype)
     powers_by_prime: list[list[int]] = []
     for p in _prime_factors(order):
         p_part = 1
@@ -371,7 +375,7 @@ def subgroup_invariants(group: FinAbGroup, elements: Sequence[Element]) -> tuple
         prev = 0
         j = 1
         while True:
-            killed = sum(1 for x in elements if group.scale(p**j, x) == group.zero)
+            killed = int(np.count_nonzero(~(coords * p**j % factors).any(axis=1)))
             cur = round(math.log(killed, p))
             exps.append(cur - prev)
             if killed == p_part:

@@ -21,14 +21,14 @@ line; half-edges not mentioned on an edge line are legs.
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapacityError, CompositionError, ValidationError
 
-#: Largest vertex count canonicalized (lexicographic minimum over relabelings).
+#: Largest vertex count canonicalized (see :func:`canonical_form`).
 CANONICAL_CAP = 8
 
 #: Prefix for leg labels derived from cut internal edges.
@@ -222,33 +222,81 @@ def total_genus(g: Graph) -> int:
 def canonical_form(g: Graph, leg_marks: Mapping[str, object] | None = None):
     """Canonical representative of the isomorphism class of ``g``.
 
-    Lexicographic minimum over all vertex relabelings of the pair (sorted
-    internal-edge multiset, sorted multiset of (vertex, mark) legs).  With
-    ``leg_marks`` the isomorphisms are required to preserve the marking;
-    unmarked legs at the same vertex are interchangeable.  Feasible for
-    graphs with at most ``CANONICAL_CAP`` vertices.
+    The certificate of a vertex numbering is the pair (sorted internal-edge
+    multiset, sorted multiset of (vertex, repr(mark)) legs); the canonical
+    form is its minimum over the leaves of a colour-refinement search
+    (McKay-Piperno, *Practical graph isomorphism II*, 2014).  A vertex
+    starts with its loop count and the multiset of its leg marks as colour,
+    and colours are refined by the multiset of neighbour colours, loops and
+    parallel edges counted with multiplicity, until no class splits.  While
+    a class holds several vertices, each in turn is given a colour of its
+    own and the search recurses.  Of twins, vertices with the same start
+    colour and the same number of edges to every other vertex, only one is
+    tried: swapping them is an automorphism, so their subtrees give the
+    same certificates.  With ``leg_marks`` the isomorphisms are required to
+    preserve the marking; unmarked legs at the same vertex are
+    interchangeable.  Graphs with more than ``CANONICAL_CAP`` vertices are
+    refused.
     """
     nv = len(g.vertices)
     if nv > CANONICAL_CAP:
         raise CapacityError(
             "graphs.capacity", f"{nv} vertices exceed canonical-form cap {CANONICAL_CAP}"
         )
-    marks = dict(leg_marks) if leg_marks else {}
-    edge_at = [
-        (g.attach_map[a], g.attach_map[b]) for a, b in g.pairing
-    ]
-    leg_at = [(g.attach_map[h], marks.get(h)) for h in g.legs]
-    best = None
-    for perm in itertools.permutations(range(nv)):
-        num = dict(zip(g.vertices, perm))
-        edges = sorted(
-            (min(num[x], num[y]), max(num[x], num[y])) for x, y in edge_at
+    marks = leg_marks or {}
+    index = {v: i for i, v in enumerate(g.vertices)}
+    at = g.attach_map
+    edges = [(index[at[a]], index[at[b]]) for a, b in g.pairing]
+    legs = [(index[at[h]], repr(marks.get(h))) for h in g.legs]
+    neighbours: list[list[int]] = [[] for _ in range(nv)]
+    marks_at: list[list[str]] = [[] for _ in range(nv)]
+    mult = [[0] * nv for _ in range(nv)]
+    for i, j in edges:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+        mult[i][j] += 1
+        mult[j][i] += i != j
+    for v, mark in legs:
+        marks_at[v].append(mark)
+    start = [(mult[v][v], tuple(sorted(marks_at[v]))) for v in range(nv)]
+
+    def twins(u, v):
+        return start[u] == start[v] and all(
+            mult[u][w] == mult[v][w] for w in range(nv) if w != u and w != v
         )
-        legs = sorted((num[v], repr(mark)) for v, mark in leg_at)
-        rep = (tuple(edges), tuple(legs))
-        if best is None or rep < best:
-            best = rep
-    return (nv,) + (best if best is not None else ((), ()))
+
+    best = None
+
+    def search(colour):
+        nonlocal best
+        classes = len(set(colour))
+        while True:  # refine until no class splits; ranks 0, 1, ... as colours
+            sig = [
+                (c, tuple(sorted([colour[w] for w in neighbours[v]])))
+                for v, c in enumerate(colour)
+            ]
+            rank = {s: r for r, s in enumerate(sorted(set(sig)))}
+            colour = [rank[s] for s in sig]
+            if len(rank) in (classes, nv):
+                break
+            classes = len(rank)
+        if len(rank) == nv:
+            cert = (
+                tuple(sorted(tuple(sorted((colour[i], colour[j]))) for i, j in edges)),
+                tuple(sorted([(colour[v], mark) for v, mark in legs])),
+            )
+            if best is None or cert < best:
+                best = cert
+            return
+        target = min((n, c) for c, n in Counter(colour).items() if n > 1)[1]
+        tried: list[int] = []
+        for v in range(nv):
+            if colour[v] == target and not any(twins(u, v) for u in tried):
+                tried.append(v)
+                search([2 * c + (w != v) for w, c in enumerate(colour)])
+
+    search(start)
+    return (nv,) + best
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:

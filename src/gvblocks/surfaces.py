@@ -9,17 +9,16 @@ the dual graph and is only recorded in the move log).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 from .errors import CapacityError, MoveNotApplicable, ValidationError
 from .forms import Element
-from .graphs import Graph, canonical_form, genus, make_graph
+from .graphs import Graph, canonical_form, make_graph
 
 #: Decomposition enumeration handles complexities 2g - 2 + n in this range.
-COMPLEXITY_RANGE = (1, 4)
+COMPLEXITY_RANGE = (1, 5)
 
 
 @dataclass(frozen=True)
@@ -103,36 +102,6 @@ def make_pants_decomposition(
     return PantsDecomposition(dual, tuple(sorted(order.items())), tuple(moves))
 
 
-def _edge_multisets(n_vertices: int, n_edges: int):
-    """Multisets of internal edges over vertex pairs with degree <= 3."""
-    pairs = [
-        (i, j) for i in range(n_vertices) for j in range(i, n_vertices)
-    ]
-    degree = [0] * n_vertices
-
-    def rec(idx: int, remaining: int, counts: list[int]):
-        if remaining == 0:
-            yield counts + [0] * (len(pairs) - idx)
-            return
-        if idx == len(pairs):
-            return
-        i, j = pairs[idx]
-        step = 2 if i == j else 1
-        max_here = remaining
-        for m in range(max_here + 1):
-            degree[i] += step * m if i == j else m
-            if i != j:
-                degree[j] += m
-            if degree[i] <= 3 and degree[j] <= 3:
-                yield from rec(idx + 1, remaining - m, counts + [m])
-            degree[i] -= step * m if i == j else m
-            if i != j:
-                degree[j] -= m
-
-    for counts in rec(0, n_edges, []):
-        yield pairs, counts
-
-
 def enumerate_decompositions(
     spec: SurfaceSpec, cap: int | None = None
 ) -> list[PantsDecomposition]:
@@ -147,23 +116,40 @@ def enumerate_decompositions(
     return out
 
 
-def _connected(nv: int, pairs, counts) -> bool:
-    parent = list(range(nv))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (i, j), m in zip(pairs, counts):
-        if m and i != j:
-            parent[find(i)] = find(j)
-    return len({find(i) for i in range(nv)}) == 1
+def _seed(genus: int, n: int) -> PantsDecomposition:
+    """One decomposition: a path of 2g - 2 + n vertices, ``genus`` extra
+    edges (a loop where a vertex has two free slots, else parallel to the
+    path), and the legs b0..b{n-1} in the remaining slots."""
+    nv = 2 * genus - 2 + n
+    pairs = [(i, i + 1) for i in range(nv - 1)]
+    free = [3 - (i > 0) - (i < nv - 1) for i in range(nv)]
+    for _ in range(genus):
+        loops = [i for i in range(nv) if free[i] >= 2]
+        i, j = (loops[0],) * 2 if loops else next(
+            (i, i + 1) for i in range(nv - 1) if free[i] and free[i + 1]
+        )
+        free[i] -= 1
+        free[j] -= 1
+        pairs.append((i, j))
+    vhe: dict[str, list[str]] = {f"v{i}": [] for i in range(nv)}
+    edges = []
+    for t, (i, j) in enumerate(pairs):
+        vhe[f"v{i}"].append(f"e{t}a")
+        vhe[f"v{j}"].append(f"e{t}b")
+        edges.append((f"e{t}a", f"e{t}b"))
+    slots = [i for i in range(nv) for _ in range(free[i])]
+    for idx, v in enumerate(slots):
+        vhe[f"v{v}"].append(f"b{idx}")
+    return make_pants_decomposition(
+        make_graph(vhe, edges), {f"b{idx}": idx for idx in range(len(slots))}
+    )
 
 
 @lru_cache(maxsize=64)
 def _enumerate_classes(genus: int, n: int) -> tuple[PantsDecomposition, ...]:
+    """Breadth-first closure of one seed under both re-associations at every
+    non-loop edge; the flip graph is connected (Hatcher-Thurston 1980), so
+    this reaches every class."""
     c = 2 * genus - 2 + n
     lo, hi = COMPLEXITY_RANGE
     if not lo <= c <= hi:
@@ -171,77 +157,20 @@ def _enumerate_classes(genus: int, n: int) -> tuple[PantsDecomposition, ...]:
             "surfaces.complexity",
             f"complexity 2g-2+n = {c} outside supported range [{lo}, {hi}]",
         )
-    nv = c
-    ne = 3 * genus - 3 + n
-    perms = list(itertools.permutations(range(nv)))
-    seen: set = set()
-    reps: list[tuple] = []
-    for pairs, counts in _edge_multisets(nv, ne):
-        int_degree = [0] * nv
-        for (i, j), m in zip(pairs, counts):
-            int_degree[i] += m * (2 if i == j else 1)
-            if i != j:
-                int_degree[j] += m
-        leg_capacity = [3 - d for d in int_degree]
-        if sum(leg_capacity) != n:
-            continue
-        if not _connected(nv, pairs, counts):
-            continue
-        edge_list = [
-            (i, j) for (i, j), m in zip(pairs, counts) for _ in range(m)
-        ]
-        for assignment in _leg_assignments(leg_capacity, n):
-            key = min(
-                (
-                    tuple(
-                        sorted(
-                            (min(p[i], p[j]), max(p[i], p[j])) for i, j in edge_list
-                        )
-                    ),
-                    tuple(sorted((p[v], idx) for idx, v in enumerate(assignment))),
-                )
-                for p in perms
-            )
-            if key not in seen:
-                seen.add(key)
-                reps.append((edge_list, assignment))
-    found = {}
-    for edge_list, assignment in reps:
-        vhe: dict[str, list[str]] = {f"v{i}": [] for i in range(nv)}
-        edges = []
-        for t, (i, j) in enumerate(edge_list):
-            a, b = f"e{t}a", f"e{t}b"
-            vhe[f"v{i}"].append(a)
-            vhe[f"v{j}"].append(b)
-            edges.append((a, b))
-        leg_order = {}
-        for idx, v in enumerate(assignment):
-            h = f"b{idx}"
-            vhe[f"v{v}"].append(h)
-            leg_order[h] = idx
-        pd = make_pants_decomposition(make_graph(vhe, edges), leg_order)
-        assert pd.genus == genus
-        found.setdefault(pd.canonical_key, pd)
+    seed = _seed(genus, n)
+    found = {seed.canonical_key: seed}
+    queue = [seed]
+    for pd in queue:
+        for a, b in pd.dual.pairing:
+            if pd.dual.attach_map[a] == pd.dual.attach_map[b]:
+                continue
+            for side in (0, 1):
+                _, flipped = _reassociate(pd, a, side)
+                out = make_pants_decomposition(flipped, pd.leg_map)
+                if out.canonical_key not in found:
+                    found[out.canonical_key] = out
+                    queue.append(out)
     return tuple(found[key] for key in sorted(found))
-
-
-def _leg_assignments(capacity: list[int], n: int):
-    """Functions {0..n-1} -> vertices respecting per-vertex leg capacities."""
-    nv = len(capacity)
-    used = [0] * nv
-
-    def rec(idx: int):
-        if idx == n:
-            yield tuple()
-            return
-        for v in range(nv):
-            if used[v] < capacity[v]:
-                used[v] += 1
-                for rest in rec(idx + 1):
-                    yield (v,) + rest
-                used[v] -= 1
-
-    yield from rec(0)
 
 
 def _find_edge(pd: PantsDecomposition, half_edge: str) -> tuple[str, str]:
@@ -253,14 +182,10 @@ def _find_edge(pd: PantsDecomposition, half_edge: str) -> tuple[str, str]:
     )
 
 
-def whitehead_move(pd: PantsDecomposition, half_edge: str) -> PantsDecomposition:
-    """Flip the decomposition at an internal edge joining distinct vertices.
-
-    At the edge (u, v), the remaining half-edges (a, b) at u and (c, d) at v
-    (each sorted by label) are re-associated to (a, d) at u and (b, c) at v;
-    this convention keeps the three-edge theta configuration self-paired.
-    Preserves genus and boundary count.
-    """
+def _reassociate(pd: PantsDecomposition, half_edge: str, side: int) -> tuple[str, Graph]:
+    """The move-log entry and the flipped dual graph of a flip at an edge:
+    ``side`` 1 is the re-association of :func:`whitehead_move`, ``side`` 0
+    the other one, to (a, c) at u and (b, d) at v in its notation."""
     a_he, b_he = _find_edge(pd, half_edge)
     g = pd.dual
     u, v = g.attach_map[a_he], g.attach_map[b_he]
@@ -270,14 +195,21 @@ def whitehead_move(pd: PantsDecomposition, half_edge: str) -> PantsDecomposition
         )
     rest_u = sorted(h for h in g.vertex_half_edges[u] if h != a_he)
     rest_v = sorted(h for h in g.vertex_half_edges[v] if h != b_he)
-    moved = {rest_u[1]: v, rest_v[1]: u}
-    attach = tuple(
-        sorted((h, moved.get(h, w)) for h, w in g.attach)
-    )
-    flipped = Graph(vertices=g.vertices, attach=attach, pairing=g.pairing)
-    return make_pants_decomposition(
-        flipped, pd.leg_map, moves=pd.moves + (f"F:{a_he}-{b_he}",)
-    )
+    moved = {rest_u[1]: v, rest_v[side]: u}
+    attach = tuple(sorted((h, moved.get(h, w)) for h, w in g.attach))
+    return f"F:{a_he}-{b_he}", Graph(vertices=g.vertices, attach=attach, pairing=g.pairing)
+
+
+def whitehead_move(pd: PantsDecomposition, half_edge: str) -> PantsDecomposition:
+    """Flip the decomposition at an internal edge joining distinct vertices.
+
+    At the edge (u, v), the remaining half-edges (a, b) at u and (c, d) at v
+    (each sorted by label) are re-associated to (a, d) at u and (b, c) at v;
+    this convention keeps the three-edge theta configuration self-paired.
+    Preserves genus and boundary count.
+    """
+    entry, flipped = _reassociate(pd, half_edge, 1)
+    return make_pants_decomposition(flipped, pd.leg_map, moves=pd.moves + (entry,))
 
 
 def s_move(pd: PantsDecomposition, half_edge: str) -> PantsDecomposition:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import ModularData, make_modular_data
-from .errors import CapacityError, DegenerateDataError, UnsupportedError
+from .errors import CapacityError, DegenerateDataError, InternalError, UnsupportedError
 from .forms import gauss_sum
 from .pointed import PointedGVCategory
 
@@ -141,5 +141,7 @@ def fusion_from_s(md: ModularData, tol: float = 1e-9) -> FusionReport:
         bad = np.argwhere((tensor != (add[:, :, None] == np.arange(md.rank))).any(axis=2))
         if bad.size:
             x, y = (md.elements[i] for i in bad[0])
-            raise RuntimeError(f"fusion from S disagrees with the group law at ({x}, {y})")
+            raise InternalError(
+                "torus.group_law", f"fusion from S disagrees with the group law at ({x}, {y})"
+            )
     return FusionReport(tensor, residual)

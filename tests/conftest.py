@@ -240,3 +240,156 @@ def axioms_reference(C, twist=None):
         name: next((w for w in ws if axiom_violation(C, th, name, w, b)), None)
         for name, ws in candidates.items()
     }
+
+
+# --- brute-force references for the pants-decomposition enumeration ------
+
+
+def canonical_form_reference(g, leg_marks=None):
+    """Lexicographic minimum over all vertex relabelings of (sorted edges,
+    sorted (vertex, repr(mark)) legs), in the return shape of
+    ``gv.canonical_form``."""
+    marks = dict(leg_marks) if leg_marks else {}
+    edge_at = [(g.attach_map[a], g.attach_map[b]) for a, b in g.pairing]
+    leg_at = [(g.attach_map[h], marks.get(h)) for h in g.legs]
+    best = None
+    for perm in itertools.permutations(range(len(g.vertices))):
+        num = dict(zip(g.vertices, perm))
+        edges = sorted((min(num[x], num[y]), max(num[x], num[y])) for x, y in edge_at)
+        legs = sorted((num[v], repr(mark)) for v, mark in leg_at)
+        rep = (tuple(edges), tuple(legs))
+        if best is None or rep < best:
+            best = rep
+    return (len(g.vertices),) + best
+
+
+def reference_key(pd):
+    return canonical_form_reference(pd.dual, pd.leg_map)
+
+
+def _edge_multisets(n_vertices, n_edges):
+    """Multisets of internal edges over vertex pairs with degree <= 3."""
+    pairs = [(i, j) for i in range(n_vertices) for j in range(i, n_vertices)]
+    degree = [0] * n_vertices
+
+    def rec(idx, remaining, counts):
+        if remaining == 0:
+            yield counts + [0] * (len(pairs) - idx)
+            return
+        if idx == len(pairs):
+            return
+        i, j = pairs[idx]
+        for m in range(remaining + 1):
+            degree[i] += 2 * m if i == j else m
+            if i != j:
+                degree[j] += m
+            if degree[i] <= 3 and degree[j] <= 3:
+                yield from rec(idx + 1, remaining - m, counts + [m])
+            degree[i] -= 2 * m if i == j else m
+            if i != j:
+                degree[j] -= m
+
+    for counts in rec(0, n_edges, []):
+        yield pairs, counts
+
+
+def _connected(nv, pairs, counts):
+    parent = list(range(nv))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for (i, j), m in zip(pairs, counts):
+        if m and i != j:
+            parent[find(i)] = find(j)
+    return len({find(i) for i in range(nv)}) == 1
+
+
+def _leg_assignments(capacity, n):
+    """Functions {0..n-1} -> vertices respecting per-vertex leg capacities."""
+    used = [0] * len(capacity)
+
+    def rec(idx):
+        if idx == n:
+            yield ()
+            return
+        for v in range(len(capacity)):
+            if used[v] < capacity[v]:
+                used[v] += 1
+                for rest in rec(idx + 1):
+                    yield (v,) + rest
+                used[v] -= 1
+
+    yield from rec(0)
+
+
+@functools.cache
+def enumerate_classes_reference(genus, n):
+    """Every connected trivalent multigraph with ``n`` numbered legs and
+    first Betti number ``genus``, one per class of the reference key: edge
+    multisets times leg assignments, deduplicated by a minimum over all
+    vertex permutations."""
+    nv = 2 * genus - 2 + n
+    ne = 3 * genus - 3 + n
+    perms = list(itertools.permutations(range(nv)))
+    found = {}
+    for pairs, counts in _edge_multisets(nv, ne):
+        int_degree = [0] * nv
+        for (i, j), m in zip(pairs, counts):
+            int_degree[i] += m * (2 if i == j else 1)
+            if i != j:
+                int_degree[j] += m
+        capacity = [3 - d for d in int_degree]
+        if sum(capacity) != n or not _connected(nv, pairs, counts):
+            continue
+        edge_list = [(i, j) for (i, j), m in zip(pairs, counts) for _ in range(m)]
+        for assignment in _leg_assignments(capacity, n):
+            key = min(
+                (
+                    tuple(sorted((min(p[i], p[j]), max(p[i], p[j])) for i, j in edge_list)),
+                    tuple(sorted((p[v], idx) for idx, v in enumerate(assignment))),
+                )
+                for p in perms
+            )
+            found.setdefault(key, (edge_list, assignment))
+    out = []
+    for edge_list, assignment in found.values():
+        vhe = {f"v{i}": [] for i in range(nv)}
+        edges = []
+        for t, (i, j) in enumerate(edge_list):
+            vhe[f"v{i}"].append(f"e{t}a")
+            vhe[f"v{j}"].append(f"e{t}b")
+            edges.append((f"e{t}a", f"e{t}b"))
+        for idx, v in enumerate(assignment):
+            vhe[f"v{v}"].append(f"b{idx}")
+        leg_order = {f"b{idx}": idx for idx in range(n)}
+        out.append(gv.make_pants_decomposition(gv.make_graph(vhe, edges), leg_order))
+    return tuple(out)
+
+
+def subgroup_invariants_reference(group, elements):
+    """Invariant factors of a subgroup from element-order counts taken one
+    element at a time with ``group.scale``."""
+    order = len(elements)
+    if order <= 1:
+        return ()
+    powers_by_prime = []
+    for p in (d for d in range(2, order + 1) if order % d == 0 and all(d % e for e in range(2, d))):
+        p_part = p ** max(k for k in range(order.bit_length()) if order % p**k == 0)
+        exps, prev, j = [], 0, 1
+        while True:
+            killed = sum(1 for x in elements if group.scale(p**j, x) == group.zero)
+            cur = round(math.log(killed, p))
+            exps.append(cur - prev)
+            if killed == p_part:
+                break
+            prev, j = cur, j + 1
+        sizes = [sum(1 for e in exps if e >= k) for k in range(1, max(exps) + 1)]
+        powers_by_prime.append(sorted((p**a for a in sizes), reverse=True))
+    chain = [
+        math.prod(ps[i] for ps in powers_by_prime if i < len(ps))
+        for i in range(max(len(ps) for ps in powers_by_prime))
+    ]
+    return tuple(reversed(chain))

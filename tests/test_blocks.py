@@ -131,7 +131,7 @@ class TestGluedFormula:
         ]
         for C in cats:
             group = C.group
-            for g, n in surfaces_up_to_complexity(4):
+            for g, n in surfaces_up_to_complexity(5):
                 pds = enumerate_decompositions(make_surface(g, [group.zero] * n))
                 label_sets = [[]]
                 if n:
@@ -192,6 +192,15 @@ class TestModularData:
             gv.builtin_modular_data("pointed", z8_ff)
         with pytest.raises(DegenerateDataError):
             gv.builtin_modular_data("pointed", z2_flat)
+
+    def test_broken_embedded_table_is_coded(self, monkeypatch):
+        md = gv.builtin_modular_data("fibonacci")
+        broken = gv.blocks.ModularData(md.labels, md.S.copy(), md.T, md.conjugation)
+        broken.S[1, 1] = -broken.S[1, 1]
+        monkeypatch.setattr(gv.blocks, "_fibonacci_data", lambda: broken)
+        with pytest.raises(gv.InternalError) as e:
+            gv.builtin_modular_data("fibonacci")
+        assert e.value.code == "blocks.builtin_relations" and e.value.exit_code == 3
 
     def test_unknown_name(self):
         with pytest.raises(ValidationError):

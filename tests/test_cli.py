@@ -154,6 +154,27 @@ class TestSubcommands:
         data = json.loads(out)
         assert code == 0 and data["results"][0]["dim"] == 1
 
+    def test_blocks_glued_at_complexity_five(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(SEMION_LATTICE, enumeration_cap=1000))
+        code, out, _ = run_cli(
+            capsys, "blocks", "--config", cfg, "--genus", "0", "--labels", "1;1;0;1;0;0;1",
+            "--glued", "--json",
+        )
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results[0]["method"] == "direct" and results[0]["dim"] == 1
+        glued = [r["dim"] for r in results if r["method"] == "glued"]
+        assert glued == [1] * 945
+
+    def test_blocks_glued_at_complexity_six_exit_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SEMION_LATTICE)
+        code, out, _ = run_cli(
+            capsys, "blocks", "--config", cfg, "--genus", "0", "--labels", "0;0;0;0;0;0;0;0",
+            "--glued", "--json",
+        )
+        assert code == 3
+        assert json.loads(out)["error"]["code"] == "surfaces.complexity"
+
     def test_blocks_bad_labels(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SEMION_LATTICE)
         code, _, err = run_cli(

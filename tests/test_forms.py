@@ -14,7 +14,12 @@ from gvblocks.forms import (
     subgroup_invariants,
 )
 
-from conftest import gauss_sum_reference, group_shapes, radical_reference
+from conftest import (
+    gauss_sum_reference,
+    group_shapes,
+    radical_reference,
+    subgroup_invariants_reference,
+)
 
 F = Fraction
 
@@ -194,6 +199,22 @@ class TestSubgroupInvariants:
         g = gv.make_group([4, 2])
         sub = ((0, 0), (2, 0), (0, 1), (2, 1))
         assert subgroup_invariants(g, sub) == (2, 2)
+
+    def test_matches_reference_on_all_subgroups(self):
+        for shape in group_shapes(16):
+            g = gv.make_group(shape)
+            subgroups = {frozenset([g.zero])}
+            frontier = list(subgroups)
+            while frontier:
+                h = frontier.pop()
+                for x in g.elements():
+                    grown = frozenset(g.add(y, g.scale(k, x)) for y in h for k in range(g.order))
+                    if grown not in subgroups:
+                        subgroups.add(grown)
+                        frontier.append(grown)
+            for h in subgroups:
+                elems = tuple(sorted(h))
+                assert subgroup_invariants(g, elems) == subgroup_invariants_reference(g, elems)
 
 
 class TestGaussSum:

@@ -5,7 +5,12 @@ import pytest
 import gvblocks as gv
 from gvblocks.errors import CapacityError, CompositionError, ValidationError
 
-from conftest import attach_morphism, random_graph, random_leg_pairing
+from conftest import (
+    attach_morphism,
+    canonical_form_reference,
+    random_graph,
+    random_leg_pairing,
+)
 
 
 def theta_graph():
@@ -131,6 +136,60 @@ class TestCanonicalForm:
         k5 = gv.canonical_form(g5, leg_marks={"a": 0, "b": 1, "c": 2})
         k6 = gv.canonical_form(g5, leg_marks={"a": 1, "b": 0, "c": 2})
         assert k5 != k6  # mark 0 sits at a different-degree vertex now
+
+    @pytest.mark.parametrize(
+        "vhe, edges",
+        [
+            ({f"v{i}": [] for i in range(8)}, []),
+            (
+                {f"v{i}": [f"v{i}.{k}" for k in range(3)] for i in range(8)},
+                [(f"v{i}.{k}", f"v{i + 1}.{k}") for i in range(0, 8, 2) for k in range(3)],
+            ),
+            (
+                {f"v{i}": [f"v{i}.{b}" for b in range(3)] for i in range(8)},
+                [(f"v{i}.{b}", f"v{i | 1 << b}.{b}") for i in range(8) for b in range(3)
+                 if not i >> b & 1],
+            ),
+            (
+                {f"v{i}": [f"v{i}.l", f"v{i}.r"] for i in range(7)},
+                [(f"v{i}.r", f"v{(i + 1) % 3}.l") for i in range(3)]
+                + [(f"v{i}.r", f"v{3 + (i - 2) % 4}.l") for i in range(3, 7)],
+            ),
+        ],
+        ids=["isolated", "four_thetas", "cube", "triangle_and_square"],
+    )
+    def test_invariant_under_renaming_on_regular_graphs(self, vhe, edges):
+        # every vertex has the same colour after refinement
+        rng = random.Random(8)
+        g = gv.make_graph(vhe, edges)
+        key = gv.canonical_form(g)
+        for _ in range(5):
+            names = list(vhe)
+            rng.shuffle(names)
+            rename = dict(zip(vhe, names))
+            shuffled = gv.make_graph({rename[v]: hs for v, hs in vhe.items()}, edges)
+            assert gv.canonical_form(shuffled) == key
+
+    def test_partition_matches_reference_on_random_graphs(self):
+        rng = random.Random(31)
+        pool = []
+        for _ in range(80):
+            g = random_graph(rng, max_vertices=5, max_degree=3)
+            marks = {h: rng.randrange(2) for h in g.legs}
+            pool.append((g, marks))
+            vnames = list(g.vertices)
+            rng.shuffle(vnames)
+            rename = dict(zip(g.vertices, vnames))
+            copy = gv.make_graph(
+                {rename[v]: hs for v, hs in g.vertex_half_edges.items()}, g.pairing
+            )
+            pool.append((copy, marks))
+        new, ref = {}, {}
+        for i, (g, marks) in enumerate(pool):
+            new.setdefault(gv.canonical_form(g, leg_marks=marks), set()).add(i)
+            ref.setdefault(canonical_form_reference(g, marks), set()).add(i)
+        assert sorted(map(sorted, new.values())) == sorted(map(sorted, ref.values()))
+        assert len(new) < len(pool)
 
     def test_capacity(self):
         g = gv.make_graph({f"v{i}": [] for i in range(9)})

@@ -1,8 +1,13 @@
+import math
+import random
+
 import pytest
 
 import gvblocks as gv
 from gvblocks.errors import CapacityError, MoveNotApplicable, ValidationError
-from gvblocks.surfaces import enumerate_decompositions, make_surface
+from gvblocks.surfaces import _reassociate, enumerate_decompositions, make_surface
+
+from conftest import enumerate_classes_reference, reference_key
 
 
 def surfaces_up_to_complexity(max_c):
@@ -99,10 +104,82 @@ class TestEnumeration:
                 assert len(pd.dual.pairing) == 3 * g - 3
 
     def test_duplicate_free(self):
-        for g, n in surfaces_up_to_complexity(4):
+        for g, n in surfaces_up_to_complexity(5):
             pds = enumerate_decompositions(make_surface(g, [(0,)] * n))
             keys = [pd.canonical_key for pd in pds]
             assert len(keys) == len(set(keys))
+
+    def test_matches_reference_enumeration(self):
+        # complexity 5 only for g >= 2: the reference takes minutes at (0, 7)
+        cases = surfaces_up_to_complexity(4) + [(2, 3), (3, 1)]
+        for g, n in cases:
+            pds = enumerate_decompositions(make_surface(g, [(0,)] * n))
+            ref = enumerate_classes_reference(g, n)
+            assert len(pds) == len(ref)
+            assert {reference_key(pd) for pd in pds} == {reference_key(pd) for pd in ref}
+
+    def test_canonical_key_partition_matches_reference(self):
+        # enumerated classes and all their flips, from both enumerators
+        for g, n in surfaces_up_to_complexity(4):
+            pds = list(enumerate_decompositions(make_surface(g, [(0,)] * n)))
+            pds += enumerate_classes_reference(g, n)
+            pds += [
+                gv.make_pants_decomposition(_reassociate(pd, a, side)[1], pd.leg_map)
+                for pd in list(pds)
+                for a, b in pd.dual.pairing
+                if pd.dual.attach_map[a] != pd.dual.attach_map[b]
+                for side in (0, 1)
+            ]
+            new, ref = {}, {}
+            for i, pd in enumerate(pds):
+                new.setdefault(pd.canonical_key, set()).add(i)
+                ref.setdefault(reference_key(pd), set()).add(i)
+            assert sorted(map(sorted, new.values())) == sorted(map(sorted, ref.values()))
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_genus_zero_double_factorial(self, n):
+        pds = enumerate_decompositions(make_surface(0, [(0,)] * n))
+        assert len(pds) == math.prod(range(2 * n - 5, 0, -2))
+
+    def test_complexity_five_counts(self):
+        counts = {
+            (g, n): len(enumerate_decompositions(make_surface(g, [(0,)] * n)))
+            for g, n in [(0, 7), (1, 5), (2, 3), (3, 1)]
+        }
+        assert counts == {(0, 7): 945, (1, 5): 297, (2, 3): 58, (3, 1): 12}
+
+    def test_key_invariant_under_renaming(self):
+        rng = random.Random(5)
+        for g, n in surfaces_up_to_complexity(5):
+            for pd in enumerate_decompositions(make_surface(g, [(0,)] * n)):
+                dual = pd.dual
+                vnames = list(dual.vertices)
+                hnames = list(dual.half_edges)
+                rng.shuffle(vnames)
+                rng.shuffle(hnames)
+                vmap = dict(zip(dual.vertices, vnames))
+                hmap = dict(zip(dual.half_edges, hnames))
+                renamed = gv.make_graph(
+                    {vmap[v]: [hmap[h] for h in hs] for v, hs in dual.vertex_half_edges.items()},
+                    [(hmap[a], hmap[b]) for a, b in dual.pairing],
+                )
+                leg_order = {hmap[h]: i for h, i in pd.leg_map.items()}
+                out = gv.make_pants_decomposition(renamed, leg_order)
+                assert out.canonical_key == pd.canonical_key
+
+    def test_both_reassociations_stay_in_classes(self):
+        for g, n in surfaces_up_to_complexity(5):
+            pds = enumerate_decompositions(make_surface(g, [(0,)] * n))
+            keys = {pd.canonical_key for pd in pds}
+            for pd in pds:
+                for a, b in pd.dual.pairing:
+                    if pd.dual.attach_map[a] == pd.dual.attach_map[b]:
+                        continue
+                    for side in (0, 1):
+                        out = gv.make_pants_decomposition(
+                            _reassociate(pd, a, side)[1], pd.leg_map
+                        )
+                        assert out.canonical_key in keys
 
     def test_cap(self):
         assert len(enumerate_decompositions(make_surface(3), cap=2)) == 2
@@ -112,6 +189,8 @@ class TestEnumeration:
             enumerate_decompositions(make_surface(0, [(0,), (0,)]))
         with pytest.raises(CapacityError):
             enumerate_decompositions(make_surface(4))
+        with pytest.raises(CapacityError):
+            enumerate_decompositions(make_surface(0, [(0,)] * 8))
 
 
 class TestMoves:
@@ -161,7 +240,7 @@ class TestMoves:
             gv.s_move(theta_pd(), "a")
 
     def test_moves_preserve_surface_on_all_enumerated(self):
-        for g, n in surfaces_up_to_complexity(4):
+        for g, n in surfaces_up_to_complexity(5):
             for pd in enumerate_decompositions(make_surface(g, [(0,)] * n)):
                 for a, b in pd.dual.pairing:
                     if pd.dual.attach_map[a] == pd.dual.attach_map[b]:

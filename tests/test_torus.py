@@ -166,6 +166,13 @@ class TestFusion:
         with pytest.raises(RuntimeError, match="group law"):
             gv.fusion_from_s(dataclasses.replace(md, group=gv.make_group([2, 2])))
 
+    def test_group_law_mismatch_is_coded(self):
+        G = gv.make_group([4])
+        md = gv.st_matrices(gv.make_category(G, gv.make_qform(G, [[F(1, 8)]]), (0,)))
+        with pytest.raises(gv.InternalError) as e:
+            gv.fusion_from_s(dataclasses.replace(md, group=gv.make_group([2, 2])))
+        assert e.value.code == "torus.group_law" and e.value.exit_code == 3
+
 
 class TestConnectedness:
     def test_semion(self, semion):
