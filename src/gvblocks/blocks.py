@@ -41,7 +41,6 @@ class ModularData:
     T: np.ndarray
     conjugation: tuple[int, ...]
     group: FinAbGroup | None = None
-    nondegenerate: bool = True
 
     @property
     def rank(self) -> int:
@@ -59,10 +58,10 @@ def make_modular_data(
     T,
     conjugation: Sequence[int],
     group: FinAbGroup | None = None,
-    nondegenerate: bool = True,
-    tol: float = 1e-9,
 ) -> ModularData:
-    """Validate shape, symmetry of S, unitary diagonal T, and S·S̄ᵀ = 1."""
+    """Validate shape, symmetry of S, unitary diagonal T, and S·S̄ᵀ = 1,
+    each to within 1e-9."""
+    tol = 1e-9
     S = np.asarray(S, dtype=complex)
     T = np.asarray(T, dtype=complex)
     n = len(labels)
@@ -76,17 +75,14 @@ def make_modular_data(
         raise ValidationError("blocks.bad_modular_data", "T diagonal is not unitary")
     if sorted(conjugation) != list(range(n)):
         raise ValidationError("blocks.bad_modular_data", "conjugation is not a permutation")
-    if nondegenerate and np.abs(S @ S.conj().T - np.eye(n)).max() > tol:
-        raise ValidationError(
-            "blocks.bad_modular_data", "S is not unitary but data is declared non-degenerate"
-        )
+    if np.abs(S @ S.conj().T - np.eye(n)).max() > tol:
+        raise ValidationError("blocks.bad_modular_data", "S is not unitary")
     return ModularData(
         tuple(str(lab) for lab in labels),
         S,
         T,
         tuple(int(i) for i in conjugation),
         group=group,
-        nondegenerate=nondegenerate,
     )
 
 
@@ -170,8 +166,6 @@ def verlinde_dim(
     md: ModularData, genus: int, boundary_indices: Sequence[int] = (), tol: float = 1e-9
 ) -> VerlindeReport:
     """Sum over j of S_0j^(2-2g-n) * prod_k S_{i_k j}."""
-    if not md.nondegenerate:
-        raise DegenerateDataError("blocks.degenerate", "Verlinde sum needs non-degenerate data")
     s0 = md.S[0]
     if np.abs(s0).min() < tol:
         raise DegenerateDataError("blocks.degenerate", "a vacuum S-matrix entry vanishes")
@@ -186,6 +180,9 @@ def verlinde_dim(
     rounded = int(round(value.real))
     return VerlindeReport(value, rounded, abs(value - rounded))
 
+
+#: Names of the embedded modular data tables, in the order the CLI lists them.
+BUILTIN_NAMES = ("fibonacci", "ising")
 
 _GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -204,28 +201,16 @@ def _ising_data() -> ModularData:
     return make_modular_data(("1", "sigma", "psi"), S, T, (0, 1, 2))
 
 
-def builtin_modular_data(name: str, category: PointedGVCategory | None = None) -> ModularData:
-    """Built-in (S, T) tables, relation-checked at load.
-
-    ``"pointed"`` requires the category argument and delegates to the torus
-    representation (h0 must vanish and the double braiding must be
-    non-degenerate); ``"fibonacci"`` and ``"ising"`` are embedded tables.
-    """
-    from .torus import check_relations, st_matrices
+def builtin_modular_data(name: str) -> ModularData:
+    """One of the embedded (S, T) tables in :data:`BUILTIN_NAMES`,
+    relation-checked at load.  Pointed data comes from
+    :func:`gvblocks.torus.st_matrices`."""
+    from .torus import check_relations
 
     name = name.lower()
-    if name == "pointed":
-        if category is None:
-            raise ValidationError(
-                "blocks.bad_builtin", "builtin 'pointed' needs a pointed category"
-            )
-        return st_matrices(category)
-    if name == "fibonacci":
-        md = _fibonacci_data()
-    elif name == "ising":
-        md = _ising_data()
-    else:
+    if name not in BUILTIN_NAMES:
         raise ValidationError("blocks.bad_builtin", f"unknown modular data {name!r}")
+    md = _fibonacci_data() if name == "fibonacci" else _ising_data()
     report = check_relations(md, tol=1e-9)
     if not report.passed:
         raise InternalError(

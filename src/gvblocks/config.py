@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from .blocks import BUILTIN_NAMES
 from .errors import ConfigError
 from .forms import make_group, make_qform
 from .lattice import LatticeData, make_lattice, to_pointed_gv
 from .pointed import PointedGVCategory, make_category
-
-_BUILTIN_NAMES = ("fibonacci", "ising")
 
 
 @dataclass(frozen=True)
@@ -117,9 +116,9 @@ def parse_config_data(data, path: str = "") -> Config:
     if variant == "builtin":
         _expect(isinstance(body, str), f"{root}.category.builtin", "expected a name string")
         _expect(
-            body.lower() in _BUILTIN_NAMES,
+            body.lower() in BUILTIN_NAMES,
             f"{root}.category.builtin",
-            f"unknown builtin {body!r}; choose from {list(_BUILTIN_NAMES)}",
+            f"unknown builtin {body!r}; choose from {list(BUILTIN_NAMES)}",
         )
         category = BuiltinSpec(body.lower())
     elif variant == "pointed":

@@ -92,10 +92,6 @@ class Graph:
         paired = {h for pair in self.pairing for h in pair}
         return tuple(h for h in self.half_edges if h not in paired)
 
-    @property
-    def internal_edges(self) -> tuple[tuple[str, str], ...]:
-        return self.pairing
-
     @cached_property
     def vertex_half_edges(self) -> dict[str, tuple[str, ...]]:
         out: dict[str, list[str]] = {v: [] for v in self.vertices}

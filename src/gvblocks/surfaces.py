@@ -89,10 +89,6 @@ def make_pants_decomposition(
             f"leg order must match the {len(legs)} legs bijectively onto 0..{len(legs) - 1}",
         )
     nv, ne, nl = len(dual.vertices), len(dual.pairing), len(legs)
-    if 3 * nv != 2 * ne + nl:
-        raise ValidationError(
-            "surfaces.count_mismatch", f"3V = {3 * nv} but 2E + L = {2 * ne + nl}"
-        )
     g = ne - nv + 1
     if 2 * g - 2 + nl < 1:
         raise ValidationError(

@@ -124,12 +124,18 @@ class FusionReport:
     residual: float
 
 
-def fusion_from_s(md: ModularData, tol: float = 1e-9) -> FusionReport:
+def fusion_from_s(md: ModularData) -> FusionReport:
     """N_xy^z = sum_w S_xw S_yw conj(S_zw) / S_0w, rounded to integers.
 
-    For pointed data the result must be the group-law delta; a mismatch is
-    an internal inconsistency and raises.
+    The dense tensor has rank^3 entries, so ranks above 256 (2^24 entries)
+    are refused before anything is allocated.  For pointed data the result
+    must be the group-law delta; a mismatch is an internal inconsistency
+    and raises.
     """
+    if md.rank**3 > 2**24:
+        raise CapacityError(
+            "torus.capacity", f"rank {md.rank} exceeds the fusion cap 256 (rank^3 entries)"
+        )
     s0 = md.S[0]
     if np.abs(s0).min() < 1e-12:
         raise DegenerateDataError("torus.degenerate", "a vacuum S-matrix entry vanishes")

@@ -121,7 +121,7 @@ def test_criterion_4_verlinde():
     ising = gv.verlinde_dim(gv.builtin_modular_data("ising"), 2)
     assert ising.rounded == 10 and ising.residual < 1e-6
     z3 = make_pointed([3], [[F(1, 3)]], (0,))
-    rep = gv.verlinde_dim(gv.builtin_modular_data("pointed", z3), 2)
+    rep = gv.verlinde_dim(gv.st_matrices(z3), 2)
     assert rep.rounded == 9 and rep.residual < 1e-6
     assert rep.rounded == gv.block_dim_direct(z3, make_surface(2))
 

@@ -171,7 +171,7 @@ class TestGluedFormula:
 
 class TestModularData:
     def test_builtin_semion(self, semion):
-        md = gv.builtin_modular_data("pointed", semion)
+        md = gv.st_matrices(semion)
         assert np.abs(md.S - np.array([[1, 1], [1, -1]]) / np.sqrt(2)).max() < 1e-12
         assert np.abs(md.T - np.diag([1, 1j])).max() < 1e-12
 
@@ -189,9 +189,9 @@ class TestModularData:
 
     def test_builtin_pointed_requires_modular(self, z8_ff, z2_flat):
         with pytest.raises(gv.UnsupportedError):
-            gv.builtin_modular_data("pointed", z8_ff)
+            gv.st_matrices(z8_ff)
         with pytest.raises(DegenerateDataError):
-            gv.builtin_modular_data("pointed", z2_flat)
+            gv.st_matrices(z2_flat)
 
     def test_broken_embedded_table_is_coded(self, monkeypatch):
         md = gv.builtin_modular_data("fibonacci")
@@ -210,6 +210,20 @@ class TestModularData:
         bad_s = np.array([[0.5, 0.5], [0.6, -0.5]])
         with pytest.raises(ValidationError):
             gv.blocks.make_modular_data(("1", "x"), bad_s, np.eye(2), (0, 1))
+
+    @pytest.mark.parametrize(
+        "S, T, conjugation, message",
+        [
+            (np.eye(3), np.eye(2), (0, 1), "S and T must be square of label size"),
+            (np.eye(2), np.ones((2, 2)), (0, 1), "T is not diagonal"),
+            (np.eye(2), np.eye(2), (0, 0), "conjugation is not a permutation"),
+            (2 * np.eye(2), np.eye(2), (0, 1), "S is not unitary"),
+        ],
+    )
+    def test_rejections(self, S, T, conjugation, message):
+        with pytest.raises(ValidationError) as e:
+            gv.blocks.make_modular_data(("1", "x"), S, T, conjugation)
+        assert e.value.code == "blocks.bad_modular_data" and e.value.message == message
 
     def test_t_not_unitary(self):
         with pytest.raises(ValidationError):
@@ -230,7 +244,7 @@ class TestVerlinde:
         assert rep.rounded == 10 and rep.residual < 1e-6
 
     def test_pointed_z3_genus_two(self, z3):
-        md = gv.builtin_modular_data("pointed", z3)
+        md = gv.st_matrices(z3)
         rep = gv.verlinde_dim(md, 2)
         assert rep.rounded == 9 and rep.residual < 1e-6
         assert rep.rounded == gv.block_dim_direct(z3, make_surface(2))
@@ -244,14 +258,14 @@ class TestVerlinde:
             make_pointed([4, 4], [[F(1, 8), 0], [0, F(1, 8)]], (0, 0)),
         ]
         for C in cats:
-            md = gv.builtin_modular_data("pointed", C)
+            md = gv.st_matrices(C)
             for g in (1, 2, 3):
                 rep = gv.verlinde_dim(md, g)
                 assert rep.residual < 1e-6
                 assert rep.rounded == gv.block_dim_direct(C, make_surface(g))
 
     def test_with_boundary_indices(self, z3):
-        md = gv.builtin_modular_data("pointed", z3)
+        md = gv.st_matrices(z3)
         # one boundary labeled by the unit: same as closed genus-1 count
         rep = gv.verlinde_dim(md, 1, [0])
         assert rep.rounded == gv.block_dim_direct(z3, make_surface(1, [(0,)]))

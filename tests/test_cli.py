@@ -182,6 +182,40 @@ class TestSubcommands:
         )
         assert code == 2
 
+    def test_blocks_non_integer_label(self, tmp_path, capsys):
+        # rank 2, so "a,1" has the right length and only the integer parse fails
+        cfg = write_config(tmp_path, {
+            "category": {
+                "pointed": {
+                    "invariant_factors": [2, 2],
+                    "qform_matrix": [["0", "1/4"], ["1/4", "0"]],
+                    "h0": [0, 0],
+                }
+            }
+        })
+        code, out, _ = run_cli(
+            capsys, "blocks", "--config", cfg, "--genus", "0", "--labels", "a,1", "--json"
+        )
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "cli.bad_labels"
+
+    def test_blocks_text_renders_nested_lists(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FF8)
+        code, out, _ = run_cli(capsys, "blocks", "--config", cfg, "--genus", "1")
+        assert code == 0
+        assert "results:\n  -\n    dim: 8\n    method: direct\n" in out
+
+    def test_inspect_skips_axioms_above_the_cap(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "category": {
+                "pointed": {"invariant_factors": [8192], "qform_matrix": [["1/16384"]], "h0": [0]}
+            }
+        })
+        code, out, _ = run_cli(capsys, "inspect", "--config", cfg)
+        assert code == 0
+        assert "axioms: skipped (group too large for the exhaustive suite)\n" in out
+        assert "modular: true" in out
+
     def test_torus_rep_unsupported_exit_3(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "torus-rep", "--config", write_config(tmp_path, FF8)
@@ -234,10 +268,22 @@ class TestSubcommands:
         data = json.loads(out)
         assert [row["rounded"] for row in data["table"]] == [2, 5]
 
+    def test_verlinde_pointed_matches_direct(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "category": {
+                "pointed": {"invariant_factors": [3], "qform_matrix": [["1/3"]], "h0": [0]}
+            }
+        })
+        code, out, _ = run_cli(capsys, "verlinde", "--config", cfg, "--json")
+        table = json.loads(out)["table"]
+        assert code == 0 and [row["direct_dim"] for row in table] == [3, 9, 27]
+        assert all(row["rounded"] == row["direct_dim"] for row in table)
+
     @pytest.mark.parametrize(
         "argv, code",
         [
             (["verlinde", "--max-genus", "0"], "cli.bad_genus"),
+            (["blocks"], "cli.bad_genus"),
             (["torus-rep", "--tol", "0"], "cli.bad_tolerance"),
             (["torus-rep", "--tol", "-1"], "cli.bad_tolerance"),
         ],

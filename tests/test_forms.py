@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import gvblocks as gv
@@ -17,6 +18,7 @@ from gvblocks.forms import (
 from conftest import (
     gauss_sum_reference,
     group_shapes,
+    q_reference,
     radical_reference,
     subgroup_invariants_reference,
 )
@@ -60,6 +62,52 @@ class TestQForm:
         # the witness really violates translation invariance
         q = gv.QForm(g, ((F(1, 3),),))
         assert q.eval_raw(w) != q.eval_raw(g.reduce(w))
+
+    def test_off_diagonal_not_well_defined(self):
+        # 2 * 4 * A_01 = 8/3: only the search over x = e_j finds the witness
+        g = gv.make_group([4, 2])
+        with pytest.raises(InvalidQForm) as e:
+            gv.make_qform(g, [[0, F(1, 3)], [F(1, 3), 0]])
+        w = e.value.witness
+        assert w == (4, 1)
+        q = gv.QForm(g, ((F(0), F(1, 3)), (F(1, 3), F(0))))
+        assert q_reference(q, w) != q_reference(q, g.reduce(w))
+
+    def test_accepts_exactly_the_invariant_matrices(self):
+        # reference: q(x + n_i e_i) = q(x) for every element x and every i,
+        # from the unreduced integer matrix den * A
+        rng = random.Random(97)
+        outcomes = set()
+        for shape in group_shapes(16):
+            g = gv.make_group(shape)
+            k = g.rank
+            X = np.array(list(g.elements()), dtype=np.int64).reshape(g.order, k)
+            # every element, then every element moved by n_i e_i for each i
+            P = np.concatenate([X] + [X + s for s in np.diag(shape)])
+            matrices = [q.matrix for q in enumerate_qforms(g)]
+            for _ in range(40):
+                mat = [[F(0)] * k for _ in range(k)]
+                for i in range(k):
+                    for j in range(i, k):
+                        den = rng.choice([1, 2, 3, 4, 6, 8, 12, 16, 32])
+                        mat[i][j] = mat[j][i] = F(rng.randrange(4 * den), den)
+                matrices.append(tuple(map(tuple, mat)))
+            for mat in matrices:
+                den = math.lcm(*(a.denominator for row in mat for a in row))
+                M = np.array([[a.numerator * (den // a.denominator) for a in row] for row in mat])
+                values = np.einsum("ij,jk,ik->i", P, M, P).reshape(k + 1, g.order)
+                invariant = not ((values[1:] - values[0]) % den).any()
+                try:
+                    gv.make_qform(g, mat)
+                    accepted = True
+                except InvalidQForm as e:
+                    accepted = False
+                    q = gv.QForm(g, mat)
+                    w = e.witness
+                    assert q_reference(q, w) != q_reference(q, g.reduce(w)), (shape, mat)
+                assert accepted == invariant, (shape, mat)
+                outcomes.add(accepted)
+        assert outcomes == {True, False}
 
     def test_zero_form(self):
         g = gv.make_group([5, 7])

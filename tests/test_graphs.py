@@ -45,6 +45,18 @@ class TestCorolla:
         assert e.value.code == "graphs.duplicate_leg"
 
 
+class TestMakeGraph:
+    def test_half_edge_on_two_vertices(self):
+        with pytest.raises(ValidationError) as e:
+            gv.make_graph({"u": ["a"], "v": ["a"]})
+        assert e.value.code == "graphs.duplicate_half_edge"
+
+    def test_half_edge_glued_twice(self):
+        with pytest.raises(ValidationError, match="glued twice") as e:
+            gv.make_graph({"u": ["a", "b", "c"]}, [("a", "b"), ("b", "c")])
+        assert e.value.code == "graphs.bad_edge"
+
+
 class TestCutContract:
     def test_edge_between_two_vertices(self):
         g = gv.make_graph({"u": ["a", "b", "x"], "v": ["c", "d", "y"]}, [("x", "y")])
@@ -308,6 +320,57 @@ class TestMorphisms:
             left = gv.compose(m3, gv.compose(m2, m1))
             right = gv.compose(gv.compose(m3, m2), m1)
             assert gv.morphisms_equivalent(left, right)
+
+    @staticmethod
+    def _path():
+        # u -b-c- v with legs a and d; corollas cu, cv on the vertices, t on the whole
+        g = gv.make_graph({"u": ["a", "b"], "v": ["c", "d"]}, [("b", "c")])
+        cu = gv.new_corolla(["x1", "x2"], id="cu")
+        cv = gv.new_corolla(["y1", "y2"], id="cv")
+        t = gv.new_corolla(["p", "q"], id="t")
+        src = {("cu", "x1"): "a", ("cu", "x2"): "b", ("cv", "y1"): "c", ("cv", "y2"): "d"}
+        return [cu, cv], [t], g, src, {("t", "p"): "a", ("t", "q"): "d"}
+
+    def test_make_morphism_accepts_the_path(self):
+        gv.make_morphism(*self._path())
+
+    def test_make_morphism_duplicate_corolla(self):
+        source, target, g, src, tgt = self._path()
+        with pytest.raises(ValidationError) as e:
+            gv.make_morphism(source, target + target, g, src, tgt)
+        assert e.value.code == "graphs.duplicate_corolla"
+
+    def test_make_morphism_bad_identifications(self):
+        (cu, cv), (t,), g, src, tgt = self._path()
+        t1, t2 = gv.new_corolla(["p"], id="t1"), gv.new_corolla(["q"], id="t2")
+        t0, s = gv.new_corolla([], id="t0"), gv.new_corolla(["p", "q"], id="s")
+        two_pieces = gv.make_graph({"u": ["a", "b"], "v": ["c", "d"]})
+        u_of_three = gv.make_graph({"u": ["a", "b", "e"], "v": ["c", "d"]}, [("b", "c")])
+        with_isolated = gv.make_graph({"u": ["a", "b"], "v": ["c", "d"], "w": []}, [("b", "c")])
+        ce = gv.new_corolla(["z"], id="ce")
+        cases = [
+            ("source identification keys", g, [cu, cv], [t], {**src, ("cu", "x9"): "a"}, tgt),
+            ("source identification is not a bijection", g, [cu, cv], [t],
+             {**src, ("cv", "y2"): "a"}, tgt),
+            ("target identification keys", g, [cu, cv], [t], src, {("t", "p"): "a"}),
+            ("target identification is not a bijection", g, [cu, cv], [t], src,
+             {("t", "p"): "a", ("t", "q"): "b"}),
+            ("span vertices", g, [cu, cv], [t],
+             {**src, ("cu", "x2"): "c", ("cv", "y1"): "b"}, tgt),
+            ("has arity 2, vertex degree 3", u_of_three, [cu, cv, ce],
+             [gv.new_corolla(["p", "q", "r"], id="t")], {**src, ("ce", "z"): "e"},
+             {**tgt, ("t", "r"): "e"}),
+            ("do not hit every vertex", with_isolated, [cu, cv], [t], src, tgt),
+            ("span several components", two_pieces, [cu, cv], [t, s], src,
+             {("t", "p"): "a", ("t", "q"): "c", ("s", "p"): "b", ("s", "q"): "d"}),
+            ("does not cover all legs", g, [cu, cv], [t1, t2], src,
+             {("t1", "p"): "a", ("t2", "q"): "d"}),
+            ("target has 2 corollas but the graph has 1", g, [cu, cv], [t, t0], src, tgt),
+        ]
+        for message, graph, source, target, src_ident, tgt_ident in cases:
+            with pytest.raises(ValidationError, match=message) as e:
+                gv.make_morphism(source, target, graph, src_ident, tgt_ident)
+            assert e.value.code == "graphs.bad_ident"
 
     def test_make_morphism_validation(self):
         g = gv.make_graph({"v": ["a", "b"]})

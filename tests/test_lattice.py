@@ -31,6 +31,11 @@ class TestMakeLattice:
             gv.make_lattice([[8]], [F(1, 3)])
         assert e.value.code == "lattice.xi_not_dual"
 
+    def test_xi_wrong_length(self):
+        with pytest.raises(ValidationError) as e:
+            gv.make_lattice([[2]], [0, 0])
+        assert e.value.code == "lattice.bad_xi"
+
     def test_asymmetric(self):
         with pytest.raises(ValidationError):
             gv.make_lattice([[2, 1], [0, 2]], [0, 0])

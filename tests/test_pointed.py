@@ -130,6 +130,21 @@ class TestAxioms:
             C = gv.make_category(G, gv.make_qform(G, mat), G.zero)
             assert gv.check_axioms(C).all_passed
 
+    def test_stops_once_both_witnesses_are_found(self, monkeypatch):
+        # Z/2048 runs in four chunks of 512 rows; a matrix that is not well
+        # defined on the group breaks both table checks within the first
+        G = gv.make_group([2048])
+        C = PointedGVCategory(G, gv.QForm(G, ((F(1, 3),),)), G.zero)
+        chunks = []
+        add_index = gv.FinAbGroup.add_index
+        monkeypatch.setattr(
+            gv.FinAbGroup, "add_index", lambda g, rows: chunks.append(rows) or add_index(g, rows)
+        )
+        report = gv.check_axioms(C)
+        assert chunks == [slice(0, 512)]
+        assert {c.name: c.witness for c in report.checks} == axioms_reference(C)
+        assert {"braiding biadditive", "twist multiplicative"} <= {c.name for c in report.failed()}
+
     def test_broken_twist_above_1024(self):
         G = gv.make_group([2048])
         C = gv.make_category(G, gv.make_qform(G, [[F(1, 4096)]]), (0,))

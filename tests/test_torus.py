@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -158,6 +159,16 @@ class TestFusion:
                 rep = gv.fusion_from_s(md)  # raises internally on mismatch
                 assert rep.residual < 1e-9
 
+
+    def test_capacity(self):
+        # rank 512 would need 2^27 complex entries; refused before allocating
+        G = gv.make_group([512])
+        md = gv.st_matrices(gv.make_category(G, gv.make_qform(G, [[F(1, 1024)]]), (0,)))
+        start = time.perf_counter()
+        with pytest.raises(gv.CapacityError) as e:
+            gv.fusion_from_s(md)
+        assert time.perf_counter() - start < 1
+        assert e.value.code == "torus.capacity" and e.value.exit_code == 3
 
     def test_group_law_mismatch_raises(self):
         # Z/4 data read against the Klein group breaks the group law
