@@ -283,9 +283,9 @@ class TestSubcommands:
         "argv, code",
         [
             (["verlinde", "--max-genus", "0"], "cli.bad_genus"),
-            (["blocks"], "cli.bad_genus"),
             (["torus-rep", "--tol", "0"], "cli.bad_tolerance"),
             (["torus-rep", "--tol", "-1"], "cli.bad_tolerance"),
+            (["blocks"], "cli.bad_genus"),
         ],
     )
     def test_out_of_range_flags_exit_2(self, tmp_path, capsys, argv, code):
