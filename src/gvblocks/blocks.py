@@ -52,6 +52,60 @@ class ModularData:
         return None if self.group is None else self.group.sorted_elements
 
 
+def _sq_norm(M: np.ndarray) -> float:
+    """Squared Frobenius norm; square roots of sums of these are the one
+    matrix norm used for residuals."""
+    return float(np.vdot(M, M).real)
+
+
+def _chunks(n: int) -> list[slice]:
+    """Slices of ``range(n)`` whose rows or columns of an n x n matrix hold
+    about 2^20 entries each."""
+    step = max(1, 2**20 // max(n, 1))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+@dataclass(frozen=True)
+class _CharacterTable:
+    """S as a character table of ``group``: K_xy = |G|^(-1/2) e(-k(x)·y),
+    with k_j(x) in Z/n_j read off the generator columns of S.
+
+    ``index`` holds the sorted-order position of k(x) and is a permutation,
+    so K is a row permutation of the unitary DFT of G; ``defect`` is
+    ||S - K||_F.  ``apply`` forms K·M in O(|G| log |G|) per column.
+    """
+
+    group: FinAbGroup
+    index: np.ndarray
+    defect: float
+
+    def apply(self, M: np.ndarray) -> np.ndarray:
+        factors = self.group.invariant_factors
+        F = np.fft.fftn(M.reshape(factors + M.shape[1:]), axes=range(len(factors)), norm="ortho")
+        return F.reshape(M.shape)[self.index]
+
+
+def _character_table(S: np.ndarray, group: FinAbGroup) -> _CharacterTable | None:
+    """The character table read off ``S``, or None when ``S`` does not
+    determine one (wrong size, or k not a bijection)."""
+    n = group.order
+    if S.shape != (n, n):
+        return None
+    factors = np.array(group.invariant_factors, dtype=np.int64)
+    gens = group.index_of(np.eye(group.rank, dtype=np.int64))
+    k = np.rint(-np.angle(S[:, gens]) * factors / (2 * math.pi)).astype(np.int64) % factors
+    index = group.index_of(k)
+    if np.bincount(index, minlength=n).max() != 1:
+        return None
+    # K_xy = roots[sum_j k_j(x) y_j N/n_j mod N], exact in int64 within the caps
+    N = math.lcm(*group.invariant_factors)
+    roots = np.exp(-2j * math.pi * np.arange(N) / N) / math.sqrt(n)
+    weights = k * (N // factors)
+    Y = group.element_array.T
+    sq = sum(_sq_norm(S[rows] - roots[weights[rows] @ Y % N]) for rows in _chunks(n))
+    return _CharacterTable(group, index, math.sqrt(sq))
+
+
 def make_modular_data(
     labels: Sequence[str],
     S,
@@ -75,7 +129,11 @@ def make_modular_data(
         raise ValidationError("blocks.bad_modular_data", "T diagonal is not unitary")
     if sorted(conjugation) != list(range(n)):
         raise ValidationError("blocks.bad_modular_data", "conjugation is not a permutation")
-    if np.abs(S @ S.conj().T - np.eye(n)).max() > tol:
+    # A group-backed S = K + E with K its exactly unitary character table and
+    # D = ||E||_F has max|S S̄ᵀ - 1| <= ||K Eᴴ + E Kᴴ + E Eᴴ||_2 <= 2D + D².
+    table = None if group is None else _character_table(S, group)
+    near_table = table is not None and 2 * table.defect + table.defect**2 <= tol
+    if not near_table and np.abs(S @ S.conj().T - np.eye(n)).max() > tol:
         raise ValidationError("blocks.bad_modular_data", "S is not unitary")
     return ModularData(
         tuple(str(lab) for lab in labels),

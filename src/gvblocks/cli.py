@@ -29,7 +29,7 @@ from .errors import CapacityError, GVBlocksError, ValidationError
 from .lattice import discriminant_data, discriminant_form
 from .pointed import PointedGVCategory, check_axioms, mueger_center, verdicts
 from .surfaces import enumerate_decompositions, make_surface
-from .torus import anomaly, check_relations, st_matrices
+from .torus import anomaly, check_relations, st_matrices, st_preflight
 
 
 def _r12(x: float) -> float:
@@ -183,17 +183,35 @@ def _tolerance(config: Config, args) -> float:
     return tol
 
 
-def _torus_data(config: Config) -> tuple[ModularData, PointedGVCategory | None]:
-    """Modular data of the config and the pointed category behind it, if any."""
+#: Largest rank whose S and T matrices ``torus-rep`` prints: the report
+#: grows as rank^2 (27.8 MB of JSON at rank 512).
+OUTPUT_CAP = 1024
+
+
+def _torus_data(
+    config: Config, max_rank: int | None = None
+) -> tuple[ModularData, PointedGVCategory | None]:
+    """Modular data of the config and the pointed category behind it, if any.
+
+    A pointed category that :func:`st_matrices` accepts but whose order
+    exceeds ``max_rank`` is refused before its matrices are built.
+    """
     if isinstance(config.category, BuiltinSpec):
         return builtin_modular_data(config.category.name), None
     C = build_category(config)
+    if max_rank is not None and C.group.order > max_rank:
+        st_preflight(C)  # the library's own refusals keep their codes
+        raise CapacityError(
+            "cli.output_cap",
+            f"torus-rep prints rank^2 matrix entries; rank {C.group.order} "
+            f"exceeds the output cap {max_rank}",
+        )
     return st_matrices(C), C
 
 
 def _cmd_torus_rep(config: Config, args) -> dict:
     tol = _tolerance(config, args)
-    md, C = _torus_data(config)
+    md, C = _torus_data(config, max_rank=OUTPUT_CAP)
     rel = check_relations(md, tol=tol)
     data = {
         "command": "torus-rep",

@@ -269,7 +269,6 @@ def _qform_witness(q: QForm, i: int) -> tuple[int, ...]:
         moved = tuple(a + s for a, s in zip(x, shift))
         if q.eval_raw(moved) != q.eval_raw(x):
             return moved
-    return shift
 
 
 def bilinear(q: QForm) -> BilinearForm:

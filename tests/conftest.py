@@ -393,3 +393,26 @@ def subgroup_invariants_reference(group, elements):
         for i in range(max(len(ps) for ps in powers_by_prime))
     ]
     return tuple(reversed(chain))
+
+
+# --- dense reference for the torus relation residuals --------------------
+
+
+def relations_reference(md):
+    """(lam, ||(ST)^3 - lam S^2||, ||S^2 - P||, ||S S*^T - 1||) from dense
+    products of ``md.S`` and ``md.T``, in the Frobenius norm."""
+    import numpy as np
+
+    S, T = md.S, md.T
+    n = md.rank
+    st3 = np.linalg.matrix_power(S @ T, 3)
+    s2 = S @ S
+    lam = complex(st3[0, 0] / s2[0, 0])
+    P = np.zeros((n, n))
+    P[np.arange(n), list(md.conjugation)] = 1
+    return (
+        lam,
+        np.linalg.norm(st3 - lam * s2, "fro"),
+        np.linalg.norm(s2 - P, "fro"),
+        np.linalg.norm(S @ S.conj().T - np.eye(n), "fro"),
+    )

@@ -233,6 +233,45 @@ class TestSubcommands:
         assert data["relations_pass"] is True
         assert data["S"][1][1] == [-0.707106781187, -0.0]
 
+    def test_torus_rep_refuses_rank_above_output_cap(self, tmp_path, capsys, monkeypatch):
+        def never(C):
+            raise AssertionError("st_matrices ran before the output cap refused")
+
+        monkeypatch.setattr(cli, "st_matrices", never)
+        cfg = write_config(tmp_path, {
+            "category": {
+                "pointed": {"invariant_factors": [2048], "qform_matrix": [["1/4096"]], "h0": [0]}
+            }
+        })
+        code, out, _ = run_cli(capsys, "torus-rep", "--config", cfg, "--json")
+        assert code == 3
+        assert json.loads(out)["error"]["code"] == "cli.output_cap"
+
+    @pytest.mark.parametrize(
+        "factors, form, h0, code",
+        [
+            ([8192], "1/16384", [0], "torus.capacity"),
+            ([2048], "1/4096", [1], "torus.unsupported"),
+            ([2048], "0", [0], "torus.degenerate"),
+        ],
+    )
+    def test_torus_rep_library_refusals_precede_output_cap(
+        self, tmp_path, capsys, factors, form, h0, code
+    ):
+        cfg = write_config(tmp_path, {
+            "category": {"pointed": {"invariant_factors": factors, "qform_matrix": [[form]], "h0": h0}}
+        })
+        exit_code, out, _ = run_cli(capsys, "torus-rep", "--config", cfg, "--json")
+        assert exit_code == 3 and json.loads(out)["error"]["code"] == code
+
+    def test_torus_rep_output_cap_boundary(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, SEMION_POINTED)
+        monkeypatch.setattr(cli, "OUTPUT_CAP", 2)
+        assert run_cli(capsys, "torus-rep", "--config", cfg)[0] == 0
+        monkeypatch.setattr(cli, "OUTPUT_CAP", 1)
+        code, _, err = run_cli(capsys, "torus-rep", "--config", cfg)
+        assert code == 3 and "cli.output_cap" in err
+
     def test_torus_rep_builtin(self, tmp_path, capsys):
         code, out, _ = run_cli(
             capsys, "torus-rep", "--config", write_config(tmp_path, FIB), "--json"

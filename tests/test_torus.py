@@ -12,7 +12,7 @@ import gvblocks as gv
 from gvblocks.errors import DegenerateDataError, UnsupportedError
 from gvblocks.forms import enumerate_qforms
 
-from conftest import group_shapes, make_pointed
+from conftest import group_shapes, make_pointed, relations_reference
 
 F = Fraction
 
@@ -87,6 +87,106 @@ class TestRelations:
         assert np.abs(s2 - P).max() < 1e-12
 
 
+def assert_matches_reference(md, path):
+    rel = gv.check_relations(md)
+    lam, st3, s2, unitary = relations_reference(md)
+    assert rel.path == path
+    assert abs(rel.lam - lam) < 1e-12
+    assert abs(rel.residual_st3 - st3) < 1e-12
+    assert abs(rel.residual_s2 - s2) < 1e-12
+    assert abs(rel.residual_unitary - unitary) < 1e-12
+    return rel
+
+
+E8_GRAM = [
+    [2, -1, 0, 0, 0, 0, 0, 0],
+    [-1, 2, -1, 0, 0, 0, 0, 0],
+    [0, -1, 2, -1, 0, 0, 0, -1],
+    [0, 0, -1, 2, -1, 0, 0, 0],
+    [0, 0, 0, -1, 2, -1, 0, 0],
+    [0, 0, 0, 0, -1, 2, -1, 0],
+    [0, 0, 0, 0, 0, -1, 2, 0],
+    [0, 0, -1, 0, 0, 0, 0, 2],
+]
+
+
+def z4_data():
+    G = gv.make_group([4])
+    return gv.st_matrices(gv.make_category(G, gv.make_qform(G, [[F(1, 8)]]), (0,)))
+
+
+def perturbed(md, delta=1e-6):
+    S = md.S.copy()
+    S[1, 1] += delta
+    return S
+
+
+class TestFourierRelations:
+    def test_matches_dense_reference_all_small_groups(self):
+        count = 0
+        for shape in group_shapes(16):
+            G = gv.make_group(shape)
+            for q in enumerate_qforms(G):
+                try:
+                    md = gv.st_matrices(gv.make_category(G, q, G.zero))
+                except DegenerateDataError:
+                    continue
+                assert_matches_reference(md, "fourier")
+                count += 1
+        assert count == 8000
+
+    def test_order_one_group_and_rank_zero_lattice(self, trivial_cat):
+        E8 = gv.to_pointed_gv(gv.make_lattice(E8_GRAM, ["0"] * 8))
+        assert E8.group.invariant_factors == ()
+        for C in (trivial_cat, E8):
+            rel = assert_matches_reference(gv.st_matrices(C), "fourier")
+            assert rel.lam == 1 and rel.max_residual == 0
+
+    def test_z8_z16_z16_passes(self):
+        C = make_pointed([8, 16, 16], [[F(1, 16), 0, 0], [0, F(1, 32), 0], [0, 0, F(1, 32)]], (0, 0, 0))
+        rel = gv.check_relations(gv.st_matrices(C))
+        assert rel.path == "fourier" and rel.passed
+        assert abs(rel.lam - gv.anomaly(C).gamma) < 1e-9
+
+    def test_perturbed_s_takes_dense_path(self):
+        md = z4_data()
+        rel = assert_matches_reference(dataclasses.replace(md, S=perturbed(md)), "dense")
+        assert rel.residual_unitary > 1e-7
+
+    def test_group_mismatch_takes_dense_path(self):
+        md = z4_data()
+        assert_matches_reference(dataclasses.replace(md, group=gv.make_group([2, 2])), "dense")
+
+    def test_make_modular_data_rejects_perturbed_s(self):
+        md = z4_data()
+        with pytest.raises(gv.ValidationError, match="S is not unitary"):
+            gv.blocks.make_modular_data(
+                md.labels, perturbed(md), md.T, md.conjugation, group=md.group
+            )
+
+    def test_table_with_repeated_rows_is_not_trusted(self):
+        # S_xy = e(-2xy/4)/2 on Z/4 is a character table read off exactly,
+        # but x -> 2x is not a bijection, so it is not unitary
+        md = z4_data()
+        x = np.arange(4)
+        S = np.exp(-2j * math.pi * np.outer(2 * x, x) / 4) / 2
+        with pytest.raises(gv.ValidationError, match="S is not unitary"):
+            gv.blocks.make_modular_data(md.labels, S, md.T, md.conjugation, group=md.group)
+        rel = assert_matches_reference(dataclasses.replace(md, S=S), "dense")
+        assert not rel.passed
+
+    def test_unitarity_bound_for_accepted_s(self):
+        # a group-backed S within 2D + D^2 <= 1e-9 of its character table is
+        # accepted without the dense product; the bound holds for it
+        md = gv.st_matrices(make_pointed([3, 9], [[F(1, 3), 0], [0, F(1, 9)]], (0, 0)))
+        E = np.random.default_rng(0).standard_normal(md.S.shape)
+        E = (E + E.T) * (4e-10 / np.linalg.norm(E + E.T))
+        data = gv.blocks.make_modular_data(md.labels, md.S + E, md.T, md.conjugation, group=md.group)
+        deviation = np.abs(data.S @ data.S.conj().T - np.eye(md.rank)).max()
+        assert deviation <= 2 * 4e-10 + 4e-10**2
+        assert gv.check_relations(data).path == "dense"
+
+
 class TestAnomaly:
     def test_semion(self, semion):
         rep = gv.anomaly(semion)
@@ -158,6 +258,12 @@ class TestFusion:
                     continue
                 rep = gv.fusion_from_s(md)  # raises internally on mismatch
                 assert rep.residual < 1e-9
+
+    def test_matches_einsum_contraction(self):
+        C = make_pointed([8, 8], [[F(1, 16), 0], [0, F(3, 16)]], (0, 0))
+        md = gv.st_matrices(C)
+        raw = np.einsum("xw,yw,zw->xyz", md.S, md.S, md.S.conj() / md.S[0])
+        assert np.array_equal(gv.fusion_from_s(md).tensor, np.round(raw.real))
 
 
     def test_capacity(self):
