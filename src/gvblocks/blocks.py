@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +33,9 @@ class ModularData:
     ``conjugation`` is the charge-conjugation permutation as an index tuple;
     for pointed data it realizes x -> -x.  ``group`` is set when the data
     comes from a pointed category, whose labels are then its elements in
-    sorted order.
+    sorted order.  :func:`make_modular_data` returns ``S`` read-only and
+    keeps the character table that certifies it; data built any other way,
+    ``dataclasses.replace`` included, carries none.
     """
 
     labels: tuple[str, ...]
@@ -41,6 +43,7 @@ class ModularData:
     T: np.ndarray
     conjugation: tuple[int, ...]
     group: FinAbGroup | None = None
+    _table: _CharacterTable | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -60,8 +63,8 @@ def _sq_norm(M: np.ndarray) -> float:
 
 def _chunks(n: int) -> list[slice]:
     """Slices of ``range(n)`` whose rows or columns of an n x n matrix hold
-    about 2^20 entries each."""
-    step = max(1, 2**20 // max(n, 1))
+    about 2^16 entries (1 MB of complex) each."""
+    step = max(1, 2**16 // max(n, 1))
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
@@ -72,22 +75,38 @@ class _CharacterTable:
 
     ``index`` holds the sorted-order position of k(x) and is a permutation,
     so K is a row permutation of the unitary DFT of G; ``defect`` is
-    ||S - K||_F.  ``apply`` forms K·M in O(|G| log |G|) per column.
+    ||S - K||_F and ``symmetric`` says whether S equals Sᵀ exactly.
+    ``apply`` forms K·M in O(|G| log |G|) per column, as the row gather
+    ``index`` of the DFT ``transform``.
     """
 
     group: FinAbGroup
     index: np.ndarray
     defect: float
+    symmetric: bool
 
-    def apply(self, M: np.ndarray) -> np.ndarray:
+    def transform(self, M: np.ndarray) -> np.ndarray:
         factors = self.group.invariant_factors
         F = np.fft.fftn(M.reshape(factors + M.shape[1:]), axes=range(len(factors)), norm="ortho")
-        return F.reshape(M.shape)[self.index]
+        return F.reshape(M.shape)
+
+    def apply(self, M: np.ndarray) -> np.ndarray:
+        return self.transform(M)[self.index]
 
 
-def _character_table(S: np.ndarray, group: FinAbGroup) -> _CharacterTable | None:
+def _asymmetry(S: np.ndarray) -> float:
+    """max |S - Sᵀ|, NaN if S holds one: each row block is compared from
+    its first column on, which meets every pair once."""
+    blocks = [np.abs(S[r, r.start :] - S[r.start :, r].T).max() for r in _chunks(len(S))]
+    return float(np.max(blocks, initial=0.0))
+
+
+def _character_table(
+    S: np.ndarray, group: FinAbGroup, symmetric: bool
+) -> _CharacterTable | None:
     """The character table read off ``S``, or None when ``S`` does not
-    determine one (wrong size, or k not a bijection)."""
+    determine one (wrong size, or k not a bijection); ``symmetric`` is
+    recorded as given."""
     n = group.order
     if S.shape != (n, n):
         return None
@@ -103,7 +122,7 @@ def _character_table(S: np.ndarray, group: FinAbGroup) -> _CharacterTable | None
     weights = k * (N // factors)
     Y = group.element_array.T
     sq = sum(_sq_norm(S[rows] - roots[weights[rows] @ Y % N]) for rows in _chunks(n))
-    return _CharacterTable(group, index, math.sqrt(sq))
+    return _CharacterTable(group, index, math.sqrt(sq), symmetric)
 
 
 def make_modular_data(
@@ -114,16 +133,28 @@ def make_modular_data(
     group: FinAbGroup | None = None,
 ) -> ModularData:
     """Validate shape, symmetry of S, unitary diagonal T, and S·S̄ᵀ = 1,
-    each to within 1e-9."""
+    each to within 1e-9, in row blocks without |G|²-sized temporaries.
+
+    The returned S is read-only.  It is the caller's array only when that
+    is already read-only and owns its memory; a writable array or a view is
+    copied, so the caller's array stays writable.
+    """
     tol = 1e-9
+    given = S
     S = np.asarray(S, dtype=complex)
+    if S.base is not None or (S is given and S.flags.writeable):
+        S = S.copy()
+    S.flags.writeable = False
     T = np.asarray(T, dtype=complex)
     n = len(labels)
     if S.shape != (n, n) or T.shape != (n, n):
         raise ValidationError("blocks.bad_modular_data", "S and T must be square of label size")
-    if np.abs(S - S.T).max() > tol:
+    asymmetry = _asymmetry(S)
+    if asymmetry > tol:
         raise ValidationError("blocks.bad_modular_data", "S is not symmetric")
-    if np.abs(T - np.diag(np.diag(T))).max() > tol:
+    # row r holds T[r, r+1:] and T[r+1, :r+1], every off-diagonal entry once
+    off = T.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n] if n else T
+    if np.max([np.abs(off[rows]).max(initial=0.0) for rows in _chunks(n)], initial=0.0) > tol:
         raise ValidationError("blocks.bad_modular_data", "T is not diagonal")
     if np.abs(np.abs(np.diag(T)) - 1).max() > tol:
         raise ValidationError("blocks.bad_modular_data", "T diagonal is not unitary")
@@ -131,17 +162,19 @@ def make_modular_data(
         raise ValidationError("blocks.bad_modular_data", "conjugation is not a permutation")
     # A group-backed S = K + E with K its exactly unitary character table and
     # D = ||E||_F has max|S S̄ᵀ - 1| <= ||K Eᴴ + E Kᴴ + E Eᴴ||_2 <= 2D + D².
-    table = None if group is None else _character_table(S, group)
+    table = None if group is None else _character_table(S, group, asymmetry == 0)
     near_table = table is not None and 2 * table.defect + table.defect**2 <= tol
     if not near_table and np.abs(S @ S.conj().T - np.eye(n)).max() > tol:
         raise ValidationError("blocks.bad_modular_data", "S is not unitary")
-    return ModularData(
+    md = ModularData(
         tuple(str(lab) for lab in labels),
         S,
         T,
         tuple(int(i) for i in conjugation),
         group=group,
     )
+    object.__setattr__(md, "_table", table)
+    return md
 
 
 def block_dim_direct(C: PointedGVCategory, spec: SurfaceSpec) -> int:

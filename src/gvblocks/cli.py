@@ -33,7 +33,8 @@ from .torus import anomaly, check_relations, st_matrices, st_preflight
 
 
 def _r12(x: float) -> float:
-    return round(float(x), 12)
+    # + 0.0 turns -0.0 into 0.0, so the sign of rounding noise never prints
+    return round(float(x), 12) + 0.0
 
 
 def _c12(z: complex) -> list[float]:

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import ModularData, _character_table, _chunks, _sq_norm, make_modular_data
+from .blocks import (
+    ModularData,
+    _asymmetry,
+    _character_table,
+    _chunks,
+    _sq_norm,
+    make_modular_data,
+)
 from .errors import CapacityError, DegenerateDataError, InternalError, UnsupportedError
 from .forms import gauss_sum
 from .pointed import PointedGVCategory
@@ -51,6 +58,7 @@ def st_matrices(C: PointedGVCategory) -> ModularData:
     bden, qden = C.bform.int_form[0], C.qform.int_form[0]
     roots = np.exp(-2j * math.pi * np.arange(bden) / bden) / math.sqrt(group.order)
     S = roots[C.bform.table_rows()]
+    S.flags.writeable = False  # fresh: make_modular_data keeps it uncopied
     T = np.diag(np.exp(2j * math.pi * C.qform.values / qden))
     labels = tuple(",".join(str(c) for c in x) for x in group.sorted_elements)
     return make_modular_data(labels, S, T, tuple(group.neg_index.tolist()), group=group)
@@ -65,9 +73,9 @@ FOURIER_DEFECT = 1e-12
 class RelationReport:
     """Residuals (Frobenius norms) of the projective SL(2,Z) relations.
 
-    ``path`` is ``"fourier"`` when S was verified to be a character table of
-    the group and every product with S ran as a group Fourier transform,
-    and ``"dense"`` otherwise.
+    ``path`` is ``"fourier"`` when S was verified to be an exactly symmetric
+    character table of the group and every product with S ran as a group
+    Fourier transform, and ``"dense"`` otherwise.
     """
 
     lam: complex
@@ -91,14 +99,21 @@ def check_relations(md: ModularData, tol: float = 1e-9) -> RelationReport:
 
     The products are formed a block of columns at a time, (ST)^3 as
     S·(T·S·(T·(S·T))) with T a diagonal scaling.  For group-backed data
-    whose S lies within :data:`FOURIER_DEFECT` of its character table K,
-    S·M is K·M by FFT, O(|G|^2 log |G|) in all; otherwise it is a dense
-    matmul.  Residuals are Frobenius norms, never below the 2-norm.
+    whose S is exactly symmetric and lies within :data:`FOURIER_DEFECT` of
+    its character table K, S·M is K·M by FFT, O(|G|^2 log |G|) in all, and
+    one transform F of a column block of S gives both S² (F read through
+    K's row gather) and S·S̄ᵀ = K·S̄ (conj F read at the negated gather);
+    otherwise every product is a dense matmul.  The table stored by
+    :func:`make_modular_data` is used when present.  Residuals are
+    Frobenius norms, never below the 2-norm.
     """
     S, t = md.S, np.diag(md.T)
-    table = None if md.group is None else _character_table(S, md.group)
-    if table is not None and table.defect <= FOURIER_DEFECT:
+    table = md._table
+    if table is None and md.group is not None:
+        table = _character_table(S, md.group, _asymmetry(S) == 0)
+    if table is not None and table.symmetric and table.defect <= FOURIER_DEFECT:
         apply_s, path = table.apply, "fourier"
+        conj_index = md.group.neg_index[table.index]
     else:
         apply_s, path = S.__matmul__, "dense"
     n = md.rank
@@ -109,8 +124,12 @@ def check_relations(md: ModularData, tol: float = 1e-9) -> RelationReport:
     for cols in _chunks(n):
         diag = np.arange(cols.stop - cols.start)
         st3 = apply_s(tc * apply_s(tc * (S[:, cols] * t[cols])))
-        s2 = apply_s(S[:, cols])
-        unitary = apply_s(S[cols].conj().T)
+        if path == "fourier":
+            F = table.transform(S[:, cols])
+            s2, unitary = F[table.index], F[conj_index].conj()
+        else:
+            s2 = S @ S[:, cols]
+            unitary = S @ S[cols].conj().T
         if lam is None:
             if abs(s2[0, 0]) < 1e-12:
                 raise DegenerateDataError("torus.degenerate", "S^2 has vanishing vacuum entry")

@@ -357,6 +357,11 @@ class TestSubcommands:
         assert code == 2
         assert "cli.config" in err
 
+    def test_rounding_noise_prints_no_negative_zero(self):
+        assert json.dumps(cli._c12(complex(0.5, -1e-17))) == "[0.5, 0.0]"
+        assert json.dumps(cli._r12(-4e-13)) == "0.0"
+        assert cli._r12(-0.25) == -0.25
+
     def test_json_output_is_stable(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FF8)
         outs = []

@@ -15,6 +15,7 @@ from gvblocks.pointed import PointedGVCategory
 from conftest import (
     axiom_violation,
     axioms_reference,
+    group_shapes,
     make_pointed,
     radical_reference,
     random_qform,
@@ -166,6 +167,62 @@ class TestAxioms:
         assert {c.name: c.witness for c in report.checks} == axioms_reference(C, th.__getitem__)
         for c in report.failed():
             assert axiom_violation(C, th, c.name, c.witness)
+
+
+class TestAxiomDecision:
+    @pytest.mark.parametrize(
+        "factors, mat",
+        [((4096,), [[F(1, 8192)]]), ((64, 64), [[F(1, 128), F(1, 64)], [F(1, 64), F(3, 128)]])],
+    )
+    def test_passing_suite_scans_no_pair(self, factors, mat, monkeypatch):
+        G = gv.make_group(factors)
+        C = gv.make_category(G, gv.make_qform(G, mat), G.zero)
+        calls = []
+        monkeypatch.setattr(gv.FinAbGroup, "add_index", lambda g, rows: calls.append(rows))
+        assert gv.check_axioms(C).all_passed
+        assert calls == []
+
+    def test_matches_reference_every_shape_up_to_16(self):
+        rng = random.Random(71)
+        for shape in group_shapes(16):
+            G = gv.make_group(shape)
+            forms = list(enumerate_qforms(G))
+            for q in rng.sample(forms, min(6, len(forms))):
+                C = gv.make_category(G, q, G.reduce([rng.randrange(n) for n in shape]))
+                broken = twist_table(C)
+                x = G.reduce([rng.randrange(n) for n in shape])
+                broken[x] = (broken[x] + F(1, 2)) % 1
+                for twist in (None, broken.__getitem__):
+                    report = gv.check_axioms(C, twist=twist)
+                    assert {c.name: c.witness for c in report.checks} == axioms_reference(
+                        C, twist
+                    ), (shape, q.matrix, C.h0, twist and x)
+
+    def test_rank_zero_twist_unit(self):
+        # no generator identity constrains theta(0) on the rank-0 group
+        G = gv.make_group([])
+        C = gv.make_category(G, gv.make_qform(G, []), ())
+        twist = lambda x: F(1, 2)
+        report = gv.check_axioms(C, twist=twist)
+        assert {c.name: c.witness for c in report.checks} == axioms_reference(C, twist)
+        assert {c.name for c in report.failed()} == {"twist multiplicative", "twist unit"}
+
+    def test_unvalidated_matrices_match_reference(self):
+        # asymmetric or not well defined on the group: the decision must
+        # still agree with the exhaustive reference.  On Z/4 with q = x²/16
+        # every generator identity of the twist holds, yet neither
+        # biadditivity nor multiplicativity does.
+        rng = random.Random(5)
+        cases = [((4,), ((F(1, 16),),))]
+        for shape in [(2, 4), (4, 4), (2, 2, 2)]:
+            for _ in range(8):
+                mat = tuple(tuple(F(rng.randrange(16), 16) for _ in shape) for _ in shape)
+                cases.append((shape, mat))
+        for shape, mat in cases:
+            G = gv.make_group(shape)
+            C = PointedGVCategory(G, gv.QForm(G, mat), G.zero)
+            report = gv.check_axioms(C)
+            assert {c.name: c.witness for c in report.checks} == axioms_reference(C), mat
 
 
 class TestMakeCategory:

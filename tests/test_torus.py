@@ -3,6 +3,7 @@ import dataclasses
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -185,6 +186,63 @@ class TestFourierRelations:
         deviation = np.abs(data.S @ data.S.conj().T - np.eye(md.rank)).max()
         assert deviation <= 2 * 4e-10 + 4e-10**2
         assert gv.check_relations(data).path == "dense"
+
+
+class TestStoredTable:
+    def test_direct_construction_gives_identical_report(self):
+        for factors, mat in [
+            ([4], [[F(1, 8)]]),
+            ([3, 9], [[F(1, 3), 0], [0, F(1, 9)]]),
+            ([512], [[F(1, 1024)]]),
+        ]:
+            md = gv.st_matrices(make_pointed(factors, mat, (0,) * len(factors)))
+            direct = gv.blocks.ModularData(md.labels, md.S, md.T, md.conjugation, group=md.group)
+            assert md._table is not None and direct._table is None
+            assert gv.check_relations(md) == gv.check_relations(direct)
+
+    def test_replace_carries_no_table(self):
+        md = z4_data()
+        assert dataclasses.replace(md)._table is None
+        assert dataclasses.replace(md, group=gv.make_group([2, 2]))._table is None
+
+    def test_s_is_read_only_and_the_callers_array_is_not(self):
+        md = z4_data()
+        assert not md.S.flags.writeable
+        S = md.S.copy()
+        data = gv.blocks.make_modular_data(md.labels, S, md.T, md.conjugation, group=md.group)
+        assert not data.S.flags.writeable and S.flags.writeable
+        view = gv.blocks.make_modular_data(md.labels, S[:, :], md.T, md.conjugation)
+        assert not np.shares_memory(view.S, S)
+        S[0, 0] = 7
+        assert data.S[0, 0] == view.S[0, 0] == md.S[0, 0]
+
+    @pytest.mark.parametrize("order, entry", [(4, (1, 2)), (512, (300, 10))])
+    def test_near_table_but_not_exactly_symmetric_takes_dense_path(self, order, entry):
+        # Z/512 validates in four row blocks; (300, 10) lies below the diagonal
+        md = gv.st_matrices(make_pointed([order], [[F(1, 2 * order)]], (0,)))
+        S = md.S.copy()
+        S[entry] += 1e-14
+        data = gv.blocks.make_modular_data(md.labels, S, md.T, md.conjugation, group=md.group)
+        assert data._table.defect <= gv.torus.FOURIER_DEFECT
+        assert_matches_reference(data, "dense")
+        S[entry] += 1e-6
+        with pytest.raises(gv.ValidationError, match="S is not symmetric"):
+            gv.blocks.make_modular_data(md.labels, S, md.T, md.conjugation, group=md.group)
+
+    def test_fourier_path_over_several_column_blocks(self):
+        # 2^16 entries per block: Z/2 x Z/256 runs in four blocks of 128 columns
+        C = make_pointed([2, 256], [[F(1, 4), 0], [0, F(3, 512)]], (0, 0))
+        assert_matches_reference(gv.st_matrices(C), "fourier")
+
+    def test_validation_allocates_no_square_temporary(self):
+        md = gv.st_matrices(make_pointed([1024], [[F(1, 2048)]], (0,)))
+        tracemalloc.start()
+        try:
+            gv.blocks.make_modular_data(md.labels, md.S, md.T, md.conjugation, group=md.group)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < md.S.nbytes / 4
 
 
 class TestAnomaly:
