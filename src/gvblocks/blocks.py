@@ -75,9 +75,10 @@ class _CharacterTable:
 
     ``index`` holds the sorted-order position of k(x) and is a permutation,
     so K is a row permutation of the unitary DFT of G; ``defect`` is
-    ||S - K||_F and ``symmetric`` says whether S equals Sᵀ exactly.
-    ``apply`` forms K·M in O(|G| log |G|) per column, as the row gather
-    ``index`` of the DFT ``transform``.
+    ||S - K||_F and ``symmetric`` says whether S equals Sᵀ exactly.  When
+    the relation check runs on the table, ``defect`` is also its S² and
+    unitarity residual.  ``apply`` forms K·M in O(|G| log |G|) per column,
+    as the row gather ``index`` of the DFT.
     """
 
     group: FinAbGroup
@@ -85,13 +86,10 @@ class _CharacterTable:
     defect: float
     symmetric: bool
 
-    def transform(self, M: np.ndarray) -> np.ndarray:
+    def apply(self, M: np.ndarray) -> np.ndarray:
         factors = self.group.invariant_factors
         F = np.fft.fftn(M.reshape(factors + M.shape[1:]), axes=range(len(factors)), norm="ortho")
-        return F.reshape(M.shape)
-
-    def apply(self, M: np.ndarray) -> np.ndarray:
-        return self.transform(M)[self.index]
+        return F.reshape(M.shape)[self.index]
 
 
 def _asymmetry(S: np.ndarray) -> float:
@@ -147,13 +145,15 @@ def make_modular_data(
     S.flags.writeable = False
     T = np.asarray(T, dtype=complex)
     n = len(labels)
+    if n == 0:
+        raise ValidationError("blocks.bad_modular_data", "there must be at least the unit label")
     if S.shape != (n, n) or T.shape != (n, n):
         raise ValidationError("blocks.bad_modular_data", "S and T must be square of label size")
     asymmetry = _asymmetry(S)
     if asymmetry > tol:
         raise ValidationError("blocks.bad_modular_data", "S is not symmetric")
     # row r holds T[r, r+1:] and T[r+1, :r+1], every off-diagonal entry once
-    off = T.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n] if n else T
+    off = T.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
     if np.max([np.abs(off[rows]).max(initial=0.0) for rows in _chunks(n)], initial=0.0) > tol:
         raise ValidationError("blocks.bad_modular_data", "T is not diagonal")
     if np.abs(np.abs(np.diag(T)) - 1).max() > tol:
@@ -256,14 +256,22 @@ class VerlindeReport:
 def verlinde_dim(
     md: ModularData, genus: int, boundary_indices: Sequence[int] = (), tol: float = 1e-9
 ) -> VerlindeReport:
-    """Sum over j of S_0j^(2-2g-n) * prod_k S_{i_k j}."""
+    """Sum over j of S_0j^(2-2g-n) * prod_k S_{i_k j}, for genus g >= 0 and
+    boundary label indices i_k in [0, rank)."""
+    if genus < 0:
+        raise ValidationError("blocks.bad_genus", f"genus must be >= 0, got {genus}")
+    for i in boundary_indices:
+        if not isinstance(i, (int, np.integer)) or not 0 <= i < md.rank:
+            raise ValidationError(
+                "blocks.bad_index", f"boundary index {i!r} is not a label index in [0, {md.rank})"
+            )
     s0 = md.S[0]
     if np.abs(s0).min() < tol:
         raise DegenerateDataError("blocks.degenerate", "a vacuum S-matrix entry vanishes")
     n = len(boundary_indices)
     exponent = 2 - 2 * genus - n
     total = np.sum(
-        s0**exponent * np.prod([md.S[int(i)] for i in boundary_indices], axis=0)
+        s0**exponent * np.prod([md.S[i] for i in boundary_indices], axis=0)
         if n
         else s0**exponent
     )

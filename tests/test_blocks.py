@@ -225,6 +225,11 @@ class TestModularData:
             gv.blocks.make_modular_data(("1", "x"), S, T, conjugation)
         assert e.value.code == "blocks.bad_modular_data" and e.value.message == message
 
+    def test_no_labels(self):
+        with pytest.raises(ValidationError) as e:
+            gv.blocks.make_modular_data((), np.zeros((0, 0)), np.zeros((0, 0)), ())
+        assert e.value.code == "blocks.bad_modular_data"
+
     def test_t_not_unitary(self):
         with pytest.raises(ValidationError):
             gv.blocks.make_modular_data(
@@ -271,6 +276,17 @@ class TestVerlinde:
         assert rep.rounded == gv.block_dim_direct(z3, make_surface(1, [(0,)]))
         rep2 = gv.verlinde_dim(md, 1, [1])
         assert rep2.rounded == gv.block_dim_direct(z3, make_surface(1, [(1,)]))
+
+    def test_negative_genus(self):
+        with pytest.raises(ValidationError) as e:
+            gv.verlinde_dim(gv.builtin_modular_data("ising"), -1)
+        assert e.value.code == "blocks.bad_genus"
+
+    @pytest.mark.parametrize("index", [5, -1, "a"])
+    def test_bad_boundary_index(self, index):
+        with pytest.raises(ValidationError) as e:
+            gv.verlinde_dim(gv.builtin_modular_data("ising"), 1, [0, index])
+        assert e.value.code == "blocks.bad_index"
 
     def test_degenerate_vacuum_entry(self):
         md = gv.builtin_modular_data("ising")

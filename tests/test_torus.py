@@ -158,6 +158,45 @@ class TestFourierRelations:
         md = z4_data()
         assert_matches_reference(dataclasses.replace(md, group=gv.make_group([2, 2])), "dense")
 
+    def test_other_conjugation_takes_dense_path(self):
+        # the Fourier path reads S^2 - P off the table only for P = negation
+        md = z4_data()
+        rel = assert_matches_reference(dataclasses.replace(md, conjugation=tuple(range(4))), "dense")
+        assert rel.residual_s2 > 1
+
+    @pytest.mark.parametrize("factors, mat", [([4], [[F(1, 8)]]), ([3, 9], [[F(1, 3), 0], [0, F(1, 9)]])])
+    def test_symmetric_perturbation_within_defect_stays_fourier(self, factors, mat):
+        md = gv.st_matrices(make_pointed(factors, mat, (0,) * len(factors)))
+        S = md.S.copy()
+        S[1, 2] += 5e-13
+        S[2, 1] += 5e-13
+        data = gv.blocks.make_modular_data(md.labels, S, md.T, md.conjugation, group=md.group)
+        assert 0 < data._table.defect <= gv.torus.FOURIER_DEFECT
+        rel = assert_matches_reference(data, "fourier")
+        assert rel.residual_s2 == rel.residual_unitary == data._table.defect
+
+    def test_broken_t_on_fourier_path_matches_reference(self):
+        # random phases break (ST)^3 = lam S^2, so lam depends on reading
+        # the vacuum column; Z/2 x Z/256 runs over four column blocks
+        C = make_pointed([2, 256], [[F(1, 4), 0], [0, F(3, 512)]], (0, 0))
+        md = gv.st_matrices(C)
+        phases = np.exp(2j * math.pi * np.random.default_rng(1).random(md.rank))
+        rel = assert_matches_reference(dataclasses.replace(md, T=np.diag(phases)), "fourier")
+        assert rel.residual_st3 > 1
+
+    def test_one_transform_per_column_block(self, monkeypatch):
+        md = gv.st_matrices(make_pointed([1024], [[F(1, 2048)]], (0,)))
+        calls = []
+        fftn = np.fft.fftn
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return fftn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fftn", counting)
+        assert gv.check_relations(md).path == "fourier"
+        assert len(calls) == len(gv.blocks._chunks(1024)) == 16
+
     def test_make_modular_data_rejects_perturbed_s(self):
         md = z4_data()
         with pytest.raises(gv.ValidationError, match="S is not unitary"):
