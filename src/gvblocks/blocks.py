@@ -16,11 +16,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DegenerateDataError, InternalError, ValidationError
+from .errors import CapacityError, DegenerateDataError, InternalError, ValidationError
 from .forms import Element, FinAbGroup, smith_normal_form
 from .pointed import PointedGVCategory
 from .surfaces import PantsDecomposition, SurfaceSpec
@@ -28,14 +28,15 @@ from .surfaces import PantsDecomposition, SurfaceSpec
 
 @dataclass(frozen=True)
 class ModularData:
-    """Labels with distinguished unit 0, S-matrix, diagonal T-matrix.
+    """Labels with distinguished unit 0, S-matrix, and the diagonal of the
+    T-matrix as a vector of length rank.
 
     ``conjugation`` is the charge-conjugation permutation as an index tuple;
     for pointed data it realizes x -> -x.  ``group`` is set when the data
     comes from a pointed category, whose labels are then its elements in
-    sorted order.  :func:`make_modular_data` returns ``S`` read-only and
-    keeps the character table that certifies it; data built any other way,
-    ``dataclasses.replace`` included, carries none.
+    sorted order.  :func:`make_modular_data` returns ``S`` and ``T``
+    read-only and keeps the character table that certifies ``S``; data
+    built any other way, ``dataclasses.replace`` included, carries none.
     """
 
     labels: tuple[str, ...]
@@ -53,6 +54,11 @@ class ModularData:
     def elements(self) -> tuple[Element, ...] | None:
         """The group elements behind the labels, for pointed data."""
         return None if self.group is None else self.group.sorted_elements
+
+
+#: Largest rank of modular data, and group order of pointed (S, T): an S of
+#: 4096 labels holds 256 MB.
+MATRIX_CAP = 4096
 
 
 def _sq_norm(M: np.ndarray) -> float:
@@ -93,10 +99,35 @@ class _CharacterTable:
 
 
 def _asymmetry(S: np.ndarray) -> float:
-    """max |S - Sᵀ|, NaN if S holds one: each row block is compared from
-    its first column on, which meets every pair once."""
-    blocks = [np.abs(S[r, r.start :] - S[r.start :, r].T).max() for r in _chunks(len(S))]
+    """max |S - Sᵀ|: each row block is compared from its first column on,
+    which meets every pair once.  It is NaN or inf exactly when S holds a
+    non-finite entry, as a difference with a non-finite term is never
+    finite."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        blocks = [np.abs(S[r, r.start :] - S[r.start :, r].T).max() for r in _chunks(len(S))]
     return float(np.max(blocks, initial=0.0))
+
+
+def _root_table(
+    N: int, W: np.ndarray, group: FinAbGroup
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """The root table R_xy = roots[(W_x · y) mod N] of N-th roots, for x and
+    y over ``group`` in sorted order, as (rows, powers) per :func:`_chunks`
+    with R[rows] = roots[powers].
+
+    ``W`` holds one row of weights per x, each in [0, N).  ``powers`` is
+    int32, exact while every sum W_x · y stays below 2^31.  Within the caps
+    it does: weights are below N <= 8192 (both callers take N dividing the
+    exponent of G), coordinates below n_j <= 4096, and at most 12 cyclic
+    factors exceed 1, as their product is |G| <= 4096 (factors of 1 give
+    y_j = 0), so every sum is below 12 · 2^13 · 2^12 < 2^29.
+    """
+    W = W.astype(np.int32)
+    Y = group.element_array.T.astype(np.int32)
+    for rows in _chunks(group.order):
+        powers = W[rows] @ Y
+        powers %= N
+        yield rows, powers
 
 
 def _character_table(
@@ -114,12 +145,15 @@ def _character_table(
     index = group.index_of(k)
     if np.bincount(index, minlength=n).max() != 1:
         return None
-    # K_xy = roots[sum_j k_j(x) y_j N/n_j mod N], exact in int64 within the caps
+    # K_xy = roots[sum_j k_j(x) y_j N/n_j mod N]
     N = math.lcm(*group.invariant_factors)
     roots = np.exp(-2j * math.pi * np.arange(N) / N) / math.sqrt(n)
-    weights = k * (N // factors)
-    Y = group.element_array.T
-    sq = sum(_sq_norm(S[rows] - roots[weights[rows] @ Y % N]) for rows in _chunks(n))
+    sq = 0.0
+    for rows, powers in _root_table(N, k * (N // factors), group):
+        K = roots[powers]
+        K -= S[rows]
+        sq += _sq_norm(K)
+        del K  # one block at a time: free it before the next is built
     return _CharacterTable(group, index, math.sqrt(sq), symmetric)
 
 
@@ -130,33 +164,42 @@ def make_modular_data(
     conjugation: Sequence[int],
     group: FinAbGroup | None = None,
 ) -> ModularData:
-    """Validate shape, symmetry of S, unitary diagonal T, and S·S̄ᵀ = 1,
-    each to within 1e-9, in row blocks without |G|²-sized temporaries.
+    """Validate shape, finite entries, symmetry of S, unitary T, and
+    S·S̄ᵀ = 1, each to within 1e-9, in row blocks without |G|²-sized
+    temporaries.  ``T`` is the diagonal of the T-matrix, a vector of label
+    size; more than :data:`MATRIX_CAP` labels are refused before S is read.
 
     The returned S is read-only.  It is the caller's array only when that
     is already read-only and owns its memory; a writable array or a view is
-    copied, so the caller's array stays writable.
+    copied, so the caller's array stays writable.  T is a read-only copy.
     """
     tol = 1e-9
+    n = len(labels)
+    if n == 0:
+        raise ValidationError("blocks.bad_modular_data", "there must be at least the unit label")
+    if n > MATRIX_CAP:
+        raise CapacityError(
+            "blocks.capacity", f"{n} labels exceed the matrix cap {MATRIX_CAP}"
+        )
     given = S
     S = np.asarray(S, dtype=complex)
     if S.base is not None or (S is given and S.flags.writeable):
         S = S.copy()
     S.flags.writeable = False
-    T = np.asarray(T, dtype=complex)
-    n = len(labels)
-    if n == 0:
-        raise ValidationError("blocks.bad_modular_data", "there must be at least the unit label")
-    if S.shape != (n, n) or T.shape != (n, n):
-        raise ValidationError("blocks.bad_modular_data", "S and T must be square of label size")
+    T = np.array(T, dtype=complex)
+    T.flags.writeable = False
+    if S.shape != (n, n):
+        raise ValidationError("blocks.bad_modular_data", "S must be square of label size")
+    if T.shape != (n,):
+        raise ValidationError("blocks.bad_modular_data", "T must be a vector of label size")
     asymmetry = _asymmetry(S)
+    if not math.isfinite(asymmetry):
+        raise ValidationError("blocks.bad_modular_data", "S has a non-finite entry")
     if asymmetry > tol:
         raise ValidationError("blocks.bad_modular_data", "S is not symmetric")
-    # row r holds T[r, r+1:] and T[r+1, :r+1], every off-diagonal entry once
-    off = T.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
-    if np.max([np.abs(off[rows]).max(initial=0.0) for rows in _chunks(n)], initial=0.0) > tol:
-        raise ValidationError("blocks.bad_modular_data", "T is not diagonal")
-    if np.abs(np.abs(np.diag(T)) - 1).max() > tol:
+    if not np.isfinite(T).all():
+        raise ValidationError("blocks.bad_modular_data", "T has a non-finite entry")
+    if np.abs(np.abs(T) - 1).max() > tol:
         raise ValidationError("blocks.bad_modular_data", "T diagonal is not unitary")
     if sorted(conjugation) != list(range(n)):
         raise ValidationError("blocks.bad_modular_data", "conjugation is not a permutation")
@@ -289,14 +332,14 @@ _GOLDEN = (1 + math.sqrt(5)) / 2
 def _fibonacci_data() -> ModularData:
     norm = math.sqrt(2 + _GOLDEN)
     S = np.array([[1, _GOLDEN], [_GOLDEN, -1]], dtype=complex) / norm
-    T = np.diag([1, cmath.exp(4j * math.pi / 5)])
+    T = [1, cmath.exp(4j * math.pi / 5)]
     return make_modular_data(("1", "tau"), S, T, (0, 1))
 
 
 def _ising_data() -> ModularData:
     r = math.sqrt(2)
     S = np.array([[1, r, 1], [r, 0, -r], [1, -r, 1]], dtype=complex) / 2
-    T = np.diag([1, cmath.exp(1j * math.pi / 8), -1])
+    T = [1, cmath.exp(1j * math.pi / 8), -1]
     return make_modular_data(("1", "sigma", "psi"), S, T, (0, 1, 2))
 
 

@@ -16,6 +16,8 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from .blocks import (
     ModularData,
@@ -218,7 +220,7 @@ def _cmd_torus_rep(config: Config, args) -> dict:
         "command": "torus-rep",
         "labels": list(md.labels),
         "S": _matrix12(md.S),
-        "T": _matrix12(md.T),
+        "T": _matrix12(np.diag(md.T)),
         "lambda": _c12(rel.lam),
         "central_charge_mod8": _r12((4 / math.pi) * cmath.phase(rel.lam) % 8),
         "residuals": {

@@ -16,10 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import (
+    MATRIX_CAP,
     ModularData,
     _asymmetry,
     _character_table,
     _chunks,
+    _root_table,
     _sq_norm,
     make_modular_data,
 )
@@ -37,9 +39,9 @@ def st_preflight(C: PointedGVCategory) -> None:
             "torus.unsupported",
             "h0 != 0: only block dimensions are defined in this regime, not (S, T)",
         )
-    if group.order > 4096:
+    if group.order > MATRIX_CAP:
         raise CapacityError(
-            "torus.capacity", f"group order {group.order} exceeds the matrix cap 4096"
+            "torus.capacity", f"group order {group.order} exceeds the matrix cap {MATRIX_CAP}"
         )
     if not C.radical.is_trivial:
         raise DegenerateDataError(
@@ -51,15 +53,19 @@ def st_matrices(C: PointedGVCategory) -> ModularData:
     """The (S, T) pair of a modular pointed category.
 
     Labels are the group elements in sorted order (unit first); the
-    conjugation permutation realizes x -> -x.
+    conjugation permutation realizes x -> -x.  S is built a row block at a
+    time from the numerators of b(x, e_j); T is the diagonal vector.
     """
     st_preflight(C)
     group = C.group
+    n = group.order
     bden, qden = C.bform.int_form[0], C.qform.int_form[0]
-    roots = np.exp(-2j * math.pi * np.arange(bden) / bden) / math.sqrt(group.order)
-    S = roots[C.bform.table_rows()]
+    roots = np.exp(-2j * math.pi * np.arange(bden) / bden) / math.sqrt(n)
+    S = np.empty((n, n), dtype=complex)
+    for rows, powers in _root_table(bden, C.bform.against_generators(), group):
+        np.take(roots, powers, out=S[rows])
     S.flags.writeable = False  # fresh: make_modular_data keeps it uncopied
-    T = np.diag(np.exp(2j * math.pi * C.qform.values / qden))
+    T = np.exp(2j * math.pi * C.qform.values / qden)
     labels = tuple(",".join(str(c) for c in x) for x in group.sorted_elements)
     return make_modular_data(labels, S, T, tuple(group.neg_index.tolist()), group=group)
 
@@ -135,7 +141,7 @@ def check_relations(md: ModularData, tol: float = 1e-9) -> RelationReport:
     sqrt(n)·(1 + (K·(S - K))_00), never 0 for D <= 1e-12.  Residuals are
     Frobenius norms, never below the 2-norm.
     """
-    S, t = md.S, np.diag(md.T)
+    S, t = md.S, md.T
     tc = t[:, None]
     table = md._table
     if table is None and md.group is not None:
@@ -149,10 +155,11 @@ def check_relations(md: ModularData, tol: float = 1e-9) -> RelationReport:
         and np.array_equal(md.conjugation, md.group.neg_index)
     ):
         for cols in _chunks(md.rank):
-            u = tc * table.apply(tc * (S[:, cols] * t[cols]))
+            block = S[cols].T  # S[:, cols], read as rows: S is symmetric
+            u = tc * table.apply(tc * (block * t[cols]))
             if lam is None:
-                lam = complex(u[:, 0].sum() / S[:, 0].sum())
-            sq_st3 += _sq_norm(u - lam * S[:, cols])
+                lam = complex(u[:, 0].sum() / S[0].sum())
+            sq_st3 += _sq_norm(u - lam * block)
         residual_s2 = residual_unitary = table.defect
         path = "fourier"
     else:

@@ -400,10 +400,11 @@ def subgroup_invariants_reference(group, elements):
 
 def relations_reference(md):
     """(lam, ||(ST)^3 - lam S^2||, ||S^2 - P||, ||S S*^T - 1||) from dense
-    products of ``md.S`` and ``md.T``, in the Frobenius norm."""
+    products of ``md.S`` and the T-matrix ``diag(md.T)``, in the Frobenius
+    norm."""
     import numpy as np
 
-    S, T = md.S, md.T
+    S, T = md.S, np.diag(md.T)
     n = md.rank
     st3 = np.linalg.matrix_power(S @ T, 3)
     s2 = S @ S
@@ -416,3 +417,25 @@ def relations_reference(md):
         np.linalg.norm(s2 - P, "fro"),
         np.linalg.norm(S @ S.conj().T - np.eye(n), "fro"),
     )
+
+
+def st_reference(C):
+    """(S, ||S - K||_F) for a modular pointed ``C``: S from the full table
+    of b-numerators, e(-b(x, y))/sqrt(n), and K the character table read
+    off its generator columns, both indexed in int64; the defect is summed
+    over the library's row blocks, so it must agree to the bit."""
+    import numpy as np
+
+    from gvblocks.blocks import _chunks, _sq_norm
+
+    group = C.group
+    n = group.order
+    bden = C.bform.int_form[0]
+    S = (np.exp(-2j * math.pi * np.arange(bden) / bden) / math.sqrt(n))[C.bform.table_rows()]
+    factors = np.array(group.invariant_factors, dtype=np.int64)
+    gens = group.index_of(np.eye(group.rank, dtype=np.int64))
+    k = np.rint(-np.angle(S[:, gens]) * factors / (2 * math.pi)).astype(np.int64) % factors
+    N = math.lcm(*group.invariant_factors)
+    roots = np.exp(-2j * math.pi * np.arange(N) / N) / math.sqrt(n)
+    K = roots[k * (N // factors) @ group.element_array.T % N]
+    return S, math.sqrt(sum(_sq_norm(S[rows] - K[rows]) for rows in _chunks(n)))

@@ -93,7 +93,7 @@ def test_criterion_3_sl2z_relations():
     # golden semion test at 1e-12
     semion = make_pointed([2], [[F(1, 4)]], (0,))
     md = gv.st_matrices(semion)
-    st3 = np.linalg.matrix_power(md.S @ md.T, 3)
+    st3 = np.linalg.matrix_power(md.S @ np.diag(md.T), 3)
     assert np.abs(st3 - cmath.exp(1j * math.pi / 4) * np.eye(2)).max() < 1e-12
     assert np.abs(md.S @ md.S - np.eye(2)).max() < 1e-12
     # every non-degenerate (G, q) with |G| <= 16 and h0 = 0

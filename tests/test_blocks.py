@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -173,7 +174,7 @@ class TestModularData:
     def test_builtin_semion(self, semion):
         md = gv.st_matrices(semion)
         assert np.abs(md.S - np.array([[1, 1], [1, -1]]) / np.sqrt(2)).max() < 1e-12
-        assert np.abs(md.T - np.diag([1, 1j])).max() < 1e-12
+        assert np.abs(np.diag(md.T) - np.diag([1, 1j])).max() < 1e-12
 
     def test_builtin_fibonacci(self):
         md = gv.builtin_modular_data("fibonacci")
@@ -209,21 +210,49 @@ class TestModularData:
     def test_validation(self):
         bad_s = np.array([[0.5, 0.5], [0.6, -0.5]])
         with pytest.raises(ValidationError):
-            gv.blocks.make_modular_data(("1", "x"), bad_s, np.eye(2), (0, 1))
+            gv.blocks.make_modular_data(("1", "x"), bad_s, np.ones(2), (0, 1))
 
     @pytest.mark.parametrize(
         "S, T, conjugation, message",
         [
-            (np.eye(3), np.eye(2), (0, 1), "S and T must be square of label size"),
-            (np.eye(2), np.ones((2, 2)), (0, 1), "T is not diagonal"),
-            (np.eye(2), np.eye(2), (0, 0), "conjugation is not a permutation"),
-            (2 * np.eye(2), np.eye(2), (0, 1), "S is not unitary"),
+            (np.eye(3), np.ones(2), (0, 1), "S must be square of label size"),
+            (np.eye(2), np.eye(2), (0, 1), "T must be a vector of label size"),
+            (np.eye(2), np.ones(2), (0, 0), "conjugation is not a permutation"),
+            (2 * np.eye(2), np.ones(2), (0, 1), "S is not unitary"),
         ],
     )
     def test_rejections(self, S, T, conjugation, message):
         with pytest.raises(ValidationError) as e:
             gv.blocks.make_modular_data(("1", "x"), S, T, conjugation)
         assert e.value.code == "blocks.bad_modular_data" and e.value.message == message
+
+    @pytest.mark.parametrize(
+        "S, T, message",
+        [
+            (np.full((2, 2), np.nan), np.ones(2), "S has a non-finite entry"),
+            (np.eye(2), np.array([1, np.nan]), "T has a non-finite entry"),
+            (np.array([[1, np.inf], [np.inf, 1]]), np.ones(2), "S has a non-finite entry"),
+        ],
+    )
+    def test_non_finite_entries(self, S, T, message):
+        with pytest.raises(ValidationError) as e:
+            gv.blocks.make_modular_data(("1", "x"), S, T, (0, 1))
+        assert e.value.code == "blocks.bad_modular_data" and e.value.message == message
+
+    def test_capacity_refused_before_s_is_read(self):
+        n = gv.blocks.MATRIX_CAP + 1
+        labels, conjugation = tuple(map(str, range(n))), tuple(range(n))
+        S = np.broadcast_to(np.complex128(1), (n, n))
+        T = np.broadcast_to(np.complex128(1), (n,))
+        tracemalloc.start()
+        try:
+            with pytest.raises(gv.CapacityError) as e:
+                gv.blocks.make_modular_data(labels, S, T, conjugation)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert e.value.code == "blocks.capacity" and e.value.exit_code == 3
+        assert peak < 2**20
 
     def test_no_labels(self):
         with pytest.raises(ValidationError) as e:
@@ -233,7 +262,7 @@ class TestModularData:
     def test_t_not_unitary(self):
         with pytest.raises(ValidationError):
             gv.blocks.make_modular_data(
-                ("1", "x"), np.eye(2), np.diag([1.0, 0.5]), (0, 1)
+                ("1", "x"), np.eye(2), np.array([1.0, 0.5]), (0, 1)
             )
 
 

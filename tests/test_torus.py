@@ -13,7 +13,7 @@ import gvblocks as gv
 from gvblocks.errors import DegenerateDataError, UnsupportedError
 from gvblocks.forms import enumerate_qforms
 
-from conftest import group_shapes, make_pointed, relations_reference
+from conftest import group_shapes, make_pointed, relations_reference, st_reference
 
 F = Fraction
 
@@ -21,7 +21,7 @@ F = Fraction
 class TestSTMatrices:
     def test_semion_golden(self, semion):
         md = gv.st_matrices(semion)
-        S, T = md.S, md.T
+        S, T = md.S, np.diag(md.T)
         assert np.abs(S - np.array([[1, 1], [1, -1]]) / math.sqrt(2)).max() < 1e-12
         assert np.abs(T - np.diag([1, 1j])).max() < 1e-12
         st3 = np.linalg.matrix_power(S @ T, 3)
@@ -31,7 +31,7 @@ class TestSTMatrices:
     def test_z3(self, z3):
         md = gv.st_matrices(z3)
         w = cmath.exp(2j * math.pi / 3)
-        assert np.abs(md.T - np.diag([1, w, w])).max() < 1e-12
+        assert np.abs(np.diag(md.T) - np.diag([1, w, w])).max() < 1e-12
         for x in range(3):
             for y in range(3):
                 expected = cmath.exp(-2j * math.pi * (2 * x * y % 3) / 3) / math.sqrt(3)
@@ -46,6 +46,38 @@ class TestSTMatrices:
         with pytest.raises(DegenerateDataError):
             gv.st_matrices(z2_flat)
 
+    def test_s_and_table_defect_match_int64_reference(self):
+        cats = [
+            gv.make_category(G, q, G.zero)
+            for G in map(gv.make_group, group_shapes(16))
+            for q in enumerate_qforms(G)
+        ]
+        cats = [C for C in cats if C.radical.is_trivial]
+        cats += [
+            make_pointed([1], [[0]], (0,)),
+            gv.to_pointed_gv(gv.make_lattice([], [])),
+            make_pointed([1024], [[F(1, 2048)]], (0,)),
+            make_pointed([32, 32], [[F(1, 64), 0], [0, F(1, 64)]], (0, 0)),
+            # sums up to 728^2, and N = 729 does not divide a power of two
+            make_pointed([729], [[F(1, 729)]], (0,)),
+        ]
+        for C in cats:
+            md = gv.st_matrices(C)
+            S, defect = st_reference(C)
+            assert np.array_equal(md.S, S) and md._table.defect == defect, C
+        assert len(cats) > 8000
+
+    def test_peak_memory_is_s_and_one_block(self):
+        C = make_pointed([1024], [[F(1, 2048)]], (0,))
+        gv.st_matrices(C)  # fills the cached group and form tables
+        tracemalloc.start()
+        try:
+            md = gv.st_matrices(C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= md.S.nbytes + 2 * 2**20
+
 
 class TestRelations:
     def test_semion(self, semion):
@@ -59,7 +91,7 @@ class TestRelations:
         assert rel.max_residual < 1e-9
 
     def test_identity_data(self):
-        md = gv.blocks.make_modular_data(("1",), np.eye(1), np.eye(1), (0,))
+        md = gv.blocks.make_modular_data(("1",), np.eye(1), np.ones(1), (0,))
         rel = gv.check_relations(md)
         assert abs(rel.lam - 1) < 1e-15 and rel.max_residual < 1e-15
 
@@ -181,7 +213,7 @@ class TestFourierRelations:
         C = make_pointed([2, 256], [[F(1, 4), 0], [0, F(3, 512)]], (0, 0))
         md = gv.st_matrices(C)
         phases = np.exp(2j * math.pi * np.random.default_rng(1).random(md.rank))
-        rel = assert_matches_reference(dataclasses.replace(md, T=np.diag(phases)), "fourier")
+        rel = assert_matches_reference(dataclasses.replace(md, T=phases), "fourier")
         assert rel.residual_st3 > 1
 
     def test_one_transform_per_column_block(self, monkeypatch):
@@ -247,9 +279,11 @@ class TestStoredTable:
     def test_s_is_read_only_and_the_callers_array_is_not(self):
         md = z4_data()
         assert not md.S.flags.writeable
-        S = md.S.copy()
-        data = gv.blocks.make_modular_data(md.labels, S, md.T, md.conjugation, group=md.group)
+        assert not md.T.flags.writeable and md.T.shape == (4,)
+        S, T = md.S.copy(), md.T.copy()
+        data = gv.blocks.make_modular_data(md.labels, S, T, md.conjugation, group=md.group)
         assert not data.S.flags.writeable and S.flags.writeable
+        assert not data.T.flags.writeable and T.flags.writeable
         view = gv.blocks.make_modular_data(md.labels, S[:, :], md.T, md.conjugation)
         assert not np.shares_memory(view.S, S)
         S[0, 0] = 7
