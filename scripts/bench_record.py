@@ -12,7 +12,9 @@ one seed can be kept apart by copying each ``perfbench/out/`` aside.
 
 The record holds, per measured workload of ``BENCHMARK.json``, every
 end-to-end metric with both sides' runs, medians and inclusive quartiles,
-the median ratio (change over parent) and how many pairs the change won;
+the median ratio (change over parent), how many pairs the change won, and
+whether the change's median is worse than the parent's by more than the
+metric's ``bound`` (a relative change);
 the operations and failures of every run; the ``caps`` probe on seed 1; and
 the traced ``catalog`` runs on seed 1, each per-layer metric as a list in
 run order (metrics that read 0 in every run are left out).  Untraced runs
@@ -68,10 +70,13 @@ def _workload(name: str, metrics: list[dict], sides: dict, holdout: int | None) 
         sign = 1 if m["better"] == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         entry = {side: _summary(v) for side, v in values.items()}
+        ratio = entry["change"]["median"] / entry["parent"]["median"]
         entry.update(
             better=m["better"],
+            bound=m["bound"],
             change_wins=f"{wins}/{len(seeds)}",
-            median_ratio=entry["change"]["median"] / entry["parent"]["median"],
+            median_ratio=ratio,
+            worse_than_bound=sign * (ratio - 1) < -m["bound"],
         )
         out[m["name"]] = entry
     out["operations_failures"] = {

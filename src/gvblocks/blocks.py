@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CapacityError, DegenerateDataError, InternalError, ValidationError
-from .forms import Element, FinAbGroup, smith_normal_form
+from .forms import Element, FinAbGroup, as_int
 from .pointed import PointedGVCategory
 from .surfaces import PantsDecomposition, SurfaceSpec
 
@@ -253,8 +253,11 @@ def block_dim_glued(
     With U A W = D the Smith normal form, each cyclic factor Z/n of G
     contributes prod_r gcd(d_r, n) over the unknowns when gcd(d_r, n)
     divides (U c)_r for every equation, and 0 otherwise; d_r = 0 off the
-    diagonal.  The genus is never read, so the count stays an independent
-    check of :func:`block_dim_direct`.
+    diagonal.  A, its Smith form and the loop count depend on the graph
+    alone and are read from :attr:`PantsDecomposition.vertex_system`, so
+    they are computed once per decomposition; c is built on every call.
+    The genus is never read, so the count stays an independent check of
+    :func:`block_dim_direct`.
     """
     group = C.group
     if len(labels) != pd.n:
@@ -264,26 +267,20 @@ def block_dim_glued(
         )
     g = pd.dual
     attach = g.attach_map
+    system = pd.vertex_system
     rhs = {v: C.g0 for v in g.vertices}
     for h, i in pd.leg_map.items():
         rhs[attach[h]] = group.add(rhs[attach[h]], group.neg(group.reduce(labels[i])))
     for _, b in g.pairing:
         rhs[attach[b]] = group.add(rhs[attach[b]], group.neg(C.g0))
-    edges = [(a, b) for a, b in g.pairing if attach[a] != attach[b]]
-    loops = len(g.pairing) - len(edges)
-    incidence = [
-        [(attach[a] == v) - (attach[b] == v) for a, b in edges] for v in g.vertices
-    ]
-    U, D, _ = smith_normal_form(incidence)
-    n_rows, n_cols = len(incidence), len(edges)
-    d = [D[r][r] if r < min(n_rows, n_cols) else 0 for r in range(max(n_rows, n_cols))]
     c = [rhs[v] for v in g.vertices]
-    count = group.order**loops
+    d = system.d
+    count = group.order**system.loops
     for k, n in enumerate(group.invariant_factors):
-        for r in range(n_rows):
-            if sum(u * c_v[k] for u, c_v in zip(U[r], c)) % math.gcd(d[r], n):
+        for r, row in enumerate(system.U):
+            if sum(u * c_v[k] for u, c_v in zip(row, c)) % math.gcd(d[r], n):
                 return 0
-        count *= math.prod(math.gcd(d[r], n) for r in range(n_cols))
+        count *= math.prod(math.gcd(d[r], n) for r in range(len(system.edges)))
     return count
 
 
@@ -301,6 +298,7 @@ def verlinde_dim(
 ) -> VerlindeReport:
     """Sum over j of S_0j^(2-2g-n) * prod_k S_{i_k j}, for genus g >= 0 and
     boundary label indices i_k in [0, rank)."""
+    genus = as_int(genus, "blocks.bad_genus", "genus")
     if genus < 0:
         raise ValidationError("blocks.bad_genus", f"genus must be >= 0, got {genus}")
     for i in boundary_indices:

@@ -35,6 +35,15 @@ Element = tuple[int, ...]
 ENUMERATION_CAP = 2**16
 
 
+def as_int(x, code: str, what: str) -> int:
+    """``x`` as a Python int when it is a Python int (a bool is not) or a
+    numpy integer; anything else raises ``ValidationError(code)`` rather
+    than being truncated."""
+    if type(x) is int or isinstance(x, np.integer):
+        return int(x)
+    raise ValidationError(code, f"{what} {x!r} is not an integer")
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -67,7 +76,10 @@ class FinAbGroup:
                 "forms.bad_element",
                 f"element has {len(vec)} coordinates, group has rank {self.rank}",
             )
-        return tuple(int(v) % n for v, n in zip(vec, self.invariant_factors))
+        return tuple(
+            as_int(v, "forms.bad_element", "coordinate") % n
+            for v, n in zip(vec, self.invariant_factors)
+        )
 
     def add(self, x: Element, y: Element) -> Element:
         return tuple((a + b) % n for a, b, n in zip(x, y, self.invariant_factors))
@@ -128,7 +140,9 @@ class FinAbGroup:
 
 def make_group(invariant_factors: Iterable[int]) -> FinAbGroup:
     """Build the group with the given cyclic factors (each n_i >= 1)."""
-    factors = tuple(int(n) for n in invariant_factors)
+    factors = tuple(
+        as_int(n, "forms.invalid_factor", "invariant factor") for n in invariant_factors
+    )
     for n in factors:
         if n <= 0:
             raise ValidationError("forms.invalid_factor", f"invariant factor {n} is not >= 1")

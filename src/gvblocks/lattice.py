@@ -19,6 +19,7 @@ from .forms import (
     Element,
     FinAbGroup,
     QForm,
+    as_int,
     det_int,
     make_group,
     make_qform,
@@ -49,7 +50,7 @@ def make_lattice(gram, xi) -> LatticeData:
     Rejects odd diagonal entries (NotEven), zero determinant (Degenerate),
     and xi with gram @ xi not integral (XiNotDual).
     """
-    rows = tuple(tuple(int(x) for x in row) for row in gram)
+    rows = tuple(tuple(as_int(x, "lattice.bad_matrix", "Gram entry") for x in row) for row in gram)
     k = len(rows)
     if any(len(row) != k for row in rows):
         raise ValidationError("lattice.bad_matrix", "Gram matrix must be square")

@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 from .errors import CapacityError, MoveNotApplicable, ValidationError
-from .forms import Element
+from .forms import Element, as_int, smith_normal_form
 from .graphs import Graph, canonical_form, make_graph
 
 #: Decomposition enumeration handles complexities 2g - 2 + n in this range.
@@ -38,9 +38,34 @@ class SurfaceSpec:
 
 
 def make_surface(genus: int, labels: Sequence[Sequence[int]] = ()) -> SurfaceSpec:
+    genus = as_int(genus, "surfaces.bad_genus", "genus")
     if genus < 0:
         raise ValidationError("surfaces.bad_genus", f"genus {genus} is negative")
-    return SurfaceSpec(int(genus), tuple(tuple(int(c) for c in lab) for lab in labels))
+    return SurfaceSpec(
+        genus,
+        tuple(
+            tuple(as_int(c, "forms.bad_element", "label coordinate") for c in lab)
+            for lab in labels
+        ),
+    )
+
+
+@dataclass(frozen=True)
+class VertexSystem:
+    """The graph-only part of the vertex equations A e = c of a gluing count.
+
+    ``edges`` are the non-loop internal edges (a, b) of the dual graph and
+    ``loops`` counts the others.  A is the signed incidence matrix, one row
+    per vertex in ``dual.vertices`` order and one column per edge, +1 at the
+    vertex of a and -1 at that of b; ``U`` is the row transform of its Smith
+    normal form U A W = D and ``d`` the diagonal of D, padded with zeros to
+    max(rows, columns).
+    """
+
+    edges: tuple[tuple[str, str], ...]
+    loops: int
+    U: tuple[tuple[int, ...], ...]
+    d: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -67,6 +92,18 @@ class PantsDecomposition:
     def canonical_key(self):
         return canonical_form(self.dual, leg_marks=self.leg_map)
 
+    @cached_property
+    def vertex_system(self) -> VertexSystem:
+        """The Smith form of the dual graph, computed once per decomposition."""
+        g = self.dual
+        attach = g.attach_map
+        edges = tuple((a, b) for a, b in g.pairing if attach[a] != attach[b])
+        incidence = [[(attach[a] == v) - (attach[b] == v) for a, b in edges] for v in g.vertices]
+        U, D, _ = smith_normal_form(incidence)
+        rows, cols = len(incidence), len(edges)
+        d = tuple(D[r][r] if r < min(rows, cols) else 0 for r in range(max(rows, cols)))
+        return VertexSystem(edges, len(g.pairing) - len(edges), tuple(map(tuple, U)), d)
+
 
 def make_pants_decomposition(
     dual: Graph, leg_order: Mapping[str, int], moves: Sequence[str] = ()
@@ -82,7 +119,10 @@ def make_pants_decomposition(
             "surfaces.disconnected", f"dual graph has {len(dual.components)} components"
         )
     legs = set(dual.legs)
-    order = {str(h): int(i) for h, i in leg_order.items()}
+    order = {
+        str(h): as_int(i, "surfaces.bad_leg_order", "boundary index")
+        for h, i in leg_order.items()
+    }
     if set(order) != legs or sorted(order.values()) != list(range(len(legs))):
         raise ValidationError(
             "surfaces.bad_leg_order",
@@ -104,12 +144,12 @@ def enumerate_decompositions(
     """All isomorphism classes of pants decompositions of the surface.
 
     Classes are distinguished up to dual-graph isomorphism preserving the
-    boundary marking, sorted by canonical form, truncated at ``cap``.
+    boundary marking, sorted by canonical form, truncated at ``cap``, an
+    integer >= 1 when given.
     """
-    out = list(_enumerate_classes(spec.genus, spec.n))
-    if cap is not None:
-        out = out[:cap]
-    return out
+    if cap is not None and as_int(cap, "surfaces.bad_cap", "cap") < 1:
+        raise ValidationError("surfaces.bad_cap", f"cap {cap} is not >= 1")
+    return list(_enumerate_classes(spec.genus, spec.n)[:cap])
 
 
 def _seed(genus: int, n: int) -> PantsDecomposition:

@@ -63,6 +63,24 @@ def test_record_layout(tmp_path):
     assert out["environment"] == {**ENV, "seed": "per run"}
 
 
+def test_worse_than_bound(tmp_path):
+    # ops_per_s (higher, bound 0.25): medians 100 -> 74 is 26% worse, 100 -> 76 is 24%;
+    # peak_rss_mb (lower, bound 0.1): 50 -> 55.5 is 11% worse, 50 -> 54.5 is 9%
+    for workload, ops, rss in (("catalog", 74, 54.5), ("gluing", 76, 55.5)):
+        write_run(tmp_path / "p", workload, 1, 0, e2e(100, 50))
+        write_run(tmp_path / "c", workload, 1, 0, e2e(ops, rss))
+    out = bench_record.build([tmp_path / "p"], [tmp_path / "c"], "abc", "test", None)
+    flags = {
+        w: {m: out[w][m]["worse_than_bound"] for m in ("ops_per_s", "peak_rss_mb", "setup_s")}
+        for w in ("catalog", "gluing")
+    }
+    assert flags == {
+        "catalog": {"ops_per_s": True, "peak_rss_mb": False, "setup_s": False},
+        "gluing": {"ops_per_s": False, "peak_rss_mb": True, "setup_s": False},
+    }
+    assert out["gluing"]["peak_rss_mb"]["bound"] == 0.1 and out["gluing"]["ops_per_s"]["bound"] == 0.25
+
+
 def test_unpaired_seeds_are_refused(tmp_path):
     write_run(tmp_path / "p", "gluing", 1, 0, e2e(1, 1))
     write_run(tmp_path / "c", "gluing", 2, 0, e2e(1, 1))

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 import gvblocks as gv
+from gvblocks import surfaces
 from gvblocks.errors import DegenerateDataError, ValidationError
+from gvblocks.forms import det_int, mat_mul_int
 from gvblocks.surfaces import (
+    _enumerate_classes,
     enumerate_decompositions,
     make_pants_decomposition,
     make_surface,
@@ -168,6 +171,81 @@ class TestGluedFormula:
         dims = [gv.block_dim_glued(C, pd, []) for C in cats]
         assert dims == [gv.block_dim_direct(C, make_surface(19)) for C in cats]
         assert dims == [3**19, 0, 0, 64**19]
+
+
+class TestSmithFormOncePerDecomposition:
+    @pytest.fixture
+    def smith_calls(self, monkeypatch):
+        calls = []
+
+        def counted(mat):
+            calls.append(len(mat))
+            return gv.smith_normal_form(mat)
+
+        monkeypatch.setattr(surfaces, "smith_normal_form", counted)
+        _enumerate_classes.cache_clear()  # no class carries a Smith form yet
+        return calls
+
+    def label_sets(self, rng, C, g, n):
+        group = C.group
+        out = [[tuple(rng.randrange(f) for f in group.invariant_factors) for _ in range(n)]
+               for _ in range(3)]
+        if n:  # one set on the condition, so that nonzero counts are compared too
+            total = group.scale(g - 1, C.g0)
+            for lab in out[0][:-1]:
+                total = group.add(total, lab)
+            out.append(out[0][:-1] + [group.neg(total)])
+        return out
+
+    def test_enumerated_classes(self, smith_calls, z3, klein):
+        rng = random.Random(10)
+        seen = 0
+        for g, n in [(0, 3), (1, 1), (0, 4), (1, 2), (2, 0), (0, 5), (2, 1)]:
+            pds = enumerate_decompositions(make_surface(g, [(0,)] * n))
+            for C in (z3, klein):
+                for labels in self.label_sets(rng, C, g, n):
+                    expected = gv.block_dim_direct(C, make_surface(g, labels))
+                    for pd in pds:
+                        assert gv.block_dim_glued(C, pd, labels) == expected
+                        assert glued_dim_oracle(C, pd, labels) == expected
+            seen += len(pds)
+            assert len(smith_calls) == seen
+        # enumerating again returns the cached classes, Smith forms included
+        assert enumerate_decompositions(make_surface(2, [(0,)]))[0].vertex_system is not None
+        assert len(smith_calls) == seen
+
+    def test_moved_decompositions(self, smith_calls, z3, z8_ff):
+        rng = random.Random(11)
+        for g, n in [(1, 2), (2, 0), (0, 5), (1, 3)]:
+            for pd in enumerate_decompositions(make_surface(g, [(0,)] * n)):
+                for a, b in pd.dual.pairing:
+                    loop = pd.dual.attach_map[a] == pd.dual.attach_map[b]
+                    moved = gv.s_move(pd, a) if loop else gv.whitehead_move(pd, a)
+                    before = len(smith_calls)
+                    for C in (z3, z8_ff):
+                        for labels in self.label_sets(rng, C, g, n):
+                            expected = gv.block_dim_direct(C, make_surface(g, labels))
+                            assert gv.block_dim_glued(C, moved, labels) == expected
+                            assert gv.block_dim_glued(C, moved, labels) == glued_dim_oracle(
+                                C, moved, labels
+                            )
+                    assert len(smith_calls) == before + 1
+
+    def test_vertex_system_of_every_class(self):
+        # a connected graph's incidence matrix has rank |V| - 1 and unit
+        # invariant factors; the rows of U past the rank annihilate it
+        for g, n in surfaces_up_to_complexity(5):
+            for pd in enumerate_decompositions(make_surface(g, [(0,)] * n)):
+                system, attach, nv = pd.vertex_system, pd.dual.attach_map, len(pd.dual.vertices)
+                assert pd.vertex_system is system
+                assert len(system.edges) + system.loops == len(pd.dual.pairing)
+                assert all(attach[a] != attach[b] for a, b in system.edges)
+                assert system.d == (1,) * (nv - 1) + (0,) * (max(nv, len(system.edges)) - nv + 1)
+                assert abs(det_int(system.U)) == 1
+                A = [[(attach[a] == v) - (attach[b] == v) for a, b in system.edges]
+                     for v in pd.dual.vertices]
+                UA = mat_mul_int(system.U, A) if system.edges else []
+                assert all(not any(row) for row in UA[nv - 1 :])
 
 
 class TestModularData:

@@ -46,6 +46,60 @@ class TestGroups:
         assert len(els) == 6 and els[0] == (0, 0) and els == tuple(sorted(els))
 
 
+class TestIntegerInput:
+    """Every entry point refuses a non-integer with its own code instead of
+    truncating it, and takes Python and numpy integers alike."""
+
+    @staticmethod
+    def refusals():
+        z3 = gv.make_group([3])
+        C = gv.make_category(z3, gv.make_qform(z3, [[F(1, 3)]]), (0,))
+        (pd,) = gv.enumerate_decompositions(gv.make_surface(0, [(0,)] * 3))
+        md = gv.builtin_modular_data("ising")
+        return [
+            ("forms.invalid_factor", lambda: gv.make_group([2.5])),
+            ("forms.invalid_factor", lambda: gv.make_group(["a"])),
+            ("forms.invalid_factor", lambda: gv.make_group([True])),
+            ("surfaces.bad_genus", lambda: gv.make_surface(1.5)),
+            ("surfaces.bad_genus", lambda: gv.make_surface("1")),
+            ("forms.bad_element", lambda: gv.make_surface(0, [(0.5,)] * 3)),
+            ("forms.bad_element", lambda: z3.reduce((1.5,))),
+            ("forms.bad_element", lambda: gv.make_category(C.group, C.qform, ("a",))),
+            ("forms.bad_element", lambda: gv.block_dim_glued(C, pd, [("a",), (0,), (0,)])),
+            ("surfaces.bad_leg_order", lambda: gv.make_pants_decomposition(
+                pd.dual, {**pd.leg_map, "b1": 1.5})),
+            ("lattice.bad_matrix", lambda: gv.make_lattice([[2.5]], [0])),
+            ("lattice.bad_matrix", lambda: gv.make_lattice([["2"]], [0])),
+            ("blocks.bad_genus", lambda: gv.verlinde_dim(md, 1.5)),
+        ]
+
+    @pytest.mark.parametrize("slot", range(13))
+    def test_refused_with_the_entry_points_code(self, slot):
+        code, call = self.refusals()[slot]
+        with pytest.raises(ValidationError) as e:
+            call()
+        assert e.value.code == code
+        assert "is not an integer" in e.value.message
+
+    def test_numpy_integers_are_accepted(self):
+        i64, i32 = np.int64, np.int32
+        group = gv.make_group([i64(3), i32(4)])
+        assert group.invariant_factors == (3, 4)
+        assert all(type(n) is int for n in group.invariant_factors)
+        assert group.reduce((i64(7), i32(-1))) == (1, 3)
+        assert all(type(c) is int for c in group.reduce((i64(7), i32(-1))))
+        assert gv.make_surface(i64(2), [(i32(1),)]) == gv.make_surface(2, [(1,)])
+        assert gv.make_lattice(np.array([[2]]), [0]).gram == ((2,),)
+        md = gv.builtin_modular_data("ising")
+        assert gv.verlinde_dim(md, i64(1)).rounded == 3
+        z3 = gv.make_group([3])
+        C = gv.make_category(z3, gv.make_qform(z3, [[F(1, 3)]]), np.array([4]))
+        assert C.h0 == (1,)
+        (pd,) = gv.enumerate_decompositions(gv.make_surface(1, [(0,)]))
+        assert gv.block_dim_glued(C, pd, [np.array([i64(1)])]) == 0
+        assert gv.block_dim_glued(C, pd, [np.array([i64(3)])]) == 3
+
+
 class TestQForm:
     def test_semion(self):
         g = gv.make_group([2])

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import gvblocks as gv
@@ -183,6 +184,15 @@ class TestEnumeration:
 
     def test_cap(self):
         assert len(enumerate_decompositions(make_surface(3), cap=2)) == 2
+        assert len(enumerate_decompositions(make_surface(3), cap=np.int64(1))) == 1
+        five = make_surface(0, [(0,)] * 5)
+        assert len(enumerate_decompositions(five, cap=15)) == len(enumerate_decompositions(five)) == 15
+
+    @pytest.mark.parametrize("cap", [-1, 0, 1.5, "2", True])
+    def test_bad_cap_refused(self, cap):
+        with pytest.raises(ValidationError) as e:
+            enumerate_decompositions(make_surface(0, [(0,)] * 5), cap=cap)
+        assert e.value.code == "surfaces.bad_cap"
 
     def test_out_of_range(self):
         with pytest.raises(CapacityError):
