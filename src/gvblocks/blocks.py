@@ -3,12 +3,10 @@
 For a pointed category every simple object x pairs with D(x) to g0, so the
 canonical coend collapses to |G| copies of g0 and the dimension for genus g
 with boundary labels X_1..X_n is |G|^g when X_1 + ... + X_n + (g-1)*g0 = 0
-and zero otherwise.  The gluing count labels the internal edges of a pants
-decomposition, one side of each edge carrying e and the other D(e), and
-asks every vertex for a non-zero three-point multiplicity.  That is an
-integer linear system on the edge labels, A e = c with A the signed
-incidence matrix of the dual graph, and its solutions in G^E are counted
-exactly from the Smith normal form of A.
+and zero otherwise.  Gluing over a pants decomposition gives the same
+count, as :func:`block_dim_glued` proves, so it is that formula read on the
+genus of the dual graph; the brute-force count over every labelling of the
+internal edges in the tests is its independent check.
 """
 
 from __future__ import annotations
@@ -240,48 +238,32 @@ def pants_multiplicity(C: PointedGVCategory, x, y, z) -> int:
 def block_dim_glued(
     C: PointedGVCategory, pd: PantsDecomposition, labels: Sequence[Sequence[int]]
 ) -> int:
-    """Factorization count: the solutions in G^E of the vertex equations.
+    """Factorization count: the labellings of the internal edges of the dual
+    graph for which every pants vertex has a non-zero multiplicity.
 
-    Each non-loop internal edge (a, b) of the dual graph carries an unknown
-    e on its lexicographically first half a and D(e) = g0 - e on b; every
-    vertex requires its incident values, legs reading the boundary labels,
-    to sum to g0.  This is the system A e = c with A the signed incidence
-    matrix (+1 at a, -1 at b) and c_v = g0 - (boundary labels at v)
-    - (number of second halves at v, loops included) * g0.  A loop carries
-    e + D(e) = g0 for every e, so it leaves A and scales the count by |G|.
+    Each internal edge (a, b) carries some e on a and D(e) = g0 - e on b;
+    a vertex asks its three values, legs reading the boundary labels, to
+    sum to g0.  On the E non-loop edges this is A e = c for e in G^E, with
+    A the signed incidence matrix of the V vertices and c_v = g0 - (labels
+    at v) - (second halves at v, loops included) * g0.  A loop carries
+    e + D(e) = g0 whatever e is, so it leaves the system and multiplies the
+    count by |G|.
 
-    With U A W = D the Smith normal form, each cyclic factor Z/n of G
-    contributes prod_r gcd(d_r, n) over the unknowns when gcd(d_r, n)
-    divides (U c)_r for every equation, and 0 otherwise; d_r = 0 off the
-    diagonal.  A, its Smith form and the loop count depend on the graph
-    alone and are read from :attr:`PantsDecomposition.vertex_system`, so
-    they are computed once per decomposition; c is built on every call.
-    The genus is never read, so the count stays an independent check of
-    :func:`block_dim_direct`.
+    A signed incidence matrix is totally unimodular, and the graph is
+    connected, so A has rank V - 1 with one relation, that its rows sum to
+    zero; its Smith form is V - 1 ones and zeros.  So A e = c is solvable in G^E iff sum_v c_v = 0,
+    and then has |G|^(E - V + 1) solutions.  With L loops, every one of the
+    E + L edges has one second half, so sum_v c_v = (V - E - L) g0 -
+    sum(labels), and E + L - V + 1 is the genus g: the condition is
+    sum(labels) + (g - 1) g0 = 0 and the count |G|^g.  That is
+    :func:`block_dim_direct` on the genus of the dual graph.
     """
-    group = C.group
     if len(labels) != pd.n:
         raise ValidationError(
             "blocks.label_mismatch",
             f"decomposition has {pd.n} boundary legs, got {len(labels)} labels",
         )
-    g = pd.dual
-    attach = g.attach_map
-    system = pd.vertex_system
-    rhs = {v: C.g0 for v in g.vertices}
-    for h, i in pd.leg_map.items():
-        rhs[attach[h]] = group.add(rhs[attach[h]], group.neg(group.reduce(labels[i])))
-    for _, b in g.pairing:
-        rhs[attach[b]] = group.add(rhs[attach[b]], group.neg(C.g0))
-    c = [rhs[v] for v in g.vertices]
-    d = system.d
-    count = group.order**system.loops
-    for k, n in enumerate(group.invariant_factors):
-        for r, row in enumerate(system.U):
-            if sum(u * c_v[k] for u, c_v in zip(row, c)) % math.gcd(d[r], n):
-                return 0
-        count *= math.prod(math.gcd(d[r], n) for r in range(len(system.edges)))
-    return count
+    return block_dim_direct(C, SurfaceSpec(pd.genus, tuple(labels)))
 
 
 @dataclass(frozen=True)

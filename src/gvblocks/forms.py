@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -44,12 +45,30 @@ def as_int(x, code: str, what: str) -> int:
     raise ValidationError(code, f"{what} {x!r} is not an integer")
 
 
-def _as_fraction(x) -> Fraction:
+def as_coordinates(vec, what: str) -> tuple[int, ...]:
+    """The coordinates of a group element as Python ints, each read by
+    :func:`as_int`; a ``vec`` that is neither a sequence nor a 1-d numpy
+    array (a scalar, a set) raises ``ValidationError("forms.bad_element")``."""
+    if not isinstance(vec, abc.Sequence) and getattr(vec, "ndim", 0) != 1:
+        raise ValidationError(
+            "forms.bad_element", f"element {vec!r} is not a sequence of coordinates"
+        )
+    return tuple(as_int(c, "forms.bad_element", what) for c in vec)
+
+
+def as_fraction(x, code: str = "forms.bad_rational") -> Fraction:
+    """``x`` as a Fraction when it is one, an int, a numpy integer or a
+    rational string such as ``"3/8"``; anything else, floats included,
+    raises ``ValidationError(code)`` rather than being read as its binary
+    expansion."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    raise ValidationError("forms.bad_rational", f"not an exact rational: {x!r}")
+    if isinstance(x, (int, str, np.integer)):
+        try:
+            return Fraction(int(x) if isinstance(x, np.integer) else x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValidationError(code, f"not an exact rational: {x!r}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +90,8 @@ class FinAbGroup:
         return (0,) * self.rank
 
     def reduce(self, vec: Sequence[int]) -> Element:
+        if type(vec) is not tuple:
+            vec = as_coordinates(vec, "coordinate")
         if len(vec) != self.rank:
             raise ValidationError(
                 "forms.bad_element",
@@ -231,7 +252,7 @@ class BilinearForm(_MatrixForm):
 
 
 def _check_matrix_shape(group: FinAbGroup, matrix) -> tuple[tuple[Fraction, ...], ...]:
-    rows = [tuple(_as_fraction(a) for a in row) for row in matrix]
+    rows = [tuple(as_fraction(a) for a in row) for row in matrix]
     k = group.rank
     if len(rows) != k or any(len(row) != k for row in rows):
         raise ValidationError(

@@ -19,6 +19,7 @@ from .forms import (
     Element,
     FinAbGroup,
     QForm,
+    as_fraction,
     as_int,
     det_int,
     make_group,
@@ -48,7 +49,8 @@ def make_lattice(gram, xi) -> LatticeData:
     """Validate bosonic lattice input.
 
     Rejects odd diagonal entries (NotEven), zero determinant (Degenerate),
-    and xi with gram @ xi not integral (XiNotDual).
+    an xi entry that is not an exact rational (a float, say), and xi with
+    gram @ xi not integral (XiNotDual).
     """
     rows = tuple(tuple(as_int(x, "lattice.bad_matrix", "Gram entry") for x in row) for row in gram)
     k = len(rows)
@@ -67,7 +69,7 @@ def make_lattice(gram, xi) -> LatticeData:
             )
     if det_int(rows) == 0:
         raise ValidationError("lattice.degenerate", "Gram matrix has determinant 0")
-    xi_vec = tuple(Fraction(x) for x in xi)
+    xi_vec = tuple(as_fraction(x, "lattice.bad_xi") for x in xi)
     if len(xi_vec) != k:
         raise ValidationError(
             "lattice.bad_xi", f"xi has {len(xi_vec)} coordinates, lattice has rank {k}"

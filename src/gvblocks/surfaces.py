@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 from .errors import CapacityError, MoveNotApplicable, ValidationError
-from .forms import Element, as_int, smith_normal_form
+from .forms import Element, as_coordinates, as_int
 from .graphs import Graph, canonical_form, make_graph
 
 #: Decomposition enumeration handles complexities 2g - 2 + n in this range.
@@ -43,29 +43,8 @@ def make_surface(genus: int, labels: Sequence[Sequence[int]] = ()) -> SurfaceSpe
         raise ValidationError("surfaces.bad_genus", f"genus {genus} is negative")
     return SurfaceSpec(
         genus,
-        tuple(
-            tuple(as_int(c, "forms.bad_element", "label coordinate") for c in lab)
-            for lab in labels
-        ),
+        tuple(as_coordinates(lab, "label coordinate") for lab in labels),
     )
-
-
-@dataclass(frozen=True)
-class VertexSystem:
-    """The graph-only part of the vertex equations A e = c of a gluing count.
-
-    ``edges`` are the non-loop internal edges (a, b) of the dual graph and
-    ``loops`` counts the others.  A is the signed incidence matrix, one row
-    per vertex in ``dual.vertices`` order and one column per edge, +1 at the
-    vertex of a and -1 at that of b; ``U`` is the row transform of its Smith
-    normal form U A W = D and ``d`` the diagonal of D, padded with zeros to
-    max(rows, columns).
-    """
-
-    edges: tuple[tuple[str, str], ...]
-    loops: int
-    U: tuple[tuple[int, ...], ...]
-    d: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -91,18 +70,6 @@ class PantsDecomposition:
     @cached_property
     def canonical_key(self):
         return canonical_form(self.dual, leg_marks=self.leg_map)
-
-    @cached_property
-    def vertex_system(self) -> VertexSystem:
-        """The Smith form of the dual graph, computed once per decomposition."""
-        g = self.dual
-        attach = g.attach_map
-        edges = tuple((a, b) for a, b in g.pairing if attach[a] != attach[b])
-        incidence = [[(attach[a] == v) - (attach[b] == v) for a, b in edges] for v in g.vertices]
-        U, D, _ = smith_normal_form(incidence)
-        rows, cols = len(incidence), len(edges)
-        d = tuple(D[r][r] if r < min(rows, cols) else 0 for r in range(max(rows, cols)))
-        return VertexSystem(edges, len(g.pairing) - len(edges), tuple(map(tuple, U)), d)
 
 
 def make_pants_decomposition(

@@ -81,6 +81,21 @@ class TestIntegerInput:
         assert e.value.code == code
         assert "is not an integer" in e.value.message
 
+    def test_scalar_element_refused(self):
+        z3 = gv.make_group([3])
+        q = gv.make_qform(z3, [[F(1, 3)]])
+        C = gv.make_category(z3, q, (0,))
+        (pd,) = gv.enumerate_decompositions(gv.make_surface(0, [(0,)] * 3))
+        for call in (
+            lambda: gv.make_category(z3, q, 1),
+            lambda: gv.make_surface(0, [1, 2, 0]),
+            lambda: gv.block_dim_glued(C, pd, [1, 2, 0]),
+        ):
+            with pytest.raises(ValidationError) as e:
+                call()
+            assert e.value.code == "forms.bad_element"
+            assert "is not a sequence of coordinates" in e.value.message
+
     def test_numpy_integers_are_accepted(self):
         i64, i32 = np.int64, np.int32
         group = gv.make_group([i64(3), i32(4)])

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import gvblocks as gv
@@ -35,6 +36,18 @@ class TestMakeLattice:
         with pytest.raises(ValidationError) as e:
             gv.make_lattice([[2]], [0, 0])
         assert e.value.code == "lattice.bad_xi"
+
+    @pytest.mark.parametrize("entry", [0.5, 0.1, "x", "1/0"])
+    def test_inexact_xi_refused(self, entry):
+        with pytest.raises(ValidationError) as e:
+            gv.make_lattice([[2]], [entry])
+        assert e.value.code == "lattice.bad_xi"
+        assert "exact rational" in e.value.message
+
+    def test_exact_xi_entries_accepted(self):
+        for entry, value in [(1, F(1)), (np.int64(1), F(1)), ("1/2", F(1, 2)), (F(1, 2), F(1, 2))]:
+            (xi,) = gv.make_lattice([[2]], [entry]).xi
+            assert xi == value and type(xi.numerator) is int
 
     def test_asymmetric(self):
         with pytest.raises(ValidationError):
