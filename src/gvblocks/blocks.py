@@ -14,12 +14,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CapacityError, DegenerateDataError, InternalError, ValidationError
-from .forms import Element, FinAbGroup, as_int
+from .forms import Element, FinAbGroup, _as_items, as_int
 from .pointed import PointedGVCategory
 from .surfaces import PantsDecomposition, SurfaceSpec
 
@@ -33,8 +33,9 @@ class ModularData:
     for pointed data it realizes x -> -x.  ``group`` is set when the data
     comes from a pointed category, whose labels are then its elements in
     sorted order.  :func:`make_modular_data` returns ``S`` and ``T``
-    read-only and keeps the character table that certifies ``S``; data
-    built any other way, ``dataclasses.replace`` included, carries none.
+    read-only.  ``_table`` is the character table that
+    :func:`gvblocks.torus.st_matrices` builds ``S`` from; data built any
+    other way, ``dataclasses.replace`` included, carries none.
     """
 
     labels: tuple[str, ...]
@@ -42,7 +43,7 @@ class ModularData:
     T: np.ndarray
     conjugation: tuple[int, ...]
     group: FinAbGroup | None = None
-    _table: _CharacterTable | None = field(default=None, init=False, compare=False, repr=False)
+    _table: object = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -72,30 +73,6 @@ def _chunks(n: int) -> list[slice]:
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
-@dataclass(frozen=True)
-class _CharacterTable:
-    """S as a character table of ``group``: K_xy = |G|^(-1/2) e(-k(x)·y),
-    with k_j(x) in Z/n_j read off the generator columns of S.
-
-    ``index`` holds the sorted-order position of k(x) and is a permutation,
-    so K is a row permutation of the unitary DFT of G; ``defect`` is
-    ||S - K||_F and ``symmetric`` says whether S equals Sᵀ exactly.  When
-    the relation check runs on the table, ``defect`` is also its S² and
-    unitarity residual.  ``apply`` forms K·M in O(|G| log |G|) per column,
-    as the row gather ``index`` of the DFT.
-    """
-
-    group: FinAbGroup
-    index: np.ndarray
-    defect: float
-    symmetric: bool
-
-    def apply(self, M: np.ndarray) -> np.ndarray:
-        factors = self.group.invariant_factors
-        F = np.fft.fftn(M.reshape(factors + M.shape[1:]), axes=range(len(factors)), norm="ortho")
-        return F.reshape(M.shape)[self.index]
-
-
 def _asymmetry(S: np.ndarray) -> float:
     """max |S - Sᵀ|: each row block is compared from its first column on,
     which meets every pair once.  It is NaN or inf exactly when S holds a
@@ -106,70 +83,16 @@ def _asymmetry(S: np.ndarray) -> float:
     return float(np.max(blocks, initial=0.0))
 
 
-def _root_table(
-    N: int, W: np.ndarray, group: FinAbGroup
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """The root table R_xy = roots[(W_x · y) mod N] of N-th roots, for x and
-    y over ``group`` in sorted order, as (rows, powers) per :func:`_chunks`
-    with R[rows] = roots[powers].
-
-    ``W`` holds one row of weights per x, each in [0, N).  ``powers`` is
-    int32, exact while every sum W_x · y stays below 2^31.  Within the caps
-    it does: weights are below N <= 8192 (both callers take N dividing the
-    exponent of G), coordinates below n_j <= 4096, and at most 12 cyclic
-    factors exceed 1, as their product is |G| <= 4096 (factors of 1 give
-    y_j = 0), so every sum is below 12 · 2^13 · 2^12 < 2^29.
-    """
-    W = W.astype(np.int32)
-    Y = group.element_array.T.astype(np.int32)
-    for rows in _chunks(group.order):
-        powers = W[rows] @ Y
-        powers %= N
-        yield rows, powers
-
-
-def _character_table(
-    S: np.ndarray, group: FinAbGroup, symmetric: bool
-) -> _CharacterTable | None:
-    """The character table read off ``S``, or None when ``S`` does not
-    determine one (wrong size, or k not a bijection); ``symmetric`` is
-    recorded as given."""
-    n = group.order
-    if S.shape != (n, n):
-        return None
-    factors = np.array(group.invariant_factors, dtype=np.int64)
-    gens = group.index_of(np.eye(group.rank, dtype=np.int64))
-    k = np.rint(-np.angle(S[:, gens]) * factors / (2 * math.pi)).astype(np.int64) % factors
-    index = group.index_of(k)
-    if np.bincount(index, minlength=n).max() != 1:
-        return None
-    # K_xy = roots[sum_j k_j(x) y_j N/n_j mod N]
-    N = math.lcm(*group.invariant_factors)
-    roots = np.exp(-2j * math.pi * np.arange(N) / N) / math.sqrt(n)
-    sq = 0.0
-    for rows, powers in _root_table(N, k * (N // factors), group):
-        K = roots[powers]
-        K -= S[rows]
-        sq += _sq_norm(K)
-        del K  # one block at a time: free it before the next is built
-    return _CharacterTable(group, index, math.sqrt(sq), symmetric)
-
-
 def make_modular_data(
-    labels: Sequence[str],
-    S,
-    T,
-    conjugation: Sequence[int],
-    group: FinAbGroup | None = None,
+    labels: Sequence[str], S, T, conjugation: Sequence[int]
 ) -> ModularData:
-    """Validate shape, finite entries, symmetry of S, unitary T, and
-    S·S̄ᵀ = 1, each to within 1e-9, in row blocks without |G|²-sized
-    temporaries.  ``T`` is the diagonal of the T-matrix, a vector of label
-    size; more than :data:`MATRIX_CAP` labels are refused before S is read.
+    """Validate shape, finite entries, symmetry of S (in row blocks),
+    unitary T, and S·S̄ᵀ = 1, each to within 1e-9.  ``T`` is the diagonal
+    of the T-matrix, a vector of label size; more than :data:`MATRIX_CAP`
+    labels are refused before S is read.
 
-    The returned S is read-only.  It is the caller's array only when that
-    is already read-only and owns its memory; a writable array or a view is
-    copied, so the caller's array stays writable.  T is a read-only copy.
+    S and T are kept as read-only copies, so the caller's arrays stay
+    writable.
     """
     tol = 1e-9
     n = len(labels)
@@ -179,10 +102,7 @@ def make_modular_data(
         raise CapacityError(
             "blocks.capacity", f"{n} labels exceed the matrix cap {MATRIX_CAP}"
         )
-    given = S
-    S = np.asarray(S, dtype=complex)
-    if S.base is not None or (S is given and S.flags.writeable):
-        S = S.copy()
+    S = np.array(S, dtype=complex)
     S.flags.writeable = False
     T = np.array(T, dtype=complex)
     T.flags.writeable = False
@@ -201,21 +121,11 @@ def make_modular_data(
         raise ValidationError("blocks.bad_modular_data", "T diagonal is not unitary")
     if sorted(conjugation) != list(range(n)):
         raise ValidationError("blocks.bad_modular_data", "conjugation is not a permutation")
-    # A group-backed S = K + E with K its exactly unitary character table and
-    # D = ||E||_F has max|S S̄ᵀ - 1| <= ||K Eᴴ + E Kᴴ + E Eᴴ||_2 <= 2D + D².
-    table = None if group is None else _character_table(S, group, asymmetry == 0)
-    near_table = table is not None and 2 * table.defect + table.defect**2 <= tol
-    if not near_table and np.abs(S @ S.conj().T - np.eye(n)).max() > tol:
+    if np.abs(S @ S.conj().T - np.eye(n)).max() > tol:
         raise ValidationError("blocks.bad_modular_data", "S is not unitary")
-    md = ModularData(
-        tuple(str(lab) for lab in labels),
-        S,
-        T,
-        tuple(int(i) for i in conjugation),
-        group=group,
+    return ModularData(
+        tuple(str(lab) for lab in labels), S, T, tuple(int(i) for i in conjugation)
     )
-    object.__setattr__(md, "_table", table)
-    return md
 
 
 def block_dim_direct(C: PointedGVCategory, spec: SurfaceSpec) -> int:
@@ -258,12 +168,13 @@ def block_dim_glued(
     sum(labels) + (g - 1) g0 = 0 and the count |G|^g.  That is
     :func:`block_dim_direct` on the genus of the dual graph.
     """
+    labels = _as_items(labels, "blocks.label_mismatch", "labels")
     if len(labels) != pd.n:
         raise ValidationError(
             "blocks.label_mismatch",
             f"decomposition has {pd.n} boundary legs, got {len(labels)} labels",
         )
-    return block_dim_direct(C, SurfaceSpec(pd.genus, tuple(labels)))
+    return block_dim_direct(C, SurfaceSpec(pd.genus, labels))
 
 
 @dataclass(frozen=True)

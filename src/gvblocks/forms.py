@@ -56,14 +56,24 @@ def as_coordinates(vec, what: str) -> tuple[int, ...]:
     return tuple(as_int(c, "forms.bad_element", what) for c in vec)
 
 
+def _as_items(x, code: str, what: str) -> tuple:
+    """The items of a container argument as a tuple; an ``x`` that cannot
+    be iterated (a scalar) raises ``ValidationError(code)``."""
+    try:
+        items = iter(x)
+    except TypeError:
+        raise ValidationError(code, f"{what} must be a sequence, got {x!r}") from None
+    return tuple(items)
+
+
 def as_fraction(x, code: str = "forms.bad_rational") -> Fraction:
-    """``x`` as a Fraction when it is one, an int, a numpy integer or a
-    rational string such as ``"3/8"``; anything else, floats included,
-    raises ``ValidationError(code)`` rather than being read as its binary
-    expansion."""
+    """``x`` as a Fraction when it is one, an int (a bool is not), a numpy
+    integer or a rational string such as ``"3/8"``; anything else, floats
+    included, raises ``ValidationError(code)`` rather than being read as
+    its binary expansion."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str, np.integer)):
+    if isinstance(x, (int, str, np.integer)) and not isinstance(x, bool):
         try:
             return Fraction(int(x) if isinstance(x, np.integer) else x)
         except (ValueError, ZeroDivisionError):
@@ -162,7 +172,8 @@ class FinAbGroup:
 def make_group(invariant_factors: Iterable[int]) -> FinAbGroup:
     """Build the group with the given cyclic factors (each n_i >= 1)."""
     factors = tuple(
-        as_int(n, "forms.invalid_factor", "invariant factor") for n in invariant_factors
+        as_int(n, "forms.invalid_factor", "invariant factor")
+        for n in _as_items(invariant_factors, "forms.invalid_factor", "invariant factors")
     )
     for n in factors:
         if n <= 0:
@@ -252,7 +263,10 @@ class BilinearForm(_MatrixForm):
 
 
 def _check_matrix_shape(group: FinAbGroup, matrix) -> tuple[tuple[Fraction, ...], ...]:
-    rows = [tuple(as_fraction(a) for a in row) for row in matrix]
+    rows = [
+        tuple(as_fraction(a) for a in _as_items(row, "forms.bad_matrix", "matrix row"))
+        for row in _as_items(matrix, "forms.bad_matrix", "matrix")
+    ]
     k = group.rank
     if len(rows) != k or any(len(row) != k for row in rows):
         raise ValidationError(

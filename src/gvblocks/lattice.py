@@ -19,6 +19,7 @@ from .forms import (
     Element,
     FinAbGroup,
     QForm,
+    _as_items,
     as_fraction,
     as_int,
     det_int,
@@ -31,7 +32,11 @@ from .pointed import PointedGVCategory, make_category
 
 @dataclass(frozen=True)
 class LatticeData:
-    """Even Gram matrix plus xi in the dual lattice (basis coordinates)."""
+    """Even Gram matrix plus xi in the dual lattice (basis coordinates).
+
+    The determinant and the discriminant data, read off one Smith normal
+    form of the Gram matrix, are each computed once per lattice.
+    """
 
     gram: tuple[tuple[int, ...], ...]
     xi: tuple[Fraction, ...]
@@ -44,15 +49,33 @@ class LatticeData:
     def determinant(self) -> int:
         return det_int(self.gram)
 
+    @cached_property
+    def _discriminant(self) -> DiscriminantData:
+        u, d, v = smith_normal_form(self.gram)
+        k = self.rank
+        nontrivial = [i for i in range(k) if d[i][i] != 1]
+        factors = [d[i][i] for i in nontrivial]
+        lifts = tuple(
+            tuple(Fraction(v[r][i], d[i][i]) for r in range(k)) for i in nontrivial
+        )
+        proj_rows = tuple(tuple(u[i]) for i in nontrivial)
+        return DiscriminantData(make_group(factors), lifts, proj_rows)
+
 
 def make_lattice(gram, xi) -> LatticeData:
     """Validate bosonic lattice input.
 
     Rejects odd diagonal entries (NotEven), zero determinant (Degenerate),
-    an xi entry that is not an exact rational (a float, say), and xi with
-    gram @ xi not integral (XiNotDual).
+    an xi entry that is not an exact rational (a float or a bool, say), and
+    xi with gram @ xi not integral (XiNotDual).
     """
-    rows = tuple(tuple(as_int(x, "lattice.bad_matrix", "Gram entry") for x in row) for row in gram)
+    rows = tuple(
+        tuple(
+            as_int(x, "lattice.bad_matrix", "Gram entry")
+            for x in _as_items(row, "lattice.bad_matrix", "Gram row")
+        )
+        for row in _as_items(gram, "lattice.bad_matrix", "Gram matrix")
+    )
     k = len(rows)
     if any(len(row) != k for row in rows):
         raise ValidationError("lattice.bad_matrix", "Gram matrix must be square")
@@ -67,9 +90,12 @@ def make_lattice(gram, xi) -> LatticeData:
             raise ValidationError(
                 "lattice.not_even", f"diagonal entry gram[{i}][{i}] = {rows[i][i]} is odd"
             )
-    if det_int(rows) == 0:
+    determinant = det_int(rows)
+    if determinant == 0:
         raise ValidationError("lattice.degenerate", "Gram matrix has determinant 0")
-    xi_vec = tuple(as_fraction(x, "lattice.bad_xi") for x in xi)
+    xi_vec = tuple(
+        as_fraction(x, "lattice.bad_xi") for x in _as_items(xi, "lattice.bad_xi", "xi")
+    )
     if len(xi_vec) != k:
         raise ValidationError(
             "lattice.bad_xi", f"xi has {len(xi_vec)} coordinates, lattice has rank {k}"
@@ -80,7 +106,9 @@ def make_lattice(gram, xi) -> LatticeData:
             raise ValidationError(
                 "lattice.xi_not_dual", f"<e_{i}, xi> = {p} is not an integer"
             )
-    return LatticeData(rows, xi_vec)
+    lattice = LatticeData(rows, xi_vec)
+    lattice.__dict__["determinant"] = determinant  # the cached property, already known
+    return lattice
 
 
 @dataclass(frozen=True)
@@ -112,15 +140,10 @@ class DiscriminantData:
 
 
 def discriminant_data(lattice: LatticeData) -> DiscriminantData:
-    u, d, v = smith_normal_form(lattice.gram)
-    k = lattice.rank
-    nontrivial = [i for i in range(k) if d[i][i] != 1]
-    factors = [d[i][i] for i in nontrivial]
-    lifts = tuple(
-        tuple(Fraction(v[r][i], d[i][i]) for r in range(k)) for i in nontrivial
-    )
-    proj_rows = tuple(tuple(u[i]) for i in nontrivial)
-    return DiscriminantData(make_group(factors), lifts, proj_rows)
+    """The discriminant group of ``lattice`` with its lifts and projection,
+    from the Smith normal form of the Gram matrix, computed once per
+    lattice."""
+    return lattice._discriminant
 
 
 def discriminant_form(lattice: LatticeData) -> QForm:

@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 from .errors import CapacityError, MoveNotApplicable, ValidationError
-from .forms import Element, as_coordinates, as_int
+from .forms import Element, _as_items, as_coordinates, as_int
 from .graphs import Graph, canonical_form, make_graph
 
 #: Decomposition enumeration handles complexities 2g - 2 + n in this range.
@@ -43,7 +43,10 @@ def make_surface(genus: int, labels: Sequence[Sequence[int]] = ()) -> SurfaceSpe
         raise ValidationError("surfaces.bad_genus", f"genus {genus} is negative")
     return SurfaceSpec(
         genus,
-        tuple(as_coordinates(lab, "label coordinate") for lab in labels),
+        tuple(
+            as_coordinates(lab, "label coordinate")
+            for lab in _as_items(labels, "forms.bad_element", "labels")
+        ),
     )
 
 

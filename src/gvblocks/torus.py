@@ -12,22 +12,56 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .blocks import (
-    MATRIX_CAP,
-    ModularData,
-    _asymmetry,
-    _character_table,
-    _chunks,
-    _root_table,
-    _sq_norm,
-    make_modular_data,
-)
+from .blocks import MATRIX_CAP, ModularData, _chunks, _sq_norm
 from .errors import CapacityError, DegenerateDataError, InternalError, UnsupportedError
-from .forms import gauss_sum
+from .forms import FinAbGroup, gauss_sum
 from .pointed import PointedGVCategory
+
+
+@dataclass(frozen=True)
+class _CharacterTable:
+    """The character table K_xy = |G|^(-1/2) e(-k(x)·y) of ``group``, with
+    k(x)·y = sum_j k_j(x) y_j / n_j and k(x) in G.
+
+    ``index`` holds the sorted-order position of k(x) and is a permutation,
+    so K is a row permutation of the unitary DFT of G.  ``apply`` forms K·M
+    in O(|G| log |G|) per column, as the row gather ``index`` of the DFT.
+    """
+
+    group: FinAbGroup
+    index: np.ndarray
+
+    def apply(self, M: np.ndarray) -> np.ndarray:
+        factors = self.group.invariant_factors
+        F = np.fft.fftn(M.reshape(factors + M.shape[1:]), axes=range(len(factors)), norm="ortho")
+        return F.reshape(M.shape)[self.index]
+
+
+def _root_table(
+    N: int, W: np.ndarray, group: FinAbGroup
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """The root table R_xy = roots[(W_x · y) mod N] of N-th roots, for x and
+    y over ``group`` in sorted order, as (rows, powers) per
+    :func:`~gvblocks.blocks._chunks` with R[rows] = roots[powers].
+
+    ``W`` holds one row of weights per x, each in [0, N).  ``powers`` is
+    int32, exact while every sum W_x · y stays below 2^31.  Within the caps
+    it does: weights are below N <= 4096 (the caller takes N the denominator
+    of b, which divides the exponent of G), coordinates below n_j <= 4096,
+    and at most 12 cyclic factors exceed 1, as their product is
+    |G| <= 4096 (factors of 1 give y_j = 0), so every sum is below
+    12 · 2^12 · 2^12 < 2^28.
+    """
+    W = W.astype(np.int32)
+    Y = group.element_array.T.astype(np.int32)
+    for rows in _chunks(group.order):
+        powers = W[rows] @ Y
+        powers %= N
+        yield rows, powers
 
 
 def st_preflight(C: PointedGVCategory) -> None:
@@ -50,40 +84,44 @@ def st_preflight(C: PointedGVCategory) -> None:
 
 
 def st_matrices(C: PointedGVCategory) -> ModularData:
-    """The (S, T) pair of a modular pointed category.
+    """The (S, T) pair of a modular pointed category, with the character
+    table that S is.
 
     Labels are the group elements in sorted order (unit first); the
     conjugation permutation realizes x -> -x.  S is built a row block at a
-    time from the numerators of b(x, e_j); T is the diagonal vector.
+    time from the numerators of b(x, e_j); T is the diagonal vector.  As
+    b(x, y) = sum_j y_j b(x, e_j) and n_j e_j = 0, S is the character table
+    with k_j(x) = n_j b(x, e_j), an integer read exactly off the same
+    numerators; k is a bijection because b is non-degenerate.  S and T are
+    read-only.
     """
     st_preflight(C)
     group = C.group
     n = group.order
     bden, qden = C.bform.int_form[0], C.qform.int_form[0]
+    weights = C.bform.against_generators()
     roots = np.exp(-2j * math.pi * np.arange(bden) / bden) / math.sqrt(n)
     S = np.empty((n, n), dtype=complex)
-    for rows, powers in _root_table(bden, C.bform.against_generators(), group):
+    for rows, powers in _root_table(bden, weights, group):
         np.take(roots, powers, out=S[rows])
-    S.flags.writeable = False  # fresh: make_modular_data keeps it uncopied
+    S.flags.writeable = False
     T = np.exp(2j * math.pi * C.qform.values / qden)
+    T.flags.writeable = False
+    k = weights * np.array(group.invariant_factors, dtype=np.int64) // bden
     labels = tuple(",".join(str(c) for c in x) for x in group.sorted_elements)
-    return make_modular_data(labels, S, T, tuple(group.neg_index.tolist()), group=group)
-
-
-#: Largest Frobenius distance between S and its character table at which
-#: the relation products run through the group Fourier transform.
-FOURIER_DEFECT = 1e-12
+    md = ModularData(labels, S, T, tuple(group.neg_index.tolist()), group=group)
+    object.__setattr__(md, "_table", _CharacterTable(group, group.index_of(k)))
+    return md
 
 
 @dataclass(frozen=True)
 class RelationReport:
     """Residuals (Frobenius norms) of the projective SL(2,Z) relations.
 
-    ``path`` is ``"fourier"`` when S was verified to be an exactly symmetric
-    character table of the group with conjugation x -> -x: then (ST)^3 ran
-    as one group Fourier transform per block of columns, and ``residual_s2``
-    and ``residual_unitary`` both equal the table defect ||S - K||.  It is
-    ``"dense"`` otherwise.
+    ``path`` is ``"fourier"`` when the data carries the character table
+    its S was built from: then (ST)^3 ran as one group Fourier transform
+    per block of columns, and ``residual_s2`` and ``residual_unitary`` are
+    exactly 0, those of the table.  It is ``"dense"`` otherwise.
     """
 
     lam: complex
@@ -107,60 +145,43 @@ def check_relations(md: ModularData, tol: float = 1e-9) -> RelationReport:
 
     Products are formed a block of columns at a time, T acting as a
     diagonal scaling.  The dense path forms (ST)^3 as S·(T·S·(T·(S·T))),
-    S² and S·S̄ᵀ by matmuls.  The Fourier path is taken for group-backed
-    data whose S is exactly symmetric, whose conjugation is x -> -x, and
-    whose distance D = ||S - K||_F to its character table K is at most
-    :data:`FOURIER_DEFECT`; the table stored by :func:`make_modular_data`
-    is used when present.  There every product with S is one with K, a
-    DFT of G plus a row gather, and three facts reduce the work:
+    S² and S·S̄ᵀ by matmuls.  The Fourier path is taken for data that
+    carries the character table K its S is built from, which only
+    :func:`st_matrices` attaches: there S is K entry by entry, with
+    K_xy = e(-b(x, y))/sqrt(n), n = |G| and b non-degenerate, and every
+    product with S is one with K, a DFT of G plus a row gather.  Three
+    facts of b reduce the work:
 
-    1. K is symmetric.  Its entries are N-th roots of unity over sqrt(n),
-       with n = |G| and N the exponent of G, so two unequal entries differ
-       by at least 2 sin(pi/N)/sqrt(n) >= 4 n^(-3/2), 1.5e-5 at the cap
-       n = 4096 and above 2e-12 for every n below 10^8.  As S = Sᵀ,
-       ||K - Kᵀ||_F <= ||K - S||_F + ||Sᵀ - Kᵀ||_F = 2D <= 2e-12, so no
-       entry of K differs from its transpose.
-    2. K² = P, the conjugation.  K_xy = e(-k(x)·y)/sqrt(n), where the
-       pairing k(x)·y = sum_j k_j(x) y_j / n_j mod 1 is additive in y and,
-       by symmetry, k(x)·y = k(y)·x is additive in x too; so
-       k(x + x')·y = (k(x) + k(x'))·y for every y, and the pairing being
-       non-degenerate, k is a homomorphism.  It is a bijection (the table
-       requires it), and (K·K)_xz = (K·Kᵀ)_xz = (1/n) sum_y
-       e(-(k(x) + k(z))·y) is 1 exactly when k(z) = -k(x), i.e. z = -x.
-    3. K is exactly unitary, a row permutation of the unitary DFT, and
-       symmetric, so K⁻¹ = K̄ and multiplying by K keeps Frobenius norms.
-       The path's S² is K·S and its S·S̄ᵀ is K·S̄ (S̄ᵀ = S̄), each within
-       ||(S - K)·S||_F <= D ||S||_2 of the dense product, and
-       ||K·S - P|| = ||K·S - K·K|| = D, ||K·S̄ - 1|| = ||K·S̄ - K·K̄|| = D,
-       ||K·T·K·T·S·T - lam K·S|| = ||T·K·(T·S·T) - lam S||.
+    1. K is symmetric, as b is.
+    2. K² = P, the conjugation x -> -x: (K·K)_xz = (1/n) sum_y
+       e(-b(x + z, y)) is 1 when b(x + z, ·) is the trivial character,
+       that is when z = -x as b is non-degenerate, and 0 otherwise, as a
+       non-trivial character of G sums to 0.
+    3. K is unitary: (K·K̄ᵀ)_xz = (1/n) sum_y e(-b(x - z, y)) is 1
+       exactly when x = z, likewise.  So multiplying by K keeps Frobenius
+       norms.
 
-    So both ``residual_s2`` and ``residual_unitary`` are D, and each column
-    block costs one transform and one gather, of T·S·T.  Row 0 of K is
-    1/sqrt(n) (k(0) = 0), so lam = (K·T·K·T·S·T)_00 / (K·S)_00 is
-    sum_y (T·K·T·S·T)_y0 / sum_y S_y0; the denominator is
-    sqrt(n)·(1 + (K·(S - K))_00), never 0 for D <= 1e-12.  Residuals are
+    So ``residual_s2`` and ``residual_unitary`` are 0, and
+    ||(KT)³ - lam K²|| = ||K·T·K·T·K·T - lam K·K|| =
+    ||T·K·(T·S·T) - lam S||: each column block costs one transform and one
+    gather, of T·S·T.  Row 0 of K is 1/sqrt(n) (b(0, y) = 0), so
+    lam = (K·T·K·T·S·T)_00 / (K·S)_00 is sum_y (T·K·T·S·T)_y0 / sum_y S_y0,
+    whose denominator is sqrt(n)·(K²)_00 = sqrt(n).  Residuals are
     Frobenius norms, never below the 2-norm.
     """
     S, t = md.S, md.T
     tc = t[:, None]
     table = md._table
-    if table is None and md.group is not None:
-        table = _character_table(S, md.group, _asymmetry(S) == 0)
     lam = None
     sq_st3 = 0.0
-    if (
-        table is not None
-        and table.symmetric
-        and table.defect <= FOURIER_DEFECT
-        and np.array_equal(md.conjugation, md.group.neg_index)
-    ):
+    if table is not None:
         for cols in _chunks(md.rank):
             block = S[cols].T  # S[:, cols], read as rows: S is symmetric
             u = tc * table.apply(tc * (block * t[cols]))
             if lam is None:
                 lam = complex(u[:, 0].sum() / S[0].sum())
             sq_st3 += _sq_norm(u - lam * block)
-        residual_s2 = residual_unitary = table.defect
+        residual_s2 = residual_unitary = 0.0
         path = "fourier"
     else:
         rows_of_p = np.argsort(md.conjugation)  # P[i, conjugation[i]] = 1

@@ -420,10 +420,11 @@ def relations_reference(md):
 
 
 def st_reference(C):
-    """(S, ||S - K||_F) for a modular pointed ``C``: S from the full table
-    of b-numerators, e(-b(x, y))/sqrt(n), and K the character table read
-    off its generator columns, both indexed in int64; the defect is summed
-    over the library's row blocks, so it must agree to the bit."""
+    """(S, ||S - K||_F, index) for a modular pointed ``C``: S from the full
+    table of b-numerators, e(-b(x, y))/sqrt(n), and K the character table
+    read off its generator columns, k_j(x) from the angle of S_{x, e_j},
+    both indexed in int64; the defect is summed over the library's row
+    blocks, and ``index`` is the sorted-order position of k(x)."""
     import numpy as np
 
     from gvblocks.blocks import _chunks, _sq_norm
@@ -438,4 +439,5 @@ def st_reference(C):
     N = math.lcm(*group.invariant_factors)
     roots = np.exp(-2j * math.pi * np.arange(N) / N) / math.sqrt(n)
     K = roots[k * (N // factors) @ group.element_array.T % N]
-    return S, math.sqrt(sum(_sq_norm(S[rows] - K[rows]) for rows in _chunks(n)))
+    defect = math.sqrt(sum(_sq_norm(S[rows] - K[rows]) for rows in _chunks(n)))
+    return S, defect, group.index_of(k)

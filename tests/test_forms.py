@@ -96,6 +96,41 @@ class TestIntegerInput:
             assert e.value.code == "forms.bad_element"
             assert "is not a sequence of coordinates" in e.value.message
 
+    @staticmethod
+    def scalar_containers():
+        z3 = gv.make_group([3])
+        C = gv.make_category(z3, gv.make_qform(z3, [[F(1, 3)]]), (0,))
+        (pd,) = gv.enumerate_decompositions(gv.make_surface(0, [(0,)] * 3))
+        return {
+            "make_group": ("forms.invalid_factor", lambda: gv.make_group(5)),
+            "make_surface": ("forms.bad_element", lambda: gv.make_surface(0, 5)),
+            "make_qform": ("forms.bad_matrix", lambda: gv.make_qform(z3, 5)),
+            "make_qform_row": ("forms.bad_matrix", lambda: gv.make_qform(z3, [5])),
+            "make_lattice": ("lattice.bad_matrix", lambda: gv.make_lattice(5, [0])),
+            "make_lattice_xi": ("lattice.bad_xi", lambda: gv.make_lattice([[2]], 5)),
+            "block_dim_glued": ("blocks.label_mismatch", lambda: gv.block_dim_glued(C, pd, 5)),
+        }
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["make_group", "make_surface", "make_qform", "make_qform_row", "make_lattice",
+         "make_lattice_xi", "block_dim_glued"],
+    )
+    def test_scalar_container_refused(self, entry):
+        # a scalar where a list belongs is refused with the entry point's
+        # code, not a bare TypeError from iterating it
+        code, call = self.scalar_containers()[entry]
+        with pytest.raises(ValidationError) as e:
+            call()
+        assert e.value.code == code
+        assert "must be a sequence, got 5" in e.value.message
+
+    def test_bool_form_entry_refused(self):
+        with pytest.raises(ValidationError) as e:
+            gv.make_qform(gv.make_group([3]), [[True]])
+        assert e.value.code == "forms.bad_rational"
+        assert "not an exact rational: True" in e.value.message
+
     def test_numpy_integers_are_accepted(self):
         i64, i32 = np.int64, np.int32
         group = gv.make_group([i64(3), i32(4)])

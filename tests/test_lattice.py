@@ -1,10 +1,13 @@
+import json
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import gvblocks as gv
+from gvblocks import cli
 from gvblocks.errors import ValidationError
 from gvblocks.forms import det_int
 from gvblocks.lattice import discriminant_data
@@ -37,7 +40,7 @@ class TestMakeLattice:
             gv.make_lattice([[2]], [0, 0])
         assert e.value.code == "lattice.bad_xi"
 
-    @pytest.mark.parametrize("entry", [0.5, 0.1, "x", "1/0"])
+    @pytest.mark.parametrize("entry", [0.5, 0.1, "x", "1/0", True])
     def test_inexact_xi_refused(self, entry):
         with pytest.raises(ValidationError) as e:
             gv.make_lattice([[2]], [entry])
@@ -178,3 +181,40 @@ class TestToPointedGV:
             C = gv.to_pointed_gv(gv.make_lattice(gram, [0] * k))
             assert gv.verdicts(C).nondegenerate
             built += 1
+
+
+class TestSmithFormOncePerLattice:
+    """One Smith normal form and one determinant per lattice, however many
+    of its discriminant results a command reads."""
+
+    A2 = {"gram": [[2, 1], [1, 2]], "xi": ["1/3", "1/3"]}
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"smith_normal_form": 0, "det_int": 0}
+        for name in calls:
+            original = getattr(gv.forms, name)
+
+            def counted(mat, name=name, original=original):
+                calls[name] += 1
+                return original(mat)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.partition(".")[0] == "gvblocks" and (
+                    getattr(module, name, None) is original
+                ):
+                    monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_to_pointed_gv(self, calls):
+        C = gv.to_pointed_gv(gv.make_lattice(self.A2["gram"], self.A2["xi"]))
+        assert C.group.invariant_factors == (3,) and C.h0 == (1,)
+        assert calls == {"smith_normal_form": 1, "det_int": 1}
+
+    @pytest.mark.parametrize("command", ["lattice", "inspect"])
+    def test_cli_command(self, calls, command, tmp_path, capsys):
+        config = tmp_path / "a2.json"
+        config.write_text(json.dumps({"category": {"lattice": self.A2}}), encoding="utf-8")
+        assert cli.main([command, "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert calls == {"smith_normal_form": 1, "det_int": 1}
