@@ -5,14 +5,7 @@ combinatorics."""
 
 __version__ = "0.1.0"
 
-from .blocks import (
-    ModularData,
-    block_dim_direct,
-    block_dim_glued,
-    builtin_modular_data,
-    pants_multiplicity,
-    verlinde_dim,
-)
+from .blocks import block_dim_direct, block_dim_glued, pants_multiplicity, verlinde_dim
 from .errors import (
     CapacityError,
     CompositionError,
@@ -85,7 +78,9 @@ from .surfaces import (
     whitehead_move,
 )
 from .torus import (
+    ModularData,
     anomaly,
+    builtin_modular_data,
     check_relations,
     fusion_from_s,
     st_matrices,

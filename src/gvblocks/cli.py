@@ -19,19 +19,20 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .blocks import (
-    ModularData,
-    block_dim_direct,
-    block_dim_glued,
-    builtin_modular_data,
-    verlinde_dim,
-)
+from .blocks import block_dim_direct, block_dim_glued, verlinde_dim
 from .config import BuiltinSpec, Config, build_category, build_lattice, parse_config
 from .errors import CapacityError, GVBlocksError, ValidationError
-from .lattice import discriminant_data, discriminant_form
+from .lattice import discriminant_data, to_pointed_gv
 from .pointed import PointedGVCategory, check_axioms, mueger_center, verdicts
 from .surfaces import enumerate_decompositions, make_surface
-from .torus import anomaly, check_relations, st_matrices, st_preflight
+from .torus import (
+    ModularData,
+    anomaly,
+    builtin_modular_data,
+    check_relations,
+    st_matrices,
+    st_preflight,
+)
 
 
 def _r12(x: float) -> float:
@@ -126,22 +127,20 @@ def _cmd_inspect(config: Config, args) -> dict:
 
 def _cmd_lattice(config: Config, args) -> dict:
     L = build_lattice(config)
-    disc = discriminant_data(L)
-    q = discriminant_form(L)
-    h0 = disc.element_of(L, L.xi)
+    C = to_pointed_gv(L)
     return {
         "command": "lattice",
         "gram": [list(row) for row in L.gram],
         "xi": [_frac(x) for x in L.xi],
         "determinant": L.determinant,
         "discriminant_group": {
-            "invariant_factors": list(disc.group.invariant_factors),
-            "order": disc.group.order,
-            "generator_lifts": [[_frac(c) for c in lift] for lift in disc.lifts],
+            "invariant_factors": list(C.group.invariant_factors),
+            "order": C.group.order,
+            "generator_lifts": [[_frac(c) for c in lift] for lift in discriminant_data(L).lifts],
         },
-        "discriminant_form_matrix": [[_frac(a) for a in row] for row in q.matrix],
-        "h0": list(h0),
-        "g0": list(disc.group.scale(2, h0)),
+        "discriminant_form_matrix": [[_frac(a) for a in row] for row in C.qform.matrix],
+        "h0": list(C.h0),
+        "g0": list(C.g0),
     }
 
 

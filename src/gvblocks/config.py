@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .blocks import BUILTIN_NAMES
 from .errors import ConfigError
 from .forms import make_group, make_qform
 from .lattice import LatticeData, make_lattice, to_pointed_gv
 from .pointed import PointedGVCategory, make_category
+from .torus import BUILTIN_NAMES
 
 
 @dataclass(frozen=True)

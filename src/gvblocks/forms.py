@@ -66,6 +66,14 @@ def _as_items(x, code: str, what: str) -> tuple:
     return tuple(items)
 
 
+def _chunks(n: int) -> list[slice]:
+    """Slices of ``range(n)`` whose rows of an n x n table hold about 2^16
+    entries (1 MB of complex) each: the one block size of every |G|²-sized
+    table, such as :meth:`FinAbGroup.add_index` and ``table_rows`` take."""
+    step = max(1, 2**16 // max(n, 1))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
 def as_fraction(x, code: str = "forms.bad_rational") -> Fraction:
     """``x`` as a Fraction when it is one, an int (a bool is not), a numpy
     integer or a rational string such as ``"3/8"``; anything else, floats

@@ -28,6 +28,7 @@ from .forms import (
     FinAbGroup,
     QForm,
     Subgroup,
+    _chunks,
     bilinear,
     radical,
     subgroup_invariants,
@@ -136,7 +137,7 @@ def check_axioms(
     Only a check that fails is scanned, to report its lexicographically
     first witness: over all triples up to order 128 for biadditivity and
     against the generators above that, comparing exact integer value
-    tables built in row chunks of about 2^20 pairs.
+    tables built in the row blocks of :func:`~gvblocks.forms._chunks`.
     """
     group = C.group
     m = group.order
@@ -180,15 +181,13 @@ def check_axioms(
 
     triple = m <= 128
     biadditive = multiplicative = None
-    rows = max(1, 2**20 // m)
-    for start in range(0, m, rows):
+    for chunk in _chunks(m):
         if not (scan_bi or scan_mult):
             break
-        chunk = slice(start, min(start + rows, m))
         V = b.table_rows(chunk)
         add = group.add_index(chunk)
         if scan_bi and triple:
-            # a single chunk: V is the whole table
+            # m <= 128 is a single block: V is the whole table
             bad = np.argwhere(V[add] != (V[:, None, :] + V[None, :, :]) % bden)
             if bad.size:
                 biadditive = tuple(elements[i] for i in bad[0])
@@ -199,14 +198,14 @@ def check_axioms(
             bad = np.argwhere(~ok)
             if bad.size:
                 r, y = bad[0]
-                x = start + r
+                x = chunk.start + r
                 j = np.flatnonzero(Vg[add[r, y]] != (Vg[x] + Vg[y]) % bden)[0]
                 biadditive = (elements[x], elements[y], group.generator(int(j)))
         if scan_mult:
             V = V.astype(tnum.dtype, copy=False) * scale
             bad = np.argwhere(tnum[add] != (tnum[chunk, None] + tnum[None, :] + V) % tden)
             if bad.size:
-                multiplicative = (elements[start + bad[0][0]], elements[bad[0][1]])
+                multiplicative = (elements[chunk.start + bad[0][0]], elements[bad[0][1]])
         scan_bi = scan_bi and biadditive is None
         scan_mult = scan_mult and multiplicative is None
 

@@ -9,9 +9,9 @@ the dual graph and is only recorded in the move log).
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Mapping, Sequence
 
 from .errors import CapacityError, MoveNotApplicable, ValidationError
 from .forms import Element, _as_items, as_coordinates, as_int
@@ -88,6 +88,8 @@ def make_pants_decomposition(
         raise ValidationError(
             "surfaces.disconnected", f"dual graph has {len(dual.components)} components"
         )
+    if not isinstance(leg_order, Mapping):
+        raise ValidationError("surfaces.bad_leg_order", f"leg order {leg_order!r} is not a mapping")
     legs = set(dual.legs)
     order = {
         str(h): as_int(i, "surfaces.bad_leg_order", "boundary index")

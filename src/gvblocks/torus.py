@@ -1,4 +1,6 @@
-"""Projective SL(2,Z) data from modular pointed categories.
+"""Modular data (S, T), its validation and embedded tables, and the
+projective SL(2,Z) data of modular pointed categories.  Every producer and
+check of the (S, T) format lives here; this module never imports blocks.
 
 For h0 = 0 and non-degenerate double braiding the torus representation is
 T_xx = exp(2 pi i q(x)) and S_xy = |G|^(-1/2) exp(-2 pi i b(x, y)).  All
@@ -11,15 +13,119 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .blocks import MATRIX_CAP, ModularData, _chunks, _sq_norm
-from .errors import CapacityError, DegenerateDataError, InternalError, UnsupportedError
-from .forms import FinAbGroup, gauss_sum
+from .errors import (
+    CapacityError,
+    DegenerateDataError,
+    InternalError,
+    UnsupportedError,
+    ValidationError,
+)
+from .forms import Element, FinAbGroup, _as_items, _chunks, as_int, gauss_sum
 from .pointed import PointedGVCategory
+
+
+@dataclass(frozen=True)
+class ModularData:
+    """Labels with distinguished unit 0, S-matrix, and the diagonal of the
+    T-matrix as a vector of length rank.
+
+    ``conjugation`` is the charge-conjugation permutation as an index tuple;
+    for pointed data it realizes x -> -x.  ``group`` is set when the data
+    comes from a pointed category, whose labels are then its elements in
+    sorted order.  :func:`make_modular_data` returns ``S`` and ``T``
+    read-only.  ``_table`` is the character table that :func:`st_matrices`
+    builds ``S`` from; data built any other way, ``dataclasses.replace``
+    included, carries none.
+    """
+
+    labels: tuple[str, ...]
+    S: np.ndarray
+    T: np.ndarray
+    conjugation: tuple[int, ...]
+    group: FinAbGroup | None = None
+    _table: object = field(default=None, init=False, compare=False, repr=False)
+
+    @property
+    def rank(self) -> int:
+        return len(self.labels)
+
+    @property
+    def elements(self) -> tuple[Element, ...] | None:
+        """The group elements behind the labels, for pointed data."""
+        return None if self.group is None else self.group.sorted_elements
+
+
+#: Largest rank of modular data, and group order of pointed (S, T): an S of
+#: 4096 labels holds 256 MB.
+MATRIX_CAP = 4096
+
+
+def _sq_norm(M: np.ndarray) -> float:
+    """Squared Frobenius norm; square roots of sums of these are the one
+    matrix norm used for residuals."""
+    return float(np.vdot(M, M).real)
+
+
+def make_modular_data(
+    labels: Sequence[str], S, T, conjugation: Sequence[int]
+) -> ModularData:
+    """Validate shape, finite entries, symmetry of S, unitary T, and
+    S·S̄ᵀ = 1, each to within 1e-9.  ``T`` is the diagonal of the T-matrix,
+    a vector of label size; more than :data:`MATRIX_CAP` labels are refused
+    before S is read.
+
+    Symmetry and unitarity take one pass over the row blocks r of S, each
+    read from column r.start on, which meets every pair once; no temporary
+    exceeds a block.  S[r, r.start:] - S[r.start:, r]ᵀ is NaN or inf exactly
+    when S holds a non-finite entry.  S̄[r]·S[r.start:]ᵀ is the conjugate of
+    that part of S·S̄ᵀ, a Hermitian matrix, and so as far from the real
+    identity as its mirror image.  S and T are kept as read-only copies.
+    """
+    tol = 1e-9
+    labels = _as_items(labels, "blocks.bad_modular_data", "labels")
+    n = len(labels)
+    if n == 0:
+        raise ValidationError("blocks.bad_modular_data", "there must be at least the unit label")
+    if n > MATRIX_CAP:
+        raise CapacityError("blocks.capacity", f"{n} labels exceed the matrix cap {MATRIX_CAP}")
+    try:
+        S, T = np.array(S, dtype=complex), np.array(T, dtype=complex)
+    except (TypeError, ValueError):
+        raise ValidationError("blocks.bad_modular_data", "S and T must hold numbers") from None
+    S.flags.writeable = T.flags.writeable = False
+    if S.shape != (n, n):
+        raise ValidationError("blocks.bad_modular_data", "S must be square of label size")
+    if T.shape != (n,):
+        raise ValidationError("blocks.bad_modular_data", "T must be a vector of label size")
+    asymmetry = defect = 0.0  # np.maximum keeps a NaN
+    with np.errstate(invalid="ignore"):  # inf - inf, inf * 0
+        for r in _chunks(n):
+            asymmetry = np.maximum(asymmetry, np.abs(S[r, r.start :] - S[r.start :, r].T).max())
+            unitary = S[r].conj() @ S[r.start :].T
+            unitary[:, : r.stop - r.start] -= np.eye(r.stop - r.start)
+            defect = np.maximum(defect, np.abs(unitary).max())
+    if not math.isfinite(asymmetry):
+        raise ValidationError("blocks.bad_modular_data", "S has a non-finite entry")
+    if asymmetry > tol:
+        raise ValidationError("blocks.bad_modular_data", "S is not symmetric")
+    if not np.isfinite(T).all():
+        raise ValidationError("blocks.bad_modular_data", "T has a non-finite entry")
+    if np.abs(np.abs(T) - 1).max() > tol:
+        raise ValidationError("blocks.bad_modular_data", "T diagonal is not unitary")
+    conjugation = tuple(
+        as_int(i, "blocks.bad_modular_data", "conjugation entry")
+        for i in _as_items(conjugation, "blocks.bad_modular_data", "conjugation")
+    )
+    if sorted(conjugation) != list(range(n)):
+        raise ValidationError("blocks.bad_modular_data", "conjugation is not a permutation")
+    if defect > tol:
+        raise ValidationError("blocks.bad_modular_data", "S is not unitary")
+    return ModularData(tuple(str(lab) for lab in labels), S, T, conjugation)
 
 
 @dataclass(frozen=True)
@@ -46,7 +152,7 @@ def _root_table(
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """The root table R_xy = roots[(W_x · y) mod N] of N-th roots, for x and
     y over ``group`` in sorted order, as (rows, powers) per
-    :func:`~gvblocks.blocks._chunks` with R[rows] = roots[powers].
+    :func:`~gvblocks.forms._chunks` with R[rows] = roots[powers].
 
     ``W`` holds one row of weights per x, each in [0, N).  ``powers`` is
     int32, exact while every sum W_x · y stays below 2^31.  Within the caps
@@ -210,6 +316,41 @@ def check_relations(md: ModularData, tol: float = 1e-9) -> RelationReport:
         tol=tol,
         path=path,
     )
+
+
+#: Names of the embedded modular data tables, in the order the CLI lists them.
+BUILTIN_NAMES = ("fibonacci", "ising")
+
+_GOLDEN = (1 + math.sqrt(5)) / 2
+
+
+def _fibonacci_data() -> ModularData:
+    norm = math.sqrt(2 + _GOLDEN)
+    S = np.array([[1, _GOLDEN], [_GOLDEN, -1]], dtype=complex) / norm
+    T = [1, cmath.exp(4j * math.pi / 5)]
+    return make_modular_data(("1", "tau"), S, T, (0, 1))
+
+
+def _ising_data() -> ModularData:
+    r = math.sqrt(2)
+    S = np.array([[1, r, 1], [r, 0, -r], [1, -r, 1]], dtype=complex) / 2
+    T = [1, cmath.exp(1j * math.pi / 8), -1]
+    return make_modular_data(("1", "sigma", "psi"), S, T, (0, 1, 2))
+
+
+def builtin_modular_data(name: str) -> ModularData:
+    """One of the embedded (S, T) tables in :data:`BUILTIN_NAMES`,
+    relation-checked at load.  Pointed data comes from :func:`st_matrices`."""
+    name = name.lower()
+    if name not in BUILTIN_NAMES:
+        raise ValidationError("blocks.bad_builtin", f"unknown modular data {name!r}")
+    md = _fibonacci_data() if name == "fibonacci" else _ising_data()
+    report = check_relations(md, tol=1e-9)
+    if not report.passed:
+        raise InternalError(
+            "blocks.builtin_relations", f"embedded table {name} fails relations: {report}"
+        )
+    return md
 
 
 @dataclass(frozen=True)

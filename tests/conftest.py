@@ -427,7 +427,8 @@ def st_reference(C):
     blocks, and ``index`` is the sorted-order position of k(x)."""
     import numpy as np
 
-    from gvblocks.blocks import _chunks, _sq_norm
+    from gvblocks.forms import _chunks
+    from gvblocks.torus import _sq_norm
 
     group = C.group
     n = group.order

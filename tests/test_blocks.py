@@ -308,9 +308,9 @@ class TestModularData:
 
     def test_broken_embedded_table_is_coded(self, monkeypatch):
         md = gv.builtin_modular_data("fibonacci")
-        broken = gv.blocks.ModularData(md.labels, md.S.copy(), md.T, md.conjugation)
+        broken = gv.torus.ModularData(md.labels, md.S.copy(), md.T, md.conjugation)
         broken.S[1, 1] = -broken.S[1, 1]
-        monkeypatch.setattr(gv.blocks, "_fibonacci_data", lambda: broken)
+        monkeypatch.setattr(gv.torus, "_fibonacci_data", lambda: broken)
         with pytest.raises(gv.InternalError) as e:
             gv.builtin_modular_data("fibonacci")
         assert e.value.code == "blocks.builtin_relations" and e.value.exit_code == 3
@@ -322,7 +322,7 @@ class TestModularData:
     def test_validation(self):
         bad_s = np.array([[0.5, 0.5], [0.6, -0.5]])
         with pytest.raises(ValidationError):
-            gv.blocks.make_modular_data(("1", "x"), bad_s, np.ones(2), (0, 1))
+            gv.torus.make_modular_data(("1", "x"), bad_s, np.ones(2), (0, 1))
 
     @pytest.mark.parametrize(
         "S, T, conjugation, message",
@@ -331,11 +331,14 @@ class TestModularData:
             (np.eye(2), np.eye(2), (0, 1), "T must be a vector of label size"),
             (np.eye(2), np.ones(2), (0, 0), "conjugation is not a permutation"),
             (2 * np.eye(2), np.ones(2), (0, 1), "S is not unitary"),
+            ([["a"]], np.ones(2), (0, 1), "S and T must hold numbers"),
+            (np.eye(2), np.ones(2), (0.0, 1.0), "conjugation entry 0.0 is not an integer"),
+            (np.eye(2), np.ones(2), (False, True), "conjugation entry False is not an integer"),
         ],
     )
     def test_rejections(self, S, T, conjugation, message):
         with pytest.raises(ValidationError) as e:
-            gv.blocks.make_modular_data(("1", "x"), S, T, conjugation)
+            gv.torus.make_modular_data(("1", "x"), S, T, conjugation)
         assert e.value.code == "blocks.bad_modular_data" and e.value.message == message
 
     @pytest.mark.parametrize(
@@ -348,18 +351,18 @@ class TestModularData:
     )
     def test_non_finite_entries(self, S, T, message):
         with pytest.raises(ValidationError) as e:
-            gv.blocks.make_modular_data(("1", "x"), S, T, (0, 1))
+            gv.torus.make_modular_data(("1", "x"), S, T, (0, 1))
         assert e.value.code == "blocks.bad_modular_data" and e.value.message == message
 
     def test_capacity_refused_before_s_is_read(self):
-        n = gv.blocks.MATRIX_CAP + 1
+        n = gv.torus.MATRIX_CAP + 1
         labels, conjugation = tuple(map(str, range(n))), tuple(range(n))
         S = np.broadcast_to(np.complex128(1), (n, n))
         T = np.broadcast_to(np.complex128(1), (n,))
         tracemalloc.start()
         try:
             with pytest.raises(gv.CapacityError) as e:
-                gv.blocks.make_modular_data(labels, S, T, conjugation)
+                gv.torus.make_modular_data(labels, S, T, conjugation)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -368,12 +371,12 @@ class TestModularData:
 
     def test_no_labels(self):
         with pytest.raises(ValidationError) as e:
-            gv.blocks.make_modular_data((), np.zeros((0, 0)), np.zeros((0, 0)), ())
+            gv.torus.make_modular_data((), np.zeros((0, 0)), np.zeros((0, 0)), ())
         assert e.value.code == "blocks.bad_modular_data"
 
     def test_t_not_unitary(self):
         with pytest.raises(ValidationError):
-            gv.blocks.make_modular_data(
+            gv.torus.make_modular_data(
                 ("1", "x"), np.eye(2), np.array([1.0, 0.5]), (0, 1)
             )
 
@@ -423,7 +426,7 @@ class TestVerlinde:
             gv.verlinde_dim(gv.builtin_modular_data("ising"), -1)
         assert e.value.code == "blocks.bad_genus"
 
-    @pytest.mark.parametrize("index", [5, -1, "a"])
+    @pytest.mark.parametrize("index", [5, -1, "a", True])
     def test_bad_boundary_index(self, index):
         with pytest.raises(ValidationError) as e:
             gv.verlinde_dim(gv.builtin_modular_data("ising"), 1, [0, index])
@@ -431,7 +434,7 @@ class TestVerlinde:
 
     def test_degenerate_vacuum_entry(self):
         md = gv.builtin_modular_data("ising")
-        bad = gv.blocks.ModularData(md.labels, md.S.copy(), md.T, md.conjugation)
+        bad = gv.torus.ModularData(md.labels, md.S.copy(), md.T, md.conjugation)
         bad.S[0, 1] = 0.0
         with pytest.raises(DegenerateDataError):
             gv.verlinde_dim(bad, 2)

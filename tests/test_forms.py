@@ -101,6 +101,7 @@ class TestIntegerInput:
         z3 = gv.make_group([3])
         C = gv.make_category(z3, gv.make_qform(z3, [[F(1, 3)]]), (0,))
         (pd,) = gv.enumerate_decompositions(gv.make_surface(0, [(0,)] * 3))
+        ising = gv.builtin_modular_data("ising")
         return {
             "make_group": ("forms.invalid_factor", lambda: gv.make_group(5)),
             "make_surface": ("forms.bad_element", lambda: gv.make_surface(0, 5)),
@@ -109,12 +110,22 @@ class TestIntegerInput:
             "make_lattice": ("lattice.bad_matrix", lambda: gv.make_lattice(5, [0])),
             "make_lattice_xi": ("lattice.bad_xi", lambda: gv.make_lattice([[2]], 5)),
             "block_dim_glued": ("blocks.label_mismatch", lambda: gv.block_dim_glued(C, pd, 5)),
+            "make_modular_data": (
+                "blocks.bad_modular_data",
+                lambda: gv.torus.make_modular_data(5, [[1]], [1], (0,)),
+            ),
+            "make_modular_data_conjugation": (
+                "blocks.bad_modular_data",
+                lambda: gv.torus.make_modular_data(("1",), [[1]], [1], 5),
+            ),
+            "verlinde_dim": ("blocks.bad_index", lambda: gv.verlinde_dim(ising, 1, 5)),
         }
 
     @pytest.mark.parametrize(
         "entry",
         ["make_group", "make_surface", "make_qform", "make_qform_row", "make_lattice",
-         "make_lattice_xi", "block_dim_glued"],
+         "make_lattice_xi", "block_dim_glued", "make_modular_data",
+         "make_modular_data_conjugation", "verlinde_dim"],
     )
     def test_scalar_container_refused(self, entry):
         # a scalar where a list belongs is refused with the entry point's

@@ -80,6 +80,13 @@ class TestMakePantsDecomposition:
         with pytest.raises(ValidationError):
             gv.make_pants_decomposition(dual, {"a": 0, "b": 0, "c": 2})
 
+    def test_leg_order_that_is_not_a_mapping(self):
+        dual = gv.corolla_graph(gv.new_corolla(["a", "b", "c"]))
+        for leg_order in (5, [("a", 0), ("b", 1), ("c", 2)]):
+            with pytest.raises(ValidationError) as e:
+                gv.make_pants_decomposition(dual, leg_order)
+            assert e.value.code == "surfaces.bad_leg_order"
+
 
 class TestEnumeration:
     def test_closed_genus_two(self):

@@ -1,6 +1,8 @@
+import ast
 import cmath
 import dataclasses
 import math
+import pathlib
 import random
 import time
 import tracemalloc
@@ -107,7 +109,7 @@ class TestRelations:
         assert rel.max_residual < 1e-9
 
     def test_identity_data(self):
-        md = gv.blocks.make_modular_data(("1",), np.eye(1), np.ones(1), (0,))
+        md = gv.torus.make_modular_data(("1",), np.eye(1), np.ones(1), (0,))
         rel = gv.check_relations(md)
         assert abs(rel.lam - 1) < 1e-15 and rel.max_residual < 1e-15
 
@@ -234,12 +236,12 @@ class TestFourierRelations:
 
         monkeypatch.setattr(np.fft, "fftn", counting)
         assert gv.check_relations(md).path == "fourier"
-        assert len(calls) == len(gv.blocks._chunks(1024)) == 16
+        assert len(calls) == len(gv.forms._chunks(1024)) == 16
 
     def test_make_modular_data_rejects_perturbed_s(self):
         md = z4_data()
         with pytest.raises(gv.ValidationError, match="S is not unitary"):
-            gv.blocks.make_modular_data(md.labels, perturbed(md), md.T, md.conjugation)
+            gv.torus.make_modular_data(md.labels, perturbed(md), md.T, md.conjugation)
 
     def test_table_with_repeated_rows_is_not_trusted(self):
         # S_xy = e(-2xy/4)/2 on Z/4 is a character table read off exactly,
@@ -248,7 +250,7 @@ class TestFourierRelations:
         x = np.arange(4)
         S = np.exp(-2j * math.pi * np.outer(2 * x, x) / 4) / 2
         with pytest.raises(gv.ValidationError, match="S is not unitary"):
-            gv.blocks.make_modular_data(md.labels, S, md.T, md.conjugation)
+            gv.torus.make_modular_data(md.labels, S, md.T, md.conjugation)
         rel = assert_matches_reference(dataclasses.replace(md, S=S), "dense")
         assert not rel.passed
 
@@ -261,9 +263,9 @@ class TestStoredTable:
             ([512], [[F(1, 1024)]]),
         ]:
             md = gv.st_matrices(make_pointed(factors, mat, (0,) * len(factors)))
-            direct = gv.blocks.ModularData(md.labels, md.S, md.T, md.conjugation, group=md.group)
+            direct = gv.torus.ModularData(md.labels, md.S, md.T, md.conjugation, group=md.group)
             assert md._table is not None and direct._table is None
-            validated = gv.blocks.make_modular_data(md.labels, md.S, md.T, md.conjugation)
+            validated = gv.torus.make_modular_data(md.labels, md.S, md.T, md.conjugation)
             rel = assert_matches_reference(direct, "dense")
             assert rel == gv.check_relations(validated)
             fourier = gv.check_relations(md)
@@ -280,10 +282,10 @@ class TestStoredTable:
         assert not md.S.flags.writeable
         assert not md.T.flags.writeable and md.T.shape == (4,)
         S, T = md.S.copy(), md.T.copy()
-        data = gv.blocks.make_modular_data(md.labels, S, T, md.conjugation)
+        data = gv.torus.make_modular_data(md.labels, S, T, md.conjugation)
         assert not data.S.flags.writeable and S.flags.writeable
         assert not data.T.flags.writeable and T.flags.writeable
-        view = gv.blocks.make_modular_data(md.labels, S[:, :], md.T, md.conjugation)
+        view = gv.torus.make_modular_data(md.labels, S[:, :], md.T, md.conjugation)
         assert not np.shares_memory(view.S, S)
         S[0, 0] = 7
         assert data.S[0, 0] == view.S[0, 0] == md.S[0, 0]
@@ -294,16 +296,44 @@ class TestStoredTable:
         md = gv.st_matrices(make_pointed([order], [[F(1, 2 * order)]], (0,)))
         S = md.S.copy()
         S[entry] += 1e-14
-        data = gv.blocks.make_modular_data(md.labels, S, md.T, md.conjugation)
+        data = gv.torus.make_modular_data(md.labels, S, md.T, md.conjugation)
         assert_matches_reference(data, "dense")
         S[entry] += 1e-6
         with pytest.raises(gv.ValidationError, match="S is not symmetric"):
-            gv.blocks.make_modular_data(md.labels, S, md.T, md.conjugation)
+            gv.torus.make_modular_data(md.labels, S, md.T, md.conjugation)
 
     def test_fourier_path_over_several_column_blocks(self):
         # 2^16 entries per block: Z/2 x Z/256 runs in four blocks of 128 columns
         C = make_pointed([2, 256], [[F(1, 4), 0], [0, F(3, 512)]], (0, 0))
         assert_matches_reference(gv.st_matrices(C), "fourier")
+
+
+class TestModularDataHome:
+    def test_torus_never_imports_blocks_and_no_import_is_local(self):
+        package = pathlib.Path(gv.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    local = [n for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))]
+                    assert not local, f"{path.name}: {node.name} imports in its body"
+        imported = set()
+        for node in ast.walk(ast.parse((package / "torus.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imported |= {node.module} if node.module else {a.name for a in node.names}
+            elif isinstance(node, ast.Import):
+                imported |= {a.name.removeprefix("gvblocks.") for a in node.names}
+        assert "blocks" not in imported
+
+    def test_validation_peaks_at_the_copy_of_s_plus_blocks(self):
+        md = gv.st_matrices(make_pointed([1024], [[F(1, 2048)]], (0,)))
+        tracemalloc.start()
+        try:
+            data = gv.torus.make_modular_data(md.labels, md.S, md.T, md.conjugation)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.S.tobytes() == md.S.tobytes()
+        assert peak < md.S.nbytes + 4 * 2**20
 
 
 class TestAnomaly:
