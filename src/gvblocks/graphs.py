@@ -21,12 +21,13 @@ line; half-edges not mentioned on an edge line are legs.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, abc
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapacityError, CompositionError, ValidationError
+from .forms import _as_items
 
 #: Largest vertex count canonicalized (see :func:`canonical_form`).
 CANONICAL_CAP = 8
@@ -49,7 +50,7 @@ class Corolla:
 
 def new_corolla(legs: Sequence[str], id: str = "c") -> Corolla:
     """Build a corolla; leg labels must be pairwise distinct."""
-    legs = tuple(str(leg) for leg in legs)
+    legs = tuple(str(leg) for leg in _as_items(legs, "graphs.bad_graph", "legs"))
     seen = set()
     for leg in legs:
         if leg in seen:
@@ -123,14 +124,20 @@ class Graph:
         return tuple(tuple(sorted(g)) for g in sorted(groups.values()))
 
 
+def _as_mapping(x, what: str) -> Mapping:
+    if not isinstance(x, abc.Mapping):
+        raise ValidationError("graphs.bad_graph", f"{what} must be a mapping, got {x!r}")
+    return x
+
+
 def make_graph(
     vertex_half_edges: Mapping[str, Sequence[str]],
     edges: Iterable[tuple[str, str]] = (),
 ) -> Graph:
     """Build and validate a graph from per-vertex half-edge lists and edges."""
     attach: dict[str, str] = {}
-    for v, halves in vertex_half_edges.items():
-        for h in halves:
+    for v, halves in _as_mapping(vertex_half_edges, "vertex half-edges").items():
+        for h in _as_items(halves, "graphs.bad_graph", f"half-edges of vertex {v!r}"):
             h = str(h)
             if h in attach:
                 raise ValidationError(
@@ -139,8 +146,11 @@ def make_graph(
             attach[h] = str(v)
     pairing = []
     used: set[str] = set()
-    for a, b in edges:
-        a, b = str(a), str(b)
+    for edge in _as_items(edges, "graphs.bad_edge", "edges"):
+        halves = _as_items(edge, "graphs.bad_edge", "edge")
+        if len(halves) != 2:
+            raise ValidationError("graphs.bad_edge", f"edge {edge!r} is not a pair of half-edges")
+        a, b = (str(h) for h in halves)
         if a == b:
             raise ValidationError("graphs.bad_edge", f"edge pairs {a!r} with itself")
         for h in (a, b):
@@ -239,7 +249,7 @@ def canonical_form(g: Graph, leg_marks: Mapping[str, object] | None = None):
         raise CapacityError(
             "graphs.capacity", f"{nv} vertices exceed canonical-form cap {CANONICAL_CAP}"
         )
-    marks = leg_marks or {}
+    marks = _as_mapping(leg_marks or {}, "leg marks")
     index = {v: i for i, v in enumerate(g.vertices)}
     at = g.attach_map
     edges = [(index[at[a]], index[at[b]]) for a, b in g.pairing]
@@ -538,6 +548,8 @@ def graph_to_text(g: Graph) -> str:
 
 
 def graph_from_text(text: str) -> Graph:
+    if not isinstance(text, str):
+        raise ValidationError("graphs.parse", f"graph text must be a string, got {text!r}")
     vhe: dict[str, list[str]] = {}
     edges: list[tuple[str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

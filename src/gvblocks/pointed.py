@@ -29,6 +29,7 @@ from .forms import (
     QForm,
     Subgroup,
     _chunks,
+    as_fraction,
     bilinear,
     radical,
     subgroup_invariants,
@@ -112,32 +113,39 @@ def check_axioms(
 
     ``twist`` substitutes an alternative balancing map, which is how a
     deliberately broken structure can be probed; by default the derived
-    twist of the category is used.  Groups of order up to ``AXIOM_CAP`` are
-    covered; twist values whose common denominator reaches 2^61 are held as
-    Python integers.
+    twist of the category is used.  Each of its values is read through
+    :func:`~gvblocks.forms.as_fraction`.  Groups of order up to
+    ``AXIOM_CAP`` are covered; twist values whose common denominator
+    reaches 2^61 are held as Python integers.  A failed check reports its
+    lexicographically first witness in sorted element order, at every
+    group order.
 
-    Biadditivity and multiplicativity are decided from generator
-    identities in O(|G|·rank²).  With phi_j = b(-, e_j), b(x, z) =
-    sum_j z_j phi_j(x) exactly on representatives.
-
-    - Biadditivity, b(x + y, z) = b(x, z) + b(y, z), holds iff every
-      phi_j(x + e_i) = phi_j(x) + phi_j(e_i).  These are its cases
-      y = e_i, z = e_j; given them, induction over y as a sum of
-      generators makes each phi_j additive (phi_j(0) = 0), hence b.
+    - Biadditivity, b(x + y, z) = b(x, z) + b(y, z), is decided from b's
+      integer matrix B over its denominator M in O(rank²).  b is linear
+      on representatives, and x + y in G is x + y - sum_i c_i n_i e_i
+      with a carry c_i = [x_i + y_i >= n_i], so the defect is
+      -sum_{i,j} c_i z_j n_i B_ij mod M.  Any carry pattern occurs, and
+      only factors n_i > 1 have nonzero coordinates (e_i = 0 when
+      n_i = 1), so b is biadditive iff n_i B_ij = 0 mod M for all i, j
+      with n_i, n_j > 1.  A carry at i needs x_i != 0, so the first
+      failing x is e_i for the last failing row i; the first y carrying
+      there alone is (n_i - 1) e_i; the defect is linear in z's
+      coordinates, so the first failing z is e_j for the last failing
+      column j of row i.
     - Given biadditivity, multiplicativity holds iff theta(0) = 0 and
-      every theta(x + e_i) = theta(x) + theta(e_i) + b(x, e_i).  These are
-      its cases x = y = 0 and y = e_i.  Given them, summing the identity
-      along x, x + e_i, ..., x + n_i e_i = x and subtracting the same sum
-      at x = 0 gives n_i phi_i(x) = 0; a carry in coordinate i changes
-      sum_j z_j phi_j(x) by that, so b(x, -) is additive too.  Expanding
+      theta(x + e_i) = theta(x) + theta(e_i) + b(x, e_i) for every x and
+      every factor n_i > 1.  These are its cases x = y = 0 and y = e_i.
+      Given them, summing the identity along x, x + e_i, ...,
+      x + n_i e_i = x and subtracting the same sum at x = 0 gives
+      n_i phi_i(x) = 0 for phi_j = b(-, e_j); as b(x, z) =
+      sum_j z_j phi_j(x) on representatives, a carry in coordinate i
+      changes it by that, so b(x, -) is additive too.  Expanding
       theta(x + y' + e_i) and theta(y' + e_i) by the identity and
       b(x + y', e_i), b(x, y' + e_i) by additivity then carries
       multiplicativity at (x, y') over to (x, y' + e_i), from y' = 0.
-
-    Only a check that fails is scanned, to report its lexicographically
-    first witness: over all triples up to order 128 for biadditivity and
-    against the generators above that, comparing exact integer value
-    tables built in the row blocks of :func:`~gvblocks.forms._chunks`.
+      Only when b is not biadditive or an identity fails are the pairs
+      scanned for the witness, comparing exact integer value tables built in the row
+      blocks of :func:`~gvblocks.forms._chunks`.
     """
     group = C.group
     m = group.order
@@ -147,67 +155,47 @@ def check_axioms(
         )
     elements = group.sorted_elements
     b = C.bform
-    bden = b.int_form[0]
+    bden, B = b.int_form
     if twist is None:
         tden, tnum = C.twist_numerators
     else:
-        tvals = [twist(x) % 1 for x in elements]
+        tvals = [as_fraction(twist(x)) % 1 for x in elements]
         tden = math.lcm(bden, *(t.denominator for t in tvals))
         # the multiplicativity sum adds three values below tden
         dtype = object if tden >= 2**61 else np.int64
         tnum = np.array([int(t * tden) for t in tvals], dtype=dtype) % tden
     scale = tden // bden
 
-    # x -> x + e_i is a roll along axis i of the sorted-order grid
     shape = group.invariant_factors
+    axes = [i for i, n in enumerate(shape) if n > 1]
+    failing = [(i, j) for i in axes for j in axes if shape[i] * B[i][j] % bden]
+    biadditive = None
+    if failing:
+        i, j = failing[-1]
+        e = group.generator(i)
+        biadditive = (e, group.scale(shape[i] - 1, e), group.generator(j))
+
+    # x -> x + e_i is a roll along axis i of the sorted-order grid
     gens = group.index_of(np.eye(group.rank, dtype=np.int64))
-    Vg = b.against_generators()
-    VgB = Vg.reshape(shape + (group.rank,))
-    scan_bi = not all(
-        np.array_equal(np.roll(VgB, -1, axis=i).reshape(Vg.shape), (Vg + Vg[g]) % bden)
-        for i, g in enumerate(gens)
-    )
+    Vg = b.against_generators().astype(tnum.dtype) * scale
     tgrid = tnum.reshape(shape)
-    scan_mult = scan_bi or not (
+    scan = failing or not (
         tnum[0] == 0
         and all(
             np.array_equal(
-                np.roll(tgrid, -1, axis=i).reshape(m),
-                (tnum + tnum[g] + Vg[:, i].astype(tnum.dtype) * scale) % tden,
+                np.roll(tgrid, -1, axis=i).reshape(m), (tnum + tnum[gens[i]] + Vg[:, i]) % tden
             )
-            for i, g in enumerate(gens)
+            for i in axes
         )
     )
-
-    triple = m <= 128
-    biadditive = multiplicative = None
-    for chunk in _chunks(m):
-        if not (scan_bi or scan_mult):
-            break
-        V = b.table_rows(chunk)
+    multiplicative = None
+    for chunk in _chunks(m) if scan else ():
+        V = b.table_rows(chunk).astype(tnum.dtype, copy=False) * scale
         add = group.add_index(chunk)
-        if scan_bi and triple:
-            # m <= 128 is a single block: V is the whole table
-            bad = np.argwhere(V[add] != (V[:, None, :] + V[None, :, :]) % bden)
-            if bad.size:
-                biadditive = tuple(elements[i] for i in bad[0])
-        elif scan_bi:
-            ok = np.ones(add.shape, dtype=bool)
-            for j in range(group.rank):
-                ok &= Vg[add, j] == (Vg[chunk, j, None] + Vg[None, :, j]) % bden
-            bad = np.argwhere(~ok)
-            if bad.size:
-                r, y = bad[0]
-                x = chunk.start + r
-                j = np.flatnonzero(Vg[add[r, y]] != (Vg[x] + Vg[y]) % bden)[0]
-                biadditive = (elements[x], elements[y], group.generator(int(j)))
-        if scan_mult:
-            V = V.astype(tnum.dtype, copy=False) * scale
-            bad = np.argwhere(tnum[add] != (tnum[chunk, None] + tnum[None, :] + V) % tden)
-            if bad.size:
-                multiplicative = (elements[chunk.start + bad[0][0]], elements[bad[0][1]])
-        scan_bi = scan_bi and biadditive is None
-        scan_mult = scan_mult and multiplicative is None
+        bad = np.argwhere(tnum[add] != (tnum[chunk, None] + tnum[None, :] + V) % tden)
+        if bad.size:
+            multiplicative = (elements[chunk.start + bad[0][0]], elements[bad[0][1]])
+            break
 
     dual_idx = group.index_of(np.array(C.g0, dtype=np.int64) - group.element_array)
     unbalanced = np.flatnonzero(tnum[dual_idx] != tnum)

@@ -220,16 +220,29 @@ def axiom_violation(C, th, name, witness, b=None):
 def axioms_reference(C, twist=None):
     """First witness of each axiom check in lexicographic element order.
 
-    Biadditivity runs over all triples up to order 128 and against the
-    generators above, like the library suite.
+    Biadditivity runs over all triples up to order 128.  Above that, the
+    first failing pair (x, y) is found against the generators e_j with
+    n_j > 1 (the defect b(x + y, z) - b(x, z) - b(y, z) is linear in the
+    coordinates of z), and then its first failing z over all of G.
     """
     group = C.group
     th = twist_table(C, twist)
     b = functools.cache(functools.partial(b_reference, C.qform))
     els = list(group.elements())
-    thirds = els if group.order <= 128 else group.generators()
+    triples = itertools.product(els, els, els)
+    if group.order > 128:
+        gens = [e for e, n in zip(group.generators(), group.invariant_factors) if n > 1]
+        pair = next(
+            (
+                (x, y)
+                for x, y in itertools.product(els, els)
+                if any(axiom_violation(C, th, "braiding biadditive", (x, y, e), b) for e in gens)
+            ),
+            None,
+        )
+        triples = [] if pair is None else (pair + (z,) for z in els)
     candidates = {
-        "braiding biadditive": itertools.product(els, els, thirds),
+        "braiding biadditive": triples,
         "twist multiplicative": itertools.product(els, els),
         "twist unit": [(group.zero,)],
         "ribbon": ((x,) for x in els),

@@ -57,6 +57,29 @@ class TestMakeGraph:
         assert e.value.code == "graphs.bad_edge"
 
 
+class TestCodedRefusals:
+    # a scalar where a container belongs is refused with a code, not a
+    # bare AttributeError or TypeError from reading it
+    @pytest.mark.parametrize(
+        "code, call",
+        [
+            ("graphs.bad_graph", lambda: gv.make_graph(5)),
+            ("graphs.bad_graph", lambda: gv.make_graph({"v": 5})),
+            ("graphs.bad_graph", lambda: gv.new_corolla(5)),
+            ("graphs.bad_graph", lambda: gv.canonical_form(loop_with_leg(), leg_marks=5)),
+            ("graphs.bad_edge", lambda: gv.make_graph({"v": ["a", "b"]}, 5)),
+            ("graphs.bad_edge", lambda: gv.make_graph({"v": ["a", "b"]}, [("a",)])),
+            ("graphs.parse", lambda: gv.graph_from_text(5)),
+        ],
+        ids=["make_graph", "make_graph_halves", "new_corolla", "canonical_form_marks",
+             "make_graph_edges", "make_graph_edge_pair", "graph_from_text"],
+    )
+    def test_refused_with_code(self, code, call):
+        with pytest.raises(ValidationError) as e:
+            call()
+        assert e.value.code == code
+
+
 class TestCutContract:
     def test_edge_between_two_vertices(self):
         g = gv.make_graph({"u": ["a", "b", "x"], "v": ["c", "d", "y"]}, [("x", "y")])

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -133,7 +134,8 @@ class TestAxioms:
 
     def test_stops_once_both_witnesses_are_found(self, monkeypatch):
         # Z/2048 runs in 64 blocks of 32 rows; a matrix that is not well
-        # defined on the group breaks both table checks within the first
+        # defined on the group breaks multiplicativity within the first,
+        # and biadditivity is read off the matrix without a scan
         G = gv.make_group([2048])
         C = PointedGVCategory(G, gv.QForm(G, ((F(1, 3),),)), G.zero)
         chunks = []
@@ -214,7 +216,8 @@ class TestAxiomDecision:
         # biadditivity nor multiplicativity does.
         rng = random.Random(5)
         cases = [((4,), ((F(1, 16),),))]
-        for shape in [(2, 4), (4, 4), (2, 2, 2)]:
+        for shape in [(2, 4), (4, 4), (2, 2, 2), (1, 4), (2, 1, 3), (2, 63), (2, 65), (1, 127),
+                      (1, 129), (1, 2, 67)]:
             for _ in range(8):
                 mat = tuple(tuple(F(rng.randrange(16), 16) for _ in shape) for _ in shape)
                 cases.append((shape, mat))
@@ -223,6 +226,54 @@ class TestAxiomDecision:
             C = PointedGVCategory(G, gv.QForm(G, mat), G.zero)
             report = gv.check_axioms(C)
             assert {c.name: c.witness for c in report.checks} == axioms_reference(C), mat
+
+
+    @staticmethod
+    def unvalidated(shape, mat):
+        G = gv.make_group(shape)
+        return PointedGVCategory(G, gv.QForm(G, tuple(tuple(F(a) for a in r) for r in mat)), G.zero)
+
+    @staticmethod
+    def biadditivity(C):
+        return next(c for c in gv.check_axioms(C).checks if c.name == "braiding biadditive")
+
+    @pytest.mark.parametrize("shape", [(1, 127), (1, 129)])
+    def test_factor_of_one_has_no_generator(self, shape):
+        # e_0 = 0 on Z/1, so b's entries in row and column 0 never show
+        C = self.unvalidated(shape, [[0, F(1, 4)], [F(1, 4), 0]])
+        check = self.biadditivity(C)
+        assert check.passed and check.witness is None
+
+    @pytest.mark.parametrize("shape", [(2, 63), (2, 65)])
+    def test_witness_is_the_last_failing_entry_of_the_last_failing_row(self, shape):
+        C = self.unvalidated(shape, [[F(1, 8), F(1, 8)], [0, 0]])
+        check = self.biadditivity(C)
+        assert check.witness == ((1, 0), (1, 0), (0, 1))
+        assert axiom_violation(C, twist_table(C), check.name, check.witness)
+
+    def test_failing_biadditivity_builds_no_triple_table(self):
+        C = self.unvalidated((128,), [[F(1, 3)]])
+        tracemalloc.start()
+        try:
+            report = gv.check_axioms(C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "braiding biadditive" in {c.name for c in report.failed()}
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("value", [0.5, None, True])
+    def test_twist_value_that_is_not_exact_is_refused(self, z8_ff, value):
+        with pytest.raises(ValidationError) as e:
+            gv.check_axioms(z8_ff, twist=lambda x: value)
+        assert e.value.code == "forms.bad_rational"
+
+    def test_twist_values_as_rational_strings(self, z8_ff):
+        th = twist_table(z8_ff)
+        th[(3,)] = (th[(3,)] + F(1, 2)) % 1
+        as_text = gv.check_axioms(z8_ff, twist=lambda x: str(th[x]))
+        assert as_text == gv.check_axioms(z8_ff, twist=th.__getitem__)
+        assert not as_text.all_passed
 
 
 class TestMakeCategory:
