@@ -12,26 +12,31 @@ reads modular data in the (S, T) format of :mod:`gvblocks.torus`.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateDataError, ValidationError
+from .errors import CapacityError, DegenerateDataError, ValidationError
 from .forms import _as_items, as_int
 from .pointed import PointedGVCategory
 from .surfaces import PantsDecomposition, SurfaceSpec
 from .torus import ModularData
 
 
-def block_dim_direct(C: PointedGVCategory, spec: SurfaceSpec) -> int:
-    """|G|^g when the total boundary degree plus (g-1)*g0 vanishes, else 0."""
+def meets_condition(C: PointedGVCategory, spec: SurfaceSpec) -> bool:
+    """Whether the total boundary degree plus (g-1)*g0 vanishes."""
     group = C.group
     total = group.zero
     for lab in spec.boundary_labels:
         total = group.add(total, group.reduce(lab))
-    total = group.add(total, group.scale(spec.genus - 1, C.g0))
-    return group.order**spec.genus if total == group.zero else 0
+    return group.add(total, group.scale(spec.genus - 1, C.g0)) == group.zero
+
+
+def block_dim_direct(C: PointedGVCategory, spec: SurfaceSpec) -> int:
+    """|G|^g when :func:`meets_condition`, else 0."""
+    return C.group.order**spec.genus if meets_condition(C, spec) else 0
 
 
 def pants_multiplicity(C: PointedGVCategory, x, y, z) -> int:
@@ -86,7 +91,8 @@ def verlinde_dim(
     md: ModularData, genus: int, boundary_indices: Sequence[int] = (), tol: float = 1e-9
 ) -> VerlindeReport:
     """Sum over j of S_0j^(2-2g-n) * prod_k S_{i_k j}, for genus g >= 0 and
-    boundary label indices i_k in [0, rank)."""
+    boundary label indices i_k in [0, rank).  A sum past the float range
+    raises ``CapacityError("blocks.overflow")``."""
     genus = as_int(genus, "blocks.bad_genus", "genus")
     if genus < 0:
         raise ValidationError("blocks.bad_genus", f"genus must be >= 0, got {genus}")
@@ -100,7 +106,11 @@ def verlinde_dim(
     if np.abs(s0).min() < tol:
         raise DegenerateDataError("blocks.degenerate", "a vacuum S-matrix entry vanishes")
     exponent = 2 - 2 * genus - len(indices)
-    # the product over no boundary is 1.0, which multiplies exactly
-    value = complex(np.sum(s0**exponent * np.prod([md.S[i] for i in indices], axis=0)))
+    # the product over no boundary is 1.0, which multiplies exactly; a power
+    # or sum past the float range is inf or nan, refused below, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(np.sum(s0**exponent * np.prod([md.S[i] for i in indices], axis=0)))
+    if not cmath.isfinite(value):
+        raise CapacityError("blocks.overflow", f"the Verlinde sum overflows at genus {genus}")
     rounded = int(round(value.real))
     return VerlindeReport(value, rounded, abs(value - rounded))

@@ -19,8 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .blocks import block_dim_direct, block_dim_glued, verlinde_dim
-from .config import BuiltinSpec, Config, build_category, build_lattice, parse_config
+from .blocks import block_dim_direct, block_dim_glued, meets_condition, verlinde_dim
+from .config import BuiltinSpec, CategorySpec, build_category, build_lattice, parse_config
 from .errors import CapacityError, GVBlocksError, ValidationError
 from .lattice import discriminant_data, to_pointed_gv
 from .pointed import PointedGVCategory, check_axioms, mueger_center, verdicts
@@ -88,8 +88,8 @@ def _category_summary(C: PointedGVCategory) -> dict:
     }
 
 
-def _cmd_inspect(config: Config, args) -> dict:
-    C = build_category(config)
+def _cmd_inspect(cat: CategorySpec, args) -> dict:
+    C = build_category(cat)
     v = verdicts(C)
     center = mueger_center(C)
     try:
@@ -125,8 +125,8 @@ def _cmd_inspect(config: Config, args) -> dict:
     return data
 
 
-def _cmd_lattice(config: Config, args) -> dict:
-    L = build_lattice(config)
+def _cmd_lattice(cat: CategorySpec, args) -> dict:
+    L = build_lattice(cat)
     C = to_pointed_gv(L)
     return {
         "command": "lattice",
@@ -144,24 +144,29 @@ def _cmd_lattice(config: Config, args) -> dict:
     }
 
 
-def _cmd_blocks(config: Config, args) -> dict:
-    C = build_category(config)
+def _cmd_blocks(cat: CategorySpec, args) -> dict:
+    C = build_category(cat)
     if args.genus is None or args.genus < 0:
         raise ValidationError("cli.bad_genus", "blocks needs --genus INT >= 0")
     labels = _parse_labels(args.labels, C.group.rank)
     spec = make_surface(args.genus, labels)
-    direct_dim = block_dim_direct(C, spec)
-    condition_met = direct_dim != 0
+    condition_met = meets_condition(C, spec)
+    limit = sys.get_int_max_str_digits()
+    if condition_met and limit and spec.genus * math.log10(C.group.order) >= limit:
+        raise CapacityError(
+            "cli.output_cap",
+            f"the dimension {C.group.order}^{spec.genus} has more than {limit} digits, "
+            "Python's int-to-text limit (sys.get_int_max_str_digits)",
+        )
     results = [
         {
-            "dim": direct_dim,
+            "dim": block_dim_direct(C, spec),
             "method": "direct",
             "condition_met": condition_met,
         }
     ]
     if args.glued:
-        decomps = enumerate_decompositions(spec, cap=config.enumeration_cap)
-        for i, pd in enumerate(decomps):
+        for i, pd in enumerate(enumerate_decompositions(spec)):
             results.append(
                 {
                     "dim": block_dim_glued(C, pd, labels),
@@ -178,29 +183,22 @@ def _cmd_blocks(config: Config, args) -> dict:
     }
 
 
-def _tolerance(config: Config, args) -> float:
-    tol = config.tolerance if args.tol is None else args.tol
-    if not tol > 0:
-        raise ValidationError("cli.bad_tolerance", f"--tol must be > 0, got {tol}")
-    return tol
-
-
 #: Largest rank whose S and T matrices ``torus-rep`` prints: the report
 #: grows as rank^2 (27.8 MB of JSON at rank 512).
 OUTPUT_CAP = 1024
 
 
 def _torus_data(
-    config: Config, max_rank: int | None = None
+    cat: CategorySpec, max_rank: int | None = None
 ) -> tuple[ModularData, PointedGVCategory | None]:
     """Modular data of the config and the pointed category behind it, if any.
 
     A pointed category that :func:`st_matrices` accepts but whose order
     exceeds ``max_rank`` is refused before its matrices are built.
     """
-    if isinstance(config.category, BuiltinSpec):
-        return builtin_modular_data(config.category.name), None
-    C = build_category(config)
+    if isinstance(cat, BuiltinSpec):
+        return builtin_modular_data(cat.name), None
+    C = build_category(cat)
     if max_rank is not None and C.group.order > max_rank:
         st_preflight(C)  # the library's own refusals keep their codes
         raise CapacityError(
@@ -211,10 +209,9 @@ def _torus_data(
     return st_matrices(C), C
 
 
-def _cmd_torus_rep(config: Config, args) -> dict:
-    tol = _tolerance(config, args)
-    md, C = _torus_data(config, max_rank=OUTPUT_CAP)
-    rel = check_relations(md, tol=tol)
+def _cmd_torus_rep(cat: CategorySpec, args) -> dict:
+    md, C = _torus_data(cat, max_rank=OUTPUT_CAP)
+    rel = check_relations(md)
     data = {
         "command": "torus-rep",
         "labels": list(md.labels),
@@ -238,15 +235,14 @@ def _cmd_torus_rep(config: Config, args) -> dict:
     return data
 
 
-def _cmd_verlinde(config: Config, args) -> dict:
+def _cmd_verlinde(cat: CategorySpec, args) -> dict:
     max_genus = args.max_genus
     if max_genus < 1:
         raise ValidationError("cli.bad_genus", "--max-genus must be >= 1")
-    tol = _tolerance(config, args)
-    md, C = _torus_data(config)
+    md, C = _torus_data(cat)
     table = []
     for g in range(1, max_genus + 1):
-        rep = verlinde_dim(md, g, tol=tol)
+        rep = verlinde_dim(md, g)
         row = {
             "genus": g,
             "value": _c12(rep.value),
@@ -303,9 +299,9 @@ _COMMANDS = {
 }
 
 
-def run(subcommand: str, config: Config, args) -> dict:
+def run(subcommand: str, cat: CategorySpec, args) -> dict:
     """Dispatch a subcommand on a parsed config; returns the report data."""
-    return _COMMANDS[subcommand](config, args)
+    return _COMMANDS[subcommand](cat, args)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -325,8 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        if name in ("torus-rep", "verlinde"):
-            p.add_argument("--tol", type=float, default=None, help="numeric tolerance")
         if name == "blocks":
             p.add_argument("--genus", type=int, default=None)
             p.add_argument(
@@ -343,8 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = parse_config(args.config)
-        data = run(args.subcommand, config, args)
+        data = run(args.subcommand, parse_config(args.config), args)
     except GVBlocksError as e:
         payload = {"error": {"code": e.code, "message": e.message}}
         if args.json:

@@ -41,11 +41,7 @@ class BuiltinSpec:
     name: str
 
 
-@dataclass(frozen=True)
-class Config:
-    category: PointedSpec | LatticeSpec | BuiltinSpec
-    tolerance: float = 1e-9
-    enumeration_cap: int = 64
+CategorySpec = PointedSpec | LatticeSpec | BuiltinSpec
 
 
 def _expect(cond: bool, path: str, message: str):
@@ -97,10 +93,10 @@ def _no_extra_keys(obj: dict, allowed: set[str], path: str):
     _expect(not extra, path, f"unknown fields {sorted(extra)}")
 
 
-def parse_config_data(data, path: str = "") -> Config:
+def parse_config_data(data, path: str = "") -> CategorySpec:
     root = path or "config"
     _expect(isinstance(data, dict), root, "top level must be an object")
-    _no_extra_keys(data, {"category", "tolerance", "enumeration_cap"}, root)
+    _no_extra_keys(data, {"category"}, root)
     _expect("category" in data, root, "missing 'category'")
     cat = data["category"]
     _expect(isinstance(cat, dict), f"{root}.category", "must be an object")
@@ -120,40 +116,32 @@ def parse_config_data(data, path: str = "") -> Config:
             f"{root}.category.builtin",
             f"unknown builtin {body!r}; choose from {list(BUILTIN_NAMES)}",
         )
-        category = BuiltinSpec(body.lower())
-    elif variant == "pointed":
+        return BuiltinSpec(body.lower())
+    if variant == "pointed":
         p = f"{root}.category.pointed"
         _expect(isinstance(body, dict), p, "must be an object")
         _no_extra_keys(body, {"invariant_factors", "qform_matrix", "h0"}, p)
         for key in ("invariant_factors", "qform_matrix", "h0"):
             _expect(key in body, p, f"missing '{key}'")
-        category = PointedSpec(
+        return PointedSpec(
             _int_list(body["invariant_factors"], f"{p}.invariant_factors"),
             _rational_matrix(body["qform_matrix"], f"{p}.qform_matrix"),
             _int_list(body["h0"], f"{p}.h0"),
         )
-    else:
-        p = f"{root}.category.lattice"
-        _expect(isinstance(body, dict), p, "must be an object")
-        _no_extra_keys(body, {"gram", "xi"}, p)
-        for key in ("gram", "xi"):
-            _expect(key in body, p, f"missing '{key}'")
-        xi_raw = body["xi"]
-        _expect(isinstance(xi_raw, list), f"{p}.xi", "expected a list of rationals")
-        category = LatticeSpec(
-            _int_matrix(body["gram"], f"{p}.gram"),
-            tuple(_rational(x, f"{p}.xi[{i}]") for i, x in enumerate(xi_raw)),
-        )
-    tolerance = data.get("tolerance", 1e-9)
-    if not isinstance(tolerance, (int, float)) or isinstance(tolerance, bool) or tolerance <= 0:
-        raise ConfigError(f"{root}.tolerance", f"expected a positive number, got {tolerance!r}")
-    cap = data.get("enumeration_cap", 64)
-    cap = _int(cap, f"{root}.enumeration_cap")
-    _expect(cap >= 1, f"{root}.enumeration_cap", "must be >= 1")
-    return Config(category, float(tolerance), cap)
+    p = f"{root}.category.lattice"
+    _expect(isinstance(body, dict), p, "must be an object")
+    _no_extra_keys(body, {"gram", "xi"}, p)
+    for key in ("gram", "xi"):
+        _expect(key in body, p, f"missing '{key}'")
+    xi_raw = body["xi"]
+    _expect(isinstance(xi_raw, list), f"{p}.xi", "expected a list of rationals")
+    return LatticeSpec(
+        _int_matrix(body["gram"], f"{p}.gram"),
+        tuple(_rational(x, f"{p}.xi[{i}]") for i, x in enumerate(xi_raw)),
+    )
 
 
-def parse_config(path) -> Config:
+def parse_config(path) -> CategorySpec:
     """Load and validate a config file; errors carry the offending field path."""
     p = Path(path)
     try:
@@ -167,15 +155,14 @@ def parse_config(path) -> Config:
     return parse_config_data(data)
 
 
-def build_lattice(config: Config) -> LatticeData:
-    if not isinstance(config.category, LatticeSpec):
+def build_lattice(cat: CategorySpec) -> LatticeData:
+    if not isinstance(cat, LatticeSpec):
         raise ConfigError("config.category", "this command needs a lattice category")
-    return make_lattice(config.category.gram, config.category.xi)
+    return make_lattice(cat.gram, cat.xi)
 
 
-def build_category(config: Config) -> PointedGVCategory:
+def build_category(cat: CategorySpec) -> PointedGVCategory:
     """Pointed category from a pointed or lattice config variant."""
-    cat = config.category
     if isinstance(cat, PointedSpec):
         group = make_group(cat.invariant_factors)
         q = make_qform(group, cat.qform_matrix)

@@ -58,8 +58,11 @@ def as_coordinates(vec, what: str) -> tuple[int, ...]:
 
 def _as_items(x, code: str, what: str) -> tuple:
     """The items of a container argument as a tuple; an ``x`` that cannot
-    be iterated (a scalar) raises ``ValidationError(code)``."""
+    be iterated (a scalar), or a string, which would split into its
+    characters, raises ``ValidationError(code)``."""
     try:
+        if isinstance(x, (str, bytes)):
+            raise TypeError
         items = iter(x)
     except TypeError:
         raise ValidationError(code, f"{what} must be a sequence, got {x!r}") from None
@@ -609,7 +612,5 @@ def smith_normal_form(mat: Sequence[Sequence[int]]):
             if offender is None:
                 break
             add_row(t, offender, 1)
-        if t < min(m, n) and a[t][t] < 0:
-            negate_row(t)
     d = [[a[i][j] if i == j else 0 for j in range(n)] for i in range(m)]
     return u, d, v

@@ -100,28 +100,16 @@ def make_pants_decomposition(
             "surfaces.bad_leg_order",
             f"leg order must match the {len(legs)} legs bijectively onto 0..{len(legs) - 1}",
         )
-    nv, ne, nl = len(dual.vertices), len(dual.pairing), len(legs)
-    g = ne - nv + 1
-    if 2 * g - 2 + nl < 1:
-        raise ValidationError(
-            "surfaces.count_mismatch",
-            f"(g, n) = ({g}, {nl}) admits no pants decomposition",
-        )
     return PantsDecomposition(dual, tuple(sorted(order.items())), tuple(moves))
 
 
-def enumerate_decompositions(
-    spec: SurfaceSpec, cap: int | None = None
-) -> list[PantsDecomposition]:
+def enumerate_decompositions(spec: SurfaceSpec) -> list[PantsDecomposition]:
     """All isomorphism classes of pants decompositions of the surface.
 
     Classes are distinguished up to dual-graph isomorphism preserving the
-    boundary marking, sorted by canonical form, truncated at ``cap``, an
-    integer >= 1 when given.
+    boundary marking, sorted by canonical form.
     """
-    if cap is not None and as_int(cap, "surfaces.bad_cap", "cap") < 1:
-        raise ValidationError("surfaces.bad_cap", f"cap {cap} is not >= 1")
-    return list(_enumerate_classes(spec.genus, spec.n)[:cap])
+    return list(_enumerate_classes(spec.genus, spec.n))
 
 
 def _seed(genus: int, n: int) -> PantsDecomposition:

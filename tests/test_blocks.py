@@ -1,13 +1,14 @@
 import random
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import gvblocks as gv
-from gvblocks.errors import DegenerateDataError, ValidationError
+from gvblocks.errors import CapacityError, DegenerateDataError, ValidationError
 from gvblocks.forms import det_int, mat_mul_int
 from gvblocks.surfaces import (
     _enumerate_classes,
@@ -431,6 +432,16 @@ class TestVerlinde:
         with pytest.raises(ValidationError) as e:
             gv.verlinde_dim(gv.builtin_modular_data("ising"), 1, [0, index])
         assert e.value.code == "blocks.bad_index"
+
+    def test_overflow_is_a_coded_refusal(self):
+        md = gv.builtin_modular_data("ising")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # 2^(2g-1) + 2^(g-1) is 2^1023 + 2^511 at genus 512, past 2^1024 at 513
+            assert gv.verlinde_dim(md, 512).rounded == pytest.approx(2**1023 + 2**511, rel=1e-12)
+            with pytest.raises(CapacityError) as e:
+                gv.verlinde_dim(md, 513)
+        assert e.value.code == "blocks.overflow"
 
     def test_degenerate_vacuum_entry(self):
         md = gv.builtin_modular_data("ising")

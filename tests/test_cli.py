@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 
@@ -15,6 +16,7 @@ SEMION_POINTED = {
 SEMION_LATTICE = {"category": {"lattice": {"gram": [[2]], "xi": ["0/1"]}}}
 FF8 = {"category": {"lattice": {"gram": [[8]], "xi": ["1/8"]}}}
 FIB = {"category": {"builtin": "fibonacci"}}
+ISING = {"category": {"builtin": "ising"}}
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -67,6 +69,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as e:
             parse_config_data(data)
         assert "xi[0]" in e.value.message
+
+    def test_bool_rational_refused(self):
+        with pytest.raises(ConfigError) as e:
+            parse_config_data({"category": {"lattice": {"gram": [[2]], "xi": [True]}}})
+        assert e.value.code == "cli.config" and "xi[0]" in e.value.message
 
     def test_field_paths(self):
         with pytest.raises(ConfigError) as e:
@@ -155,7 +162,7 @@ class TestSubcommands:
         assert code == 0 and data["results"][0]["dim"] == 1
 
     def test_blocks_glued_at_complexity_five(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, dict(SEMION_LATTICE, enumeration_cap=1000))
+        cfg = write_config(tmp_path, SEMION_LATTICE)
         code, out, _ = run_cli(
             capsys, "blocks", "--config", cfg, "--genus", "0", "--labels", "1;1;0;1;0;0;1",
             "--glued", "--json",
@@ -322,8 +329,8 @@ class TestSubcommands:
         "argv, code",
         [
             (["verlinde", "--max-genus", "0"], "cli.bad_genus"),
-            (["torus-rep", "--tol", "0"], "cli.bad_tolerance"),
-            (["torus-rep", "--tol", "-1"], "cli.bad_tolerance"),
+            (["blocks", "--genus", "-1"], "cli.bad_genus"),
+            (["verlinde", "--max-genus", "-1"], "cli.bad_genus"),
             (["blocks"], "cli.bad_genus"),
         ],
     )
@@ -333,22 +340,66 @@ class TestSubcommands:
         assert status == 2
         assert json.loads(out)["error"]["code"] == code
 
-    @pytest.mark.parametrize("sub", ["inspect", "lattice", "blocks"])
+    @pytest.mark.parametrize("sub", ["inspect", "lattice", "blocks", "torus-rep", "verlinde"])
     def test_tol_only_where_read(self, tmp_path, capsys, sub):
+        # no subcommand reads a tolerance: the library default decides
         cfg = write_config(tmp_path, SEMION_LATTICE)
         with pytest.raises(SystemExit) as e:
             cli.main([sub, "--config", cfg, "--tol", "-1"])
         assert e.value.code == 2
         assert "--tol" in capsys.readouterr().err
 
-    def test_verlinde_reads_the_tolerance(self, tmp_path, capsys):
-        # the smallest vacuum entry of the Fibonacci S-matrix is about 0.526
-        cfg = write_config(tmp_path, dict(FIB, tolerance=0.6))
+    @pytest.mark.parametrize("field, value", [("tolerance", 0.6), ("enumeration_cap", 1000)])
+    def test_retired_config_fields_refused(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path, dict(FIB, **{field: value}))
         status, out, _ = run_cli(capsys, "verlinde", "--config", cfg, "--json")
-        assert status == 3
-        assert json.loads(out)["error"]["code"] == "blocks.degenerate"
-        status, _, _ = run_cli(capsys, "verlinde", "--config", cfg, "--tol", "0.5", "--json")
+        assert status == 2
+        error = json.loads(out)["error"]
+        assert error["code"] == "cli.config" and field in error["message"]
+        # without the field, Fibonacci (smallest vacuum entry about 0.526)
+        # passes at the library default tolerance
+        cfg = write_config(tmp_path, FIB)
+        status, out, _ = run_cli(capsys, "verlinde", "--config", cfg, "--json")
         assert status == 0
+        assert [row["rounded"] for row in json.loads(out)["table"]] == [2, 5, 15]
+
+    @pytest.mark.parametrize(
+        "config, argv, code",
+        [
+            (SEMION_POINTED, ["blocks", "--genus", "20000"], "cli.output_cap"),
+            (ISING, ["verlinde", "--max-genus", "2000"], "blocks.overflow"),
+            (SEMION_POINTED, ["verlinde", "--max-genus", "20000"], "blocks.overflow"),
+        ],
+        ids=["blocks_semion", "verlinde_ising", "verlinde_semion"],
+    )
+    def test_large_genus_refused_with_a_code(self, tmp_path, capsys, config, argv, code):
+        cfg = write_config(tmp_path, config)
+        status, out, _ = run_cli(capsys, *argv, "--config", cfg, "--json")
+        assert status == 3 and json.loads(out)["error"]["code"] == code
+
+    def test_blocks_digit_limit_boundary(self, tmp_path, capsys):
+        # 10^4299 has 4300 digits, Python's default int-to-text limit
+        assert sys.get_int_max_str_digits() == 4300
+        cfg = write_config(tmp_path, {
+            "category": {
+                "pointed": {"invariant_factors": [10], "qform_matrix": [["1/20"]], "h0": [0]}
+            }
+        })
+        status, out, _ = run_cli(capsys, "blocks", "--config", cfg, "--genus", "4299", "--json")
+        assert status == 0 and json.loads(out)["results"][0]["dim"] == 10**4299
+        status, out, _ = run_cli(capsys, "blocks", "--config", cfg, "--genus", "4300", "--json")
+        assert status == 3 and json.loads(out)["error"]["code"] == "cli.output_cap"
+        # an unmet condition prints 0, whatever the genus
+        status, out, _ = run_cli(
+            capsys, "blocks", "--config", cfg, "--genus", "4300", "--labels", "1", "--json"
+        )
+        assert status == 0 and json.loads(out)["results"][0]["dim"] == 0
+
+    @pytest.mark.parametrize("sub", ["inspect", "blocks"])
+    def test_builtin_config_refused_where_a_category_is_built(self, tmp_path, capsys, sub):
+        cfg = write_config(tmp_path, FIB)
+        status, out, _ = run_cli(capsys, sub, "--config", cfg, "--json")
+        assert status == 2 and json.loads(out)["error"]["code"] == "cli.config"
 
     def test_config_error_exit_2(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

@@ -98,43 +98,62 @@ class TestIntegerInput:
 
     @staticmethod
     def scalar_containers():
+        # entry -> (code, call, the argument that is not a sequence)
         z3 = gv.make_group([3])
         C = gv.make_category(z3, gv.make_qform(z3, [[F(1, 3)]]), (0,))
         (pd,) = gv.enumerate_decompositions(gv.make_surface(0, [(0,)] * 3))
         ising = gv.builtin_modular_data("ising")
+        s2 = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         return {
-            "make_group": ("forms.invalid_factor", lambda: gv.make_group(5)),
-            "make_surface": ("forms.bad_element", lambda: gv.make_surface(0, 5)),
-            "make_qform": ("forms.bad_matrix", lambda: gv.make_qform(z3, 5)),
-            "make_qform_row": ("forms.bad_matrix", lambda: gv.make_qform(z3, [5])),
-            "make_lattice": ("lattice.bad_matrix", lambda: gv.make_lattice(5, [0])),
-            "make_lattice_xi": ("lattice.bad_xi", lambda: gv.make_lattice([[2]], 5)),
-            "block_dim_glued": ("blocks.label_mismatch", lambda: gv.block_dim_glued(C, pd, 5)),
+            "make_group": ("forms.invalid_factor", gv.make_group, 5),
+            "make_surface": ("forms.bad_element", lambda x: gv.make_surface(0, x), 5),
+            "make_qform": ("forms.bad_matrix", lambda x: gv.make_qform(z3, x), 5),
+            "make_qform_row": ("forms.bad_matrix", lambda x: gv.make_qform(z3, [x]), 5),
+            "make_qform_row_str": (
+                "forms.bad_matrix", lambda x: gv.make_qform(gv.make_group([2]), [x]), "1/4"
+            ),
+            "make_lattice": ("lattice.bad_matrix", lambda x: gv.make_lattice(x, [0]), 5),
+            "make_lattice_xi": ("lattice.bad_xi", lambda x: gv.make_lattice([[2]], x), 5),
+            "make_lattice_xi_str": (
+                "lattice.bad_xi", lambda x: gv.make_lattice([[2, 0], [0, 2]], x), "01"
+            ),
+            "block_dim_glued": (
+                "blocks.label_mismatch", lambda x: gv.block_dim_glued(C, pd, x), 5
+            ),
             "make_modular_data": (
                 "blocks.bad_modular_data",
-                lambda: gv.torus.make_modular_data(5, [[1]], [1], (0,)),
+                lambda x: gv.torus.make_modular_data(x, [[1]], [1], (0,)),
+                5,
+            ),
+            "make_modular_data_str": (
+                "blocks.bad_modular_data",
+                lambda x: gv.torus.make_modular_data(x, s2, [1, 1], (0, 1)),
+                "ab",
             ),
             "make_modular_data_conjugation": (
                 "blocks.bad_modular_data",
-                lambda: gv.torus.make_modular_data(("1",), [[1]], [1], 5),
+                lambda x: gv.torus.make_modular_data(("1",), [[1]], [1], x),
+                5,
             ),
-            "verlinde_dim": ("blocks.bad_index", lambda: gv.verlinde_dim(ising, 1, 5)),
+            "verlinde_dim": ("blocks.bad_index", lambda x: gv.verlinde_dim(ising, 1, x), 5),
         }
 
     @pytest.mark.parametrize(
         "entry",
-        ["make_group", "make_surface", "make_qform", "make_qform_row", "make_lattice",
-         "make_lattice_xi", "block_dim_glued", "make_modular_data",
-         "make_modular_data_conjugation", "verlinde_dim"],
+        ["make_group", "make_surface", "make_qform", "make_qform_row", "make_qform_row_str",
+         "make_lattice", "make_lattice_xi", "make_lattice_xi_str", "block_dim_glued",
+         "make_modular_data", "make_modular_data_str", "make_modular_data_conjugation",
+         "verlinde_dim"],
     )
     def test_scalar_container_refused(self, entry):
         # a scalar where a list belongs is refused with the entry point's
-        # code, not a bare TypeError from iterating it
-        code, call = self.scalar_containers()[entry]
+        # code, not a bare TypeError from iterating it; a string is refused
+        # too, not split into its characters
+        code, call, bad = self.scalar_containers()[entry]
         with pytest.raises(ValidationError) as e:
-            call()
+            call(bad)
         assert e.value.code == code
-        assert "must be a sequence, got 5" in e.value.message
+        assert f"must be a sequence, got {bad!r}" in e.value.message
 
     def test_bool_form_entry_refused(self):
         with pytest.raises(ValidationError) as e:
@@ -167,6 +186,11 @@ class TestQForm:
         q = gv.make_qform(g, [[F(1, 4)]])
         assert q((1,)) == F(1, 4)
         assert q((3,)) == F(1, 4)  # reduction first
+
+    def test_rank_mismatch(self):
+        with pytest.raises(ValidationError) as e:
+            gv.make_qform(gv.make_group([2, 2]), [[F(1, 4)]])
+        assert e.value.code == "forms.bad_matrix"
 
     def test_not_well_defined(self):
         g = gv.make_group([2])
@@ -441,6 +465,12 @@ class TestEnumerateQForms:
 
 
 class TestSmithNormalForm:
+    def test_ragged_refused(self):
+        for call in (lambda: det_int([[1, 2]]), lambda: gv.smith_normal_form([[1], [1, 2]])):
+            with pytest.raises(ValidationError) as e:
+                call()
+            assert e.value.code == "forms.bad_matrix"
+
     def test_already_diagonal(self):
         u, d, v = gv.smith_normal_form([[2, 0], [0, 2]])
         assert [d[i][i] for i in range(2)] == [2, 2]

@@ -70,9 +70,12 @@ class TestCodedRefusals:
             ("graphs.bad_edge", lambda: gv.make_graph({"v": ["a", "b"]}, 5)),
             ("graphs.bad_edge", lambda: gv.make_graph({"v": ["a", "b"]}, [("a",)])),
             ("graphs.parse", lambda: gv.graph_from_text(5)),
+            ("graphs.bad_graph", lambda: gv.new_corolla("abc")),
+            ("graphs.bad_graph", lambda: gv.make_graph({"v": "ab"}, ["ab"])),
         ],
         ids=["make_graph", "make_graph_halves", "new_corolla", "canonical_form_marks",
-             "make_graph_edges", "make_graph_edge_pair", "graph_from_text"],
+             "make_graph_edges", "make_graph_edge_pair", "graph_from_text", "new_corolla_str",
+             "make_graph_halves_str"],
     )
     def test_refused_with_code(self, code, call):
         with pytest.raises(ValidationError) as e:

@@ -52,12 +52,23 @@ class TestMakeLattice:
             (xi,) = gv.make_lattice([[2]], [entry]).xi
             assert xi == value and type(xi.numerator) is int
 
+    def test_not_square(self):
+        with pytest.raises(ValidationError) as e:
+            gv.make_lattice([[2, 0]], [0, 0])
+        assert e.value.code == "lattice.bad_matrix"
+
     def test_asymmetric(self):
         with pytest.raises(ValidationError):
             gv.make_lattice([[2, 1], [0, 2]], [0, 0])
 
 
 class TestDiscriminantGroup:
+    def test_element_of_refuses_a_vector_outside_the_dual(self):
+        L = gv.make_lattice([[4]], [0])
+        with pytest.raises(ValidationError) as e:
+            discriminant_data(L).element_of(L, [F(1, 8)])
+        assert e.value.code == "lattice.xi_not_dual"
+
     def test_a1(self):
         data = discriminant_data(gv.make_lattice([[2]], [0]))
         group, lifts = data.group, data.lifts

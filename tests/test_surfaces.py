@@ -1,7 +1,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 import gvblocks as gv
@@ -189,18 +188,6 @@ class TestEnumeration:
                         )
                         assert out.canonical_key in keys
 
-    def test_cap(self):
-        assert len(enumerate_decompositions(make_surface(3), cap=2)) == 2
-        assert len(enumerate_decompositions(make_surface(3), cap=np.int64(1))) == 1
-        five = make_surface(0, [(0,)] * 5)
-        assert len(enumerate_decompositions(five, cap=15)) == len(enumerate_decompositions(five)) == 15
-
-    @pytest.mark.parametrize("cap", [-1, 0, 1.5, "2", True])
-    def test_bad_cap_refused(self, cap):
-        with pytest.raises(ValidationError) as e:
-            enumerate_decompositions(make_surface(0, [(0,)] * 5), cap=cap)
-        assert e.value.code == "surfaces.bad_cap"
-
     def test_out_of_range(self):
         with pytest.raises(CapacityError):
             enumerate_decompositions(make_surface(0, [(0,), (0,)]))
@@ -255,6 +242,11 @@ class TestMoves:
     def test_s_move_non_loop_rejected(self):
         with pytest.raises(MoveNotApplicable):
             gv.s_move(theta_pd(), "a")
+
+    def test_unknown_edge_refused(self):
+        with pytest.raises(ValidationError) as e:
+            gv.whitehead_move(theta_pd(), "nope")
+        assert e.value.code == "surfaces.unknown_edge"
 
     def test_moves_preserve_surface_on_all_enumerated(self):
         for g, n in surfaces_up_to_complexity(5):

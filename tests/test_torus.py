@@ -113,6 +113,14 @@ class TestRelations:
         rel = gv.check_relations(md)
         assert abs(rel.lam - 1) < 1e-15 and rel.max_residual < 1e-15
 
+    def test_dense_path_refuses_vanishing_vacuum_of_s_squared(self):
+        # unitary and symmetric, but (S^2)_00 = (1 + i^2)/2 = 0
+        S = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
+        md = gv.torus.make_modular_data(("0", "1"), S, [1, 1], (0, 1))
+        with pytest.raises(DegenerateDataError) as e:
+            gv.check_relations(md)
+        assert e.value.code == "torus.degenerate"
+
     def test_lambda_equals_gauss_sum_all_small_groups(self):
         # quick slice; the full |G| <= 16 sweep is acceptance criterion 3
         for shape in group_shapes(12):
@@ -389,6 +397,12 @@ class TestFusion:
         assert rep.residual < 1e-9
         assert rep.tensor[1, 1, 1] == 1
         assert rep.tensor[1, 1, 0] == 1
+
+    def test_vanishing_vacuum_entry_refused(self):
+        md = gv.torus.make_modular_data(("0", "1"), [[0, 1], [1, 0]], [1, 1], (0, 1))
+        with pytest.raises(DegenerateDataError) as e:
+            gv.fusion_from_s(md)
+        assert e.value.code == "torus.degenerate"
 
     def test_unit_column(self):
         for md in [gv.builtin_modular_data("fibonacci"), gv.builtin_modular_data("ising")]:
