@@ -239,6 +239,14 @@ def _cmd_verlinde(cat: CategorySpec, args) -> dict:
     max_genus = args.max_genus
     if max_genus < 1:
         raise ValidationError("cli.bad_genus", "--max-genus must be >= 1")
+    # some |S_0j|^2 <= 1/2 in a unitary row 0 of rank >= 2, so a term is at
+    # least 2^(g - 1); rank 1 would print rows of 1 without end
+    if max_genus > sys.float_info.max_exp:
+        raise CapacityError(
+            "cli.output_cap",
+            f"--max-genus {max_genus} exceeds {sys.float_info.max_exp}, past which "
+            "every Verlinde sum of rank >= 2 leaves the float range",
+        )
     md, C = _torus_data(cat)
     table = []
     for g in range(1, max_genus + 1):

@@ -521,13 +521,6 @@ def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul_int(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
-
-
 def smith_normal_form(mat: Sequence[Sequence[int]]):
     """Smith normal form with transforms: returns (U, D, V) with U*A*V = D.
 

@@ -12,6 +12,7 @@ groups act.  Nothing is produced for h0 != 0 (dimension-only regime).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -40,7 +41,8 @@ class ModularData:
     sorted order.  :func:`make_modular_data` returns ``S`` and ``T``
     read-only.  ``_table`` is the character table that :func:`st_matrices`
     builds ``S`` from; data built any other way, ``dataclasses.replace``
-    included, carries none.
+    included, carries none.  ``residual_s2`` and ``residual_unitary`` are
+    measured once per data set (:func:`_scan`; 0.0 from :func:`st_matrices`).
     """
 
     labels: tuple[str, ...]
@@ -59,6 +61,20 @@ class ModularData:
         """The group elements behind the labels, for pointed data."""
         return None if self.group is None else self.group.sorted_elements
 
+    @functools.cached_property
+    def _norms(self) -> tuple[float, float]:
+        return _scan(self.S, self.conjugation)[2:]
+
+    @property
+    def residual_s2(self) -> float:
+        """||S - C·S̄||, C the conjugation: ||S² - C|| for unitary S."""
+        return self._norms[0]
+
+    @property
+    def residual_unitary(self) -> float:
+        """||S·S̄ᵀ - 1||."""
+        return self._norms[1]
+
 
 #: Largest rank of modular data, and group order of pointed (S, T): an S of
 #: 4096 labels holds 256 MB.
@@ -71,21 +87,35 @@ def _sq_norm(M: np.ndarray) -> float:
     return float(np.vdot(M, M).real)
 
 
+def _scan(S: np.ndarray, conjugation: Sequence[int]) -> tuple[float, float, float, float]:
+    """The largest entries of |S - Sᵀ| and |S·S̄ᵀ - 1|, then ||S - C·S̄||
+    (C·S̄ the row gather ``conjugation`` of S̄) and ||S·S̄ᵀ - 1||, in one pass
+    over the row blocks r of S, each read from column r.start on; no
+    temporary exceeds a block.  S[r, r.start:] - S[r.start:, r]ᵀ is NaN or
+    inf exactly when S holds a non-finite entry.  S̄[r]·S[r.start:]ᵀ is the
+    conjugate of that part of the Hermitian S·S̄ᵀ, whose mirror image right
+    of the diagonal block counts twice in the norm."""
+    gather = np.asarray(conjugation)
+    asymmetry = defect = sq_s2 = sq_unitary = 0.0  # np.maximum keeps a NaN
+    with np.errstate(invalid="ignore"):  # inf - inf, inf * 0
+        for r in _chunks(len(S)):
+            w = r.stop - r.start
+            asymmetry = np.maximum(asymmetry, np.abs(S[r, r.start :] - S[r.start :, r].T).max())
+            unitary = S[r].conj() @ S[r.start :].T
+            unitary[:, :w] -= np.eye(w)
+            defect = np.maximum(defect, np.abs(unitary).max())
+            sq_unitary += _sq_norm(unitary[:, :w]) + 2 * _sq_norm(unitary[:, w:])
+            sq_s2 += _sq_norm(S[r] - S[gather[r]].conj())
+    return asymmetry, defect, math.sqrt(sq_s2), math.sqrt(sq_unitary)
+
+
 def make_modular_data(
     labels: Sequence[str], S, T, conjugation: Sequence[int]
 ) -> ModularData:
-    """Validate shape, finite entries, symmetry of S, unitary T, and
-    S·S̄ᵀ = 1, each to within 1e-9.  ``T`` is the diagonal of the T-matrix,
-    a vector of label size; more than :data:`MATRIX_CAP` labels are refused
-    before S is read.
-
-    Symmetry and unitarity take one pass over the row blocks r of S, each
-    read from column r.start on, which meets every pair once; no temporary
-    exceeds a block.  S[r, r.start:] - S[r.start:, r]ᵀ is NaN or inf exactly
-    when S holds a non-finite entry.  S̄[r]·S[r.start:]ᵀ is the conjugate of
-    that part of S·S̄ᵀ, a Hermitian matrix, and so as far from the real
-    identity as its mirror image.  S and T are kept as read-only copies.
-    """
+    """Validate shape, a conjugation permutation, finite entries, symmetry
+    of S, unitary T, and S·S̄ᵀ = 1 to within 1e-9, S in one :func:`_scan`.
+    ``T`` is the diagonal of the T-matrix.  Over :data:`MATRIX_CAP` labels
+    are refused before S is read; S and T are kept as read-only copies."""
     tol = 1e-9
     labels = _as_items(labels, "blocks.bad_modular_data", "labels")
     n = len(labels)
@@ -102,13 +132,13 @@ def make_modular_data(
         raise ValidationError("blocks.bad_modular_data", "S must be square of label size")
     if T.shape != (n,):
         raise ValidationError("blocks.bad_modular_data", "T must be a vector of label size")
-    asymmetry = defect = 0.0  # np.maximum keeps a NaN
-    with np.errstate(invalid="ignore"):  # inf - inf, inf * 0
-        for r in _chunks(n):
-            asymmetry = np.maximum(asymmetry, np.abs(S[r, r.start :] - S[r.start :, r].T).max())
-            unitary = S[r].conj() @ S[r.start :].T
-            unitary[:, : r.stop - r.start] -= np.eye(r.stop - r.start)
-            defect = np.maximum(defect, np.abs(unitary).max())
+    conjugation = tuple(
+        as_int(i, "blocks.bad_modular_data", "conjugation entry")
+        for i in _as_items(conjugation, "blocks.bad_modular_data", "conjugation")
+    )
+    if sorted(conjugation) != list(range(n)):
+        raise ValidationError("blocks.bad_modular_data", "conjugation is not a permutation")
+    asymmetry, defect, *norms = _scan(S, conjugation)
     if not math.isfinite(asymmetry):
         raise ValidationError("blocks.bad_modular_data", "S has a non-finite entry")
     if asymmetry > tol:
@@ -117,15 +147,11 @@ def make_modular_data(
         raise ValidationError("blocks.bad_modular_data", "T has a non-finite entry")
     if np.abs(np.abs(T) - 1).max() > tol:
         raise ValidationError("blocks.bad_modular_data", "T diagonal is not unitary")
-    conjugation = tuple(
-        as_int(i, "blocks.bad_modular_data", "conjugation entry")
-        for i in _as_items(conjugation, "blocks.bad_modular_data", "conjugation")
-    )
-    if sorted(conjugation) != list(range(n)):
-        raise ValidationError("blocks.bad_modular_data", "conjugation is not a permutation")
     if defect > tol:
         raise ValidationError("blocks.bad_modular_data", "S is not unitary")
-    return ModularData(tuple(str(lab) for lab in labels), S, T, conjugation)
+    md = ModularData(tuple(str(lab) for lab in labels), S, T, conjugation)
+    object.__setattr__(md, "_norms", tuple(norms))
+    return md
 
 
 @dataclass(frozen=True)
@@ -134,17 +160,17 @@ class _CharacterTable:
     k(x)·y = sum_j k_j(x) y_j / n_j and k(x) in G.
 
     ``index`` holds the sorted-order position of k(x) and is a permutation,
-    so K is a row permutation of the unitary DFT of G.  ``apply`` forms K·M
-    in O(|G| log |G|) per column, as the row gather ``index`` of the DFT.
+    so K is a row permutation of the unitary DFT of G: K·M is the row gather
+    ``index`` of ``dft(M)``, in O(|G| log |G|) per column.
     """
 
     group: FinAbGroup
     index: np.ndarray
 
-    def apply(self, M: np.ndarray) -> np.ndarray:
+    def dft(self, M: np.ndarray) -> np.ndarray:
         factors = self.group.invariant_factors
         F = np.fft.fftn(M.reshape(factors + M.shape[1:]), axes=range(len(factors)), norm="ortho")
-        return F.reshape(M.shape)[self.index]
+        return F.reshape(M.shape)
 
 
 def _root_table(
@@ -199,7 +225,11 @@ def st_matrices(C: PointedGVCategory) -> ModularData:
     b(x, y) = sum_j y_j b(x, e_j) and n_j e_j = 0, S is the character table
     with k_j(x) = n_j b(x, e_j), an integer read exactly off the same
     numerators; k is a bijection because b is non-degenerate.  S and T are
-    read-only.
+    read-only.  ``residual_unitary`` and ``residual_s2`` are recorded as 0:
+    (K·K̄ᵀ)_xz = (1/|G|) sum_y e(-b(x - z, y)) is 1 if b(x - z, ·) is the
+    trivial character, that is if x = z as b is non-degenerate, and else 0,
+    as a non-trivial character sums to 0; K is symmetric, as b is, and
+    likewise K² = P, the conjugation x -> -x, so K = P·K̄.
     """
     st_preflight(C)
     group = C.group
@@ -217,22 +247,21 @@ def st_matrices(C: PointedGVCategory) -> ModularData:
     labels = tuple(",".join(str(c) for c in x) for x in group.sorted_elements)
     md = ModularData(labels, S, T, tuple(group.neg_index.tolist()), group=group)
     object.__setattr__(md, "_table", _CharacterTable(group, group.index_of(k)))
+    object.__setattr__(md, "_norms", (0.0, 0.0))
     return md
 
 
 @dataclass(frozen=True)
 class RelationReport:
-    """Residuals (Frobenius norms) of the projective SL(2,Z) relations.
-
-    ``path`` is ``"fourier"`` when the data carries the character table
-    its S was built from: then (ST)^3 ran as one group Fourier transform
-    per block of columns, and ``residual_s2`` and ``residual_unitary`` are
-    exactly 0, those of the table.  It is ``"dense"`` otherwise.
+    """Residuals (Frobenius norms) of the projective SL(2,Z) relations;
+    ``residual_s2`` and ``residual_unitary`` are those of the data.
+    ``path`` says how S multiplied: ``"fourier"`` as its character table,
+    ``"dense"`` as a matrix.
     """
 
     lam: complex
-    residual_st3: float  # ||(ST)^3 - lam * S^2||
-    residual_s2: float  # ||S^2 - P|| for the conjugation permutation P
+    residual_st3: float  # ||S T S - lam C T* S* T*|| for the conjugation C
+    residual_s2: float  # ||S - C S*||
     residual_unitary: float  # ||S S*^T - 1||
     tol: float
     path: str
@@ -247,75 +276,44 @@ class RelationReport:
 
 
 def check_relations(md: ModularData, tol: float = 1e-9) -> RelationReport:
-    """Fit the projective scalar and measure the relation residuals.
+    """Fit the projective scalar lam and measure (ST)³ = lam·C, C the
+    conjugation permutation.
 
-    Products are formed a block of columns at a time, T acting as a
-    diagonal scaling.  The dense path forms (ST)^3 as S·(T·S·(T·(S·T))),
-    S² and S·S̄ᵀ by matmuls.  The Fourier path is taken for data that
-    carries the character table K its S is built from, which only
-    :func:`st_matrices` attaches: there S is K entry by entry, with
-    K_xy = e(-b(x, y))/sqrt(n), n = |G| and b non-degenerate, and every
-    product with S is one with K, a DFT of G plus a row gather.  Three
-    facts of b reduce the work:
+    For symmetric unitary S (S⁻¹ = S̄), (ST)³ - lam·C =
+    (S·T·S - lam·C·T̄·S̄·T̄)·T·S·T with T·S·T unitary, so ``residual_st3``
+    = ||Cᵀ·S·T·S - lam·T̄·S̄·T̄|| is ||(ST)³ - lam·C||, as S - C·S̄ =
+    (S² - C)·S̄ makes ``residual_s2`` ||S² - C||.  If u = ||S·S̄ᵀ - 1|| <= 1/2
+    (validation allows entries of 1e-9), ||S||₂ and ||S⁻¹||₂ are <= 1 + u
+    and the identities gain terms of norm |lam|·u and (1 + u)·u, so
+    R = ||(ST)³ - lam·C|| <= (1 + u)·r + |lam|·u and
+    r <= (1 + u)·(R + |lam|·u) for r = ``residual_st3``; the S² residuals
+    differ alike.  T is taken exactly unitary; its 1e-9 slack adds terms of
+    that order.
 
-    1. K is symmetric, as b is.
-    2. K² = P, the conjugation x -> -x: (K·K)_xz = (1/n) sum_y
-       e(-b(x + z, y)) is 1 when b(x + z, ·) is the trivial character,
-       that is when z = -x as b is non-degenerate, and 0 otherwise, as a
-       non-trivial character of G sums to 0.
-    3. K is unitary: (K·K̄ᵀ)_xz = (1/n) sum_y e(-b(x - z, y)) is 1
-       exactly when x = z, likewise.  So multiplying by K keeps Frobenius
-       norms.
-
-    So ``residual_s2`` and ``residual_unitary`` are 0, and
-    ||(KT)³ - lam K²|| = ||K·T·K·T·K·T - lam K·K|| =
-    ||T·K·(T·S·T) - lam S||: each column block costs one transform and one
-    gather, of T·S·T.  Row 0 of K is 1/sqrt(n) (b(0, y) = 0), so
-    lam = (K·T·K·T·S·T)_00 / (K·S)_00 is sum_y (T·K·T·S·T)_y0 / sum_y S_y0,
-    whose denominator is sqrt(n)·(K²)_00 = sqrt(n).  Residuals are
-    Frobenius norms, never below the 2-norm.
+    Per column block, S multiplies T·S[:, cols] once and Cᵀ gathers rows:
+    as a DFT of G, with its gather composed with Cᵀ's once per call, when
+    the data carries the character table its S is built from (only
+    :func:`st_matrices` attaches one), and as a matmul otherwise.  lam is
+    (Cᵀ·S·T·S)_00 over conj(t_0·S_00·t_0).
     """
     S, t = md.S, md.T
-    tc = t[:, None]
-    table = md._table
-    lam = None
-    sq_st3 = 0.0
-    if table is not None:
-        for cols in _chunks(md.rank):
-            block = S[cols].T  # S[:, cols], read as rows: S is symmetric
-            u = tc * table.apply(tc * (block * t[cols]))
-            if lam is None:
-                lam = complex(u[:, 0].sum() / S[0].sum())
-            sq_st3 += _sq_norm(u - lam * block)
-        residual_s2 = residual_unitary = 0.0
-        path = "fourier"
+    back = np.argsort(md.conjugation)  # (Cᵀ·M)[i] = M[back[i]]
+    if md._table is not None:
+        gather = md._table.index[back]
+        product, path = (lambda M: md._table.dft(M)[gather]), "fourier"
     else:
-        rows_of_p = np.argsort(md.conjugation)  # P[i, conjugation[i]] = 1
-        sq_s2 = sq_unitary = 0.0
-        for cols in _chunks(md.rank):
-            diag = np.arange(cols.stop - cols.start)
-            st3 = S @ (tc * (S @ (tc * (S[:, cols] * t[cols]))))
-            s2 = S @ S[:, cols]
-            if lam is None:
-                if abs(s2[0, 0]) < 1e-12:
-                    raise DegenerateDataError("torus.degenerate", "S^2 has vanishing vacuum entry")
-                lam = complex(st3[0, 0] / s2[0, 0])
-            sq_st3 += _sq_norm(st3 - lam * s2)
-            s2[rows_of_p[cols], diag] -= 1
-            sq_s2 += _sq_norm(s2)
-            unitary = S @ S[cols].conj().T
-            unitary[diag + cols.start, diag] -= 1
-            sq_unitary += _sq_norm(unitary)
-        residual_s2, residual_unitary = math.sqrt(sq_s2), math.sqrt(sq_unitary)
-        path = "dense"
-    return RelationReport(
-        lam=lam,
-        residual_st3=math.sqrt(sq_st3),
-        residual_s2=residual_s2,
-        residual_unitary=residual_unitary,
-        tol=tol,
-        path=path,
-    )
+        product, path = (lambda M: (S @ M)[back]), "dense"
+    if abs(S[0, 0]) < 1e-12:
+        raise DegenerateDataError("torus.degenerate", "S has a vanishing vacuum entry")
+    lam = complex((S[back[0]] * t * S[:, 0]).sum() / np.conj(t[0] * S[0, 0] * t[0]))
+    sq_st3 = 0.0
+    for cols in _chunks(md.rank):
+        block = t[:, None] * S[:, cols]  # T·S[:, cols]
+        X = product(block)  # Cᵀ·S·T·S[:, cols]
+        block *= lam.conjugate() * t[cols]
+        X -= np.conjugate(block, out=block)  # lam·T̄·S̄·T̄[:, cols]
+        sq_st3 += _sq_norm(X)
+    return RelationReport(lam, math.sqrt(sq_st3), md.residual_s2, md.residual_unitary, tol, path)
 
 
 #: Names of the embedded modular data tables, in the order the CLI lists them.
@@ -362,18 +360,18 @@ class AnomalyReport:
 
 
 def anomaly(C: PointedGVCategory) -> AnomalyReport:
-    """The framing-anomaly phase gamma(q) of a modular pointed category."""
+    """The framing-anomaly phase gamma(q) of a modular pointed category.
+
+    |gamma| = 1 needs no check: q(y + z) - q(y) = q(z) + b(y, z) gives
+    |gamma|² = (1/|G|)·sum_z e(q(z))·sum_y e(b(y, z)), and for trivial
+    radical the inner sum is |G| at z = 0 and 0 otherwise.  A float sum of
+    at most 2^16 unit terms stays far inside 1e-9 of that.
+    """
     if C.h0 != C.group.zero:
-        raise UnsupportedError(
-            "torus.unsupported", "h0 != 0: anomaly phase is not defined here"
-        )
+        raise UnsupportedError("torus.unsupported", "h0 != 0: anomaly phase is not defined here")
     if not C.radical.is_trivial:
         raise DegenerateDataError("torus.degenerate", "degenerate double braiding")
     gamma = gauss_sum(C.qform)
-    if abs(abs(gamma) - 1) > 1e-9:
-        raise DegenerateDataError(
-            "torus.degenerate", f"|gauss sum| = {abs(gamma)} is not 1"
-        )
     c = (4 / math.pi) * cmath.phase(gamma) % 8
     return AnomalyReport(gamma, c)
 

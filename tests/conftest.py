@@ -411,25 +411,54 @@ def subgroup_invariants_reference(group, elements):
 # --- dense reference for the torus relation residuals --------------------
 
 
+def _conjugation_matrix(md):
+    import numpy as np
+
+    P = np.zeros((md.rank, md.rank))
+    P[np.arange(md.rank), list(md.conjugation)] = 1
+    return P
+
+
 def relations_reference(md):
-    """(lam, ||(ST)^3 - lam S^2||, ||S^2 - P||, ||S S*^T - 1||) from dense
-    products of ``md.S`` and the T-matrix ``diag(md.T)``, in the Frobenius
-    norm."""
+    """(lam, ||S T S - lam P T* S* T*||, ||S - P S*||, ||S S*^T - 1||) from
+    dense products of ``md.S``, the T-matrix ``diag(md.T)`` and the
+    conjugation permutation P, in the Frobenius norm; lam is read off the
+    vacuum entry of P^T S T S = lam T* S* T*."""
+    import numpy as np
+
+    S, T, P = md.S, np.diag(md.T), _conjugation_matrix(md)
+    sts, inverse = S @ T @ S, (T @ S @ T).conj()
+    lam = complex((P.T @ sts)[0, 0] / inverse[0, 0])
+    return (
+        lam,
+        np.linalg.norm(sts - lam * P @ inverse, "fro"),
+        np.linalg.norm(S - P @ S.conj(), "fro"),
+        np.linalg.norm(S @ S.conj().T - np.eye(md.rank), "fro"),
+    )
+
+
+def power_relations_reference(md):
+    """(lam, ||(ST)^3 - lam S^2||, ||S^2 - P||) from dense products: the
+    relations as powers, which for unitary S have the residuals of
+    :func:`relations_reference`."""
     import numpy as np
 
     S, T = md.S, np.diag(md.T)
-    n = md.rank
-    st3 = np.linalg.matrix_power(S @ T, 3)
-    s2 = S @ S
+    st3, s2 = np.linalg.matrix_power(S @ T, 3), S @ S
     lam = complex(st3[0, 0] / s2[0, 0])
-    P = np.zeros((n, n))
-    P[np.arange(n), list(md.conjugation)] = 1
     return (
         lam,
         np.linalg.norm(st3 - lam * s2, "fro"),
-        np.linalg.norm(s2 - P, "fro"),
-        np.linalg.norm(S @ S.conj().T - np.eye(n), "fro"),
+        np.linalg.norm(s2 - _conjugation_matrix(md), "fro"),
     )
+
+
+def mat_mul_int(a, b):
+    """The product of two integer matrices given as lists of rows."""
+    return [
+        [sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
 
 
 def st_reference(C):

@@ -12,13 +12,14 @@ import numpy as np
 import gvblocks as gv
 from gvblocks import cli
 from gvblocks.errors import DegenerateDataError
-from gvblocks.forms import det_int, enumerate_qforms, mat_mul_int
+from gvblocks.forms import det_int, enumerate_qforms
 from gvblocks.surfaces import enumerate_decompositions, make_surface
 
 from conftest import (
     attach_morphism,
     group_shapes,
     make_pointed,
+    mat_mul_int,
     random_graph,
     random_leg_pairing,
     random_qform,

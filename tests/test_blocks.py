@@ -9,7 +9,7 @@ import pytest
 
 import gvblocks as gv
 from gvblocks.errors import CapacityError, DegenerateDataError, ValidationError
-from gvblocks.forms import det_int, mat_mul_int
+from gvblocks.forms import det_int
 from gvblocks.surfaces import (
     _enumerate_classes,
     enumerate_decompositions,
@@ -17,7 +17,7 @@ from gvblocks.surfaces import (
     make_surface,
 )
 
-from conftest import glued_dim_oracle, make_pointed
+from conftest import glued_dim_oracle, make_pointed, mat_mul_int
 
 F = Fraction
 

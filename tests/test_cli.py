@@ -367,8 +367,8 @@ class TestSubcommands:
         "config, argv, code",
         [
             (SEMION_POINTED, ["blocks", "--genus", "20000"], "cli.output_cap"),
-            (ISING, ["verlinde", "--max-genus", "2000"], "blocks.overflow"),
-            (SEMION_POINTED, ["verlinde", "--max-genus", "20000"], "blocks.overflow"),
+            (ISING, ["verlinde", "--max-genus", "2000"], "cli.output_cap"),
+            (SEMION_POINTED, ["verlinde", "--max-genus", "20000"], "cli.output_cap"),
         ],
         ids=["blocks_semion", "verlinde_ising", "verlinde_semion"],
     )
@@ -394,6 +394,18 @@ class TestSubcommands:
             capsys, "blocks", "--config", cfg, "--genus", "4300", "--labels", "1", "--json"
         )
         assert status == 0 and json.loads(out)["results"][0]["dim"] == 0
+
+    def test_verlinde_genus_cap_boundary(self, tmp_path, capsys):
+        # rank-1 data never overflows, so only the cap ends its table
+        cfg = write_config(tmp_path, {
+            "category": {"pointed": {"invariant_factors": [1], "qform_matrix": [[0]], "h0": [0]}}
+        })
+        status, out, _ = run_cli(capsys, "verlinde", "--config", cfg, "--max-genus", "1024", "--json")
+        table = json.loads(out)["table"]
+        assert status == 0 and len(table) == 1024
+        assert {(row["rounded"], row["direct_dim"]) for row in table} == {(1, 1)}
+        status, out, _ = run_cli(capsys, "verlinde", "--config", cfg, "--max-genus", "1025", "--json")
+        assert status == 3 and json.loads(out)["error"]["code"] == "cli.output_cap"
 
     @pytest.mark.parametrize("sub", ["inspect", "blocks"])
     def test_builtin_config_refused_where_a_category_is_built(self, tmp_path, capsys, sub):

@@ -360,6 +360,42 @@ class TestMorphisms:
     def test_make_morphism_accepts_the_path(self):
         gv.make_morphism(*self._path())
 
+    def test_other_edge_is_not_equivalent(self):
+        source, target, g, src, tgt = self._path()
+        m = gv.make_morphism(source, target, g, src, tgt)
+        # the same half-edges glued a-c instead of b-c
+        other = gv.make_graph({"u": ["a", "b"], "v": ["c", "d"]}, [("a", "c")])
+        m2 = gv.make_morphism(source, target, other, src, {("t", "p"): "b", ("t", "q"): "d"})
+        assert gv.morphisms_equivalent(m, m) and not gv.morphisms_equivalent(m, m2)
+
+    def test_swapped_target_legs_are_not_equivalent(self):
+        source, target, g, src, tgt = self._path()
+        m = gv.make_morphism(source, target, g, src, tgt)
+        m2 = gv.make_morphism(source, target, g, src, {("t", "p"): "d", ("t", "q"): "a"})
+        assert not gv.morphisms_equivalent(m, m2)
+
+    @staticmethod
+    def _two_sources(vertex_half_edges):
+        # corollas c1, c2 on half-edges a, b, built directly: make_morphism
+        # puts every source corolla on a vertex of its own
+        c1, c2 = gv.new_corolla(["x"], id="c1"), gv.new_corolla(["y"], id="c2")
+        t = gv.new_corolla(["p", "q"], id="t")
+        return gv.GraphMorphism(
+            (c1, c2),
+            (t,),
+            gv.make_graph(vertex_half_edges),
+            ((("c1", "x"), "a"), (("c2", "y"), "b")),
+            ((("t", "p"), "a"), (("t", "q"), "b")),
+        )
+
+    def test_vertex_map_must_be_a_bijection(self):
+        shared = self._two_sources({"u": ["a", "b"]})
+        apart = self._two_sources({"u": ["a"], "v": ["b"]})
+        assert gv.morphisms_equivalent(shared, shared)
+        assert gv.morphisms_equivalent(apart, apart)
+        assert not gv.morphisms_equivalent(shared, apart)  # u goes to u and v
+        assert not gv.morphisms_equivalent(apart, shared)  # u and v both go to u
+
     def test_make_morphism_duplicate_corolla(self):
         source, target, g, src, tgt = self._path()
         with pytest.raises(ValidationError) as e:

@@ -15,7 +15,13 @@ import gvblocks as gv
 from gvblocks.errors import DegenerateDataError, UnsupportedError
 from gvblocks.forms import enumerate_qforms
 
-from conftest import group_shapes, make_pointed, relations_reference, st_reference
+from conftest import (
+    group_shapes,
+    make_pointed,
+    power_relations_reference,
+    relations_reference,
+    st_reference,
+)
 
 F = Fraction
 
@@ -113,13 +119,20 @@ class TestRelations:
         rel = gv.check_relations(md)
         assert abs(rel.lam - 1) < 1e-15 and rel.max_residual < 1e-15
 
-    def test_dense_path_refuses_vanishing_vacuum_of_s_squared(self):
-        # unitary and symmetric, but (S^2)_00 = (1 + i^2)/2 = 0
-        S = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
-        md = gv.torus.make_modular_data(("0", "1"), S, [1, 1], (0, 1))
+    def test_dense_path_refuses_vanishing_vacuum_entry(self):
+        # lam's denominator is conj(t_0 S_00 t_0)
+        md = gv.torus.make_modular_data(("0", "1"), [[0, 1], [1, 0]], [1, 1], (0, 1))
         with pytest.raises(DegenerateDataError) as e:
             gv.check_relations(md)
         assert e.value.code == "torus.degenerate"
+        assert e.value.message == "S has a vanishing vacuum entry"
+        # unitary and symmetric with (S^2)_00 = (1 + i^2)/2 = 0: S^2 is
+        # [[0, i], [i, 0]], not the identity conjugation, so
+        # ||S - S*|| = ||S^2 - 1|| = 2
+        S = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
+        md = gv.torus.make_modular_data(("0", "1"), S, [1, 1], (0, 1))
+        rel = assert_matches_reference(md, "dense")
+        assert abs(rel.residual_s2 - 2) < 1e-15 and not rel.passed
 
     def test_lambda_equals_gauss_sum_all_small_groups(self):
         # quick slice; the full |G| <= 16 sweep is acceptance criterion 3
@@ -157,6 +170,16 @@ def assert_matches_reference(md, path):
     return rel
 
 
+def assert_matches_power_relations(md):
+    """For unitary data (ST)^3 = lam S^2 and S^2 = P give the same lam and
+    residuals as the relations the library measures."""
+    rel = gv.check_relations(md)
+    lam, st3, s2 = power_relations_reference(md)
+    assert abs(rel.lam - lam) < 1e-12
+    assert abs(rel.residual_st3 - st3) < 1e-12
+    assert abs(rel.residual_s2 - s2) < 1e-12
+
+
 E8_GRAM = [
     [2, -1, 0, 0, 0, 0, 0, 0],
     [-1, 2, -1, 0, 0, 0, 0, 0],
@@ -191,8 +214,15 @@ class TestFourierRelations:
                 except DegenerateDataError:
                     continue
                 assert_matches_reference(md, "fourier")
+                assert_matches_power_relations(md)
                 count += 1
         assert count == 8000
+
+    @pytest.mark.parametrize("name", gv.torus.BUILTIN_NAMES)
+    def test_builtins_match_both_references(self, name):
+        md = gv.builtin_modular_data(name)
+        assert_matches_reference(md, "dense")
+        assert_matches_power_relations(md)
 
     def test_order_one_group_and_rank_zero_lattice(self, trivial_cat):
         E8 = gv.to_pointed_gv(gv.make_lattice(E8_GRAM, ["0"] * 8))
@@ -217,7 +247,7 @@ class TestFourierRelations:
         assert_matches_reference(dataclasses.replace(md, group=gv.make_group([2, 2])), "dense")
 
     def test_other_conjugation_takes_dense_path(self):
-        # the Fourier path reads S^2 - P off the table only for P = negation
+        # ||S - P S*|| is measured for the conjugation the data gives
         md = z4_data()
         rel = assert_matches_reference(dataclasses.replace(md, conjugation=tuple(range(4))), "dense")
         assert rel.residual_s2 > 1
@@ -245,6 +275,24 @@ class TestFourierRelations:
         monkeypatch.setattr(np.fft, "fftn", counting)
         assert gv.check_relations(md).path == "fourier"
         assert len(calls) == len(gv.forms._chunks(1024)) == 16
+
+    def test_one_product_of_s_per_column_block(self):
+        calls = []
+
+        class CountingMatmul(np.ndarray):
+            def __matmul__(self, other):
+                calls.append(other.shape)
+                return np.asarray(self) @ np.asarray(other)
+
+        md = gv.st_matrices(make_pointed([1024], [[F(1, 2048)]], (0,)))
+        S = md.S.view(CountingMatmul)
+        direct = gv.torus.ModularData(md.labels, S, md.T, md.conjugation, group=md.group)
+        direct.residual_unitary  # the data's own scan runs on first read
+        calls.clear()
+        rel = gv.check_relations(direct)
+        # one product with a block of 64 columns each, never S^2 or S S*^T
+        assert rel.path == "dense" and calls == [(1024, 64)] * 16
+        assert rel.passed and abs(rel.lam - gv.check_relations(md).lam) < 1e-12
 
     def test_make_modular_data_rejects_perturbed_s(self):
         md = z4_data()
