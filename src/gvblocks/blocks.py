@@ -22,7 +22,7 @@ from .errors import CapacityError, DegenerateDataError, ValidationError
 from .forms import _as_items, as_int
 from .pointed import PointedGVCategory
 from .surfaces import PantsDecomposition, SurfaceSpec
-from .torus import ModularData
+from .torus import TOL, ModularData
 
 
 def meets_condition(C: PointedGVCategory, spec: SurfaceSpec) -> bool:
@@ -88,7 +88,7 @@ class VerlindeReport:
 
 
 def verlinde_dim(
-    md: ModularData, genus: int, boundary_indices: Sequence[int] = (), tol: float = 1e-9
+    md: ModularData, genus: int, boundary_indices: Sequence[int] = ()
 ) -> VerlindeReport:
     """Sum over j of S_0j^(2-2g-n) * prod_k S_{i_k j}, for genus g >= 0 and
     boundary label indices i_k in [0, rank).  A sum past the float range
@@ -103,7 +103,7 @@ def verlinde_dim(
                 "blocks.bad_index", f"boundary index {i!r} is not a label index in [0, {md.rank})"
             )
     s0 = md.S[0]
-    if np.abs(s0).min() < tol:
+    if np.abs(s0).min() < TOL:
         raise DegenerateDataError("blocks.degenerate", "a vacuum S-matrix entry vanishes")
     exponent = 2 - 2 * genus - len(indices)
     # the product over no boundary is 1.0, which multiplies exactly; a power

@@ -10,7 +10,6 @@ repeated runs byte-identical.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import sys
@@ -29,6 +28,7 @@ from .torus import (
     ModularData,
     anomaly,
     builtin_modular_data,
+    central_charge_mod8,
     check_relations,
     st_matrices,
     st_preflight,
@@ -218,7 +218,7 @@ def _cmd_torus_rep(cat: CategorySpec, args) -> dict:
         "S": _matrix12(md.S),
         "T": _matrix12(np.diag(md.T)),
         "lambda": _c12(rel.lam),
-        "central_charge_mod8": _r12((4 / math.pi) * cmath.phase(rel.lam) % 8),
+        "central_charge_mod8": _r12(central_charge_mod8(rel.lam)),
         "residuals": {
             "projective_st3": _r12(rel.residual_st3),
             "s_squared_conjugation": _r12(rel.residual_s2),

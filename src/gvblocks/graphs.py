@@ -172,6 +172,11 @@ def corolla_graph(c: Corolla) -> Graph:
     return make_graph({c.id: c.legs})
 
 
+def _cut_leg(g: Graph, h: str) -> str:
+    """The leg label :func:`cut_edges` gives half-edge ``h``."""
+    return CUT_PREFIX + h if g.involution[h] != h else h
+
+
 def cut_edges(g: Graph) -> tuple[Corolla, ...]:
     """Cut all internal edges: one corolla per vertex.
 
@@ -179,15 +184,10 @@ def cut_edges(g: Graph) -> tuple[Corolla, ...]:
     ``"h:<half-edge>"``; original legs keep their labels.  The total leg
     count of the output equals the number of half-edges of ``g``.
     """
-    paired = {h for pair in g.pairing for h in pair}
-    out = []
-    for v in g.vertices:
-        legs = tuple(
-            h if h not in paired else CUT_PREFIX + h
-            for h in sorted(g.vertex_half_edges[v])
-        )
-        out.append(new_corolla(legs, id=v))
-    return tuple(out)
+    return tuple(
+        new_corolla(tuple(_cut_leg(g, h) for h in sorted(hs)), id=v)
+        for v, hs in g.vertex_half_edges.items()
+    )
 
 
 def contract_edges(g: Graph) -> tuple[Corolla, ...]:
@@ -318,10 +318,11 @@ IdentKey = tuple[str, str]  # (corolla id, leg label)
 class GraphMorphism:
     """A graph together with identifications of its cut and contracted forms.
 
-    ``source_ident`` matches every (corolla id, leg) of the source with a
-    half-edge of the graph (bijectively, compatible with attachment);
-    ``target_ident`` matches every (corolla id, leg) of the target with a
-    leg of the graph, one component per target corolla.
+    ``source_ident`` takes every (corolla id, leg) of the source to a
+    half-edge of the graph, one source corolla onto each vertex;
+    ``target_ident`` takes every (corolla id, leg) of the target to a leg of
+    the graph, one target corolla onto each component.  Build it through
+    :func:`make_morphism`.
     """
 
     source: tuple[Corolla, ...]
@@ -346,6 +347,13 @@ def _corolla_keys(corollas: Sequence[Corolla]) -> set[IdentKey]:
     return {(c.id, leg) for c in corollas for leg in c.legs}
 
 
+def _carries(corollas: Sequence[Corolla], ident: Mapping[IdentKey, str], blocks) -> bool:
+    """Whether ``ident`` maps the legs of the corollas onto the blocks, one
+    corolla onto each block."""
+    images = (tuple(sorted(ident[(c.id, leg)] for leg in c.legs)) for c in corollas)
+    return Counter(images) == Counter(tuple(sorted(b)) for b in blocks)
+
+
 def make_morphism(
     source: Sequence[Corolla],
     target: Sequence[Corolla],
@@ -353,85 +361,29 @@ def make_morphism(
     source_ident: Mapping[IdentKey, str],
     target_ident: Mapping[IdentKey, str],
 ) -> GraphMorphism:
-    """Validate the identification bijections and build the morphism."""
-    source = tuple(source)
-    target = tuple(target)
-    src_keys = _corolla_keys(source)
-    tgt_keys = _corolla_keys(target)
-    if set(source_ident) != src_keys:
-        raise ValidationError(
-            "graphs.bad_ident", "source identification keys do not match the source legs"
-        )
-    if sorted(source_ident.values()) != sorted(graph.half_edges):
-        raise ValidationError(
-            "graphs.bad_ident",
-            "source identification is not a bijection onto the half-edges",
-        )
-    if set(target_ident) != tgt_keys:
-        raise ValidationError(
-            "graphs.bad_ident", "target identification keys do not match the target legs"
-        )
-    if sorted(target_ident.values()) != sorted(graph.legs):
-        raise ValidationError(
-            "graphs.bad_ident", "target identification is not a bijection onto the legs"
-        )
-    # each source corolla occupies exactly one vertex; leg-free corollas
-    # pair off with the degree-0 vertices by count
-    vertex_of: dict[str, str] = {}
-    for c in source:
-        if not c.legs:
-            continue
-        vs = {graph.attach_map[source_ident[(c.id, leg)]] for leg in c.legs}
-        if len(vs) != 1:
+    """The morphism whose identifications carry the source onto
+    :func:`cut_edges` of ``graph`` and the target onto :func:`contract_edges`
+    (Getzler-Kapranov, *Modular operads*, 1998): the legs of the source
+    (target) corollas map onto the half-edges of the vertices (the legs of
+    the components), one corolla onto each, as multisets of blocks.  The
+    blocks partition the half-edges (the legs), so this makes each
+    identification a bijection and pairs leg-free corollas with degree-0
+    vertices (leg-free components) by count.
+    """
+    source, target = tuple(source), tuple(target)
+    keys = _corolla_keys(source), _corolla_keys(target)
+    for side, ident, side_keys in zip(("source", "target"), (source_ident, target_ident), keys):
+        if set(ident) != side_keys:
             raise ValidationError(
-                "graphs.bad_ident", f"legs of source corolla {c.id!r} span vertices {sorted(vs)}"
+                "graphs.bad_ident", f"{side} identification keys do not match the {side} legs"
             )
-        vertex_of[c.id] = vs.pop()
-        if graph.degree(vertex_of[c.id]) != c.arity:
-            raise ValidationError(
-                "graphs.bad_ident",
-                f"source corolla {c.id!r} has arity {c.arity}, vertex degree "
-                f"{graph.degree(vertex_of[c.id])}",
-            )
-    free_sources = sum(1 for c in source if not c.legs)
-    free_vertices = sum(1 for v in graph.vertices if graph.degree(v) == 0)
-    if (
-        len(set(vertex_of.values())) != len(vertex_of)
-        or free_sources != free_vertices
-        or len(vertex_of) + free_vertices != len(graph.vertices)
-    ):
+    if not _carries(source, source_ident, graph.vertex_half_edges.values()):
         raise ValidationError(
-            "graphs.bad_ident", "source corollas do not hit every vertex exactly once"
+            "graphs.bad_ident", "source corollas do not match the vertices of the graph"
         )
-    # each target corolla occupies exactly one component and all of its legs
-    comp_index = {comp: i for i, comp in enumerate(graph.components)}
-    comp_of_vertex = {v: comp for comp in graph.components for v in comp}
-    comp_legs: dict[tuple[str, ...], set[str]] = {c: set() for c in graph.components}
-    for h in graph.legs:
-        comp_legs[comp_of_vertex[graph.attach_map[h]]].add(h)
-    seen_comps = set()
-    for c in target:
-        comps = {comp_of_vertex[graph.attach_map[target_ident[(c.id, leg)]]] for leg in c.legs}
-        if len(comps) > 1:
-            raise ValidationError(
-                "graphs.bad_ident", f"legs of target corolla {c.id!r} span several components"
-            )
-        if comps:
-            comp = comps.pop()
-            if {target_ident[(c.id, leg)] for leg in c.legs} != comp_legs[comp]:
-                raise ValidationError(
-                    "graphs.bad_ident",
-                    f"target corolla {c.id!r} does not cover all legs of its component",
-                )
-            seen_comps.add(comp_index[comp])
-    # leg-free target corollas absorb the leg-free components, count must fit
-    free_targets = sum(1 for c in target if not c.legs)
-    free_comps = sum(1 for comp in graph.components if not comp_legs[comp])
-    if free_targets != free_comps or len(seen_comps) + free_comps != len(graph.components):
+    if not _carries(target, target_ident, (c.legs for c in contract_edges(graph))):
         raise ValidationError(
-            "graphs.bad_ident",
-            f"target has {len(target)} corollas but the graph has "
-            f"{len(graph.components)} components",
+            "graphs.bad_ident", "target corollas do not match the components of the graph"
         )
     return GraphMorphism(
         source,
@@ -444,20 +396,10 @@ def make_morphism(
 
 def morphism_from_graph(g: Graph) -> GraphMorphism:
     """The tautological morphism of a graph: cut form -> contracted form."""
-    source = cut_edges(g)
     target = contract_edges(g)
-    paired = {h for pair in g.pairing for h in pair}
-    src_ident = {}
-    for c in source:
-        at_vertex = set(g.vertex_half_edges[c.id])
-        for leg in c.legs:
-            stripped = leg[len(CUT_PREFIX):]
-            if leg.startswith(CUT_PREFIX) and stripped in at_vertex and stripped in paired:
-                src_ident[(c.id, leg)] = stripped
-            else:
-                src_ident[(c.id, leg)] = leg
+    src_ident = {(g.attach_map[h], _cut_leg(g, h)): h for h in g.half_edges}
     tgt_ident = {(c.id, leg): leg for c in target for leg in c.legs}
-    return make_morphism(source, target, g, src_ident, tgt_ident)
+    return make_morphism(cut_edges(g), target, g, src_ident, tgt_ident)
 
 
 def identity_morphism(corollas: Sequence[Corolla]) -> GraphMorphism:

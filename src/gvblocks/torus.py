@@ -80,6 +80,10 @@ class ModularData:
 #: 4096 labels holds 256 MB.
 MATRIX_CAP = 4096
 
+#: Tolerance of the float checks of modular data: validation, the SL(2,Z)
+#: relations and the vacuum row of the Verlinde sum.
+TOL = 1e-9
+
 
 def _sq_norm(M: np.ndarray) -> float:
     """Squared Frobenius norm; square roots of sums of these are the one
@@ -116,7 +120,6 @@ def make_modular_data(
     of S, unitary T, and S·S̄ᵀ = 1 to within 1e-9, S in one :func:`_scan`.
     ``T`` is the diagonal of the T-matrix.  Over :data:`MATRIX_CAP` labels
     are refused before S is read; S and T are kept as read-only copies."""
-    tol = 1e-9
     labels = _as_items(labels, "blocks.bad_modular_data", "labels")
     n = len(labels)
     if n == 0:
@@ -141,13 +144,13 @@ def make_modular_data(
     asymmetry, defect, *norms = _scan(S, conjugation)
     if not math.isfinite(asymmetry):
         raise ValidationError("blocks.bad_modular_data", "S has a non-finite entry")
-    if asymmetry > tol:
+    if asymmetry > TOL:
         raise ValidationError("blocks.bad_modular_data", "S is not symmetric")
     if not np.isfinite(T).all():
         raise ValidationError("blocks.bad_modular_data", "T has a non-finite entry")
-    if np.abs(np.abs(T) - 1).max() > tol:
+    if np.abs(np.abs(T) - 1).max() > TOL:
         raise ValidationError("blocks.bad_modular_data", "T diagonal is not unitary")
-    if defect > tol:
+    if defect > TOL:
         raise ValidationError("blocks.bad_modular_data", "S is not unitary")
     md = ModularData(tuple(str(lab) for lab in labels), S, T, conjugation)
     object.__setattr__(md, "_norms", tuple(norms))
@@ -275,9 +278,9 @@ class RelationReport:
         return self.max_residual < self.tol
 
 
-def check_relations(md: ModularData, tol: float = 1e-9) -> RelationReport:
+def check_relations(md: ModularData) -> RelationReport:
     """Fit the projective scalar lam and measure (ST)³ = lam·C, C the
-    conjugation permutation.
+    conjugation permutation; the relations pass below :data:`TOL`.
 
     For symmetric unitary S (S⁻¹ = S̄), (ST)³ - lam·C =
     (S·T·S - lam·C·T̄·S̄·T̄)·T·S·T with T·S·T unitary, so ``residual_st3``
@@ -313,7 +316,7 @@ def check_relations(md: ModularData, tol: float = 1e-9) -> RelationReport:
         block *= lam.conjugate() * t[cols]
         X -= np.conjugate(block, out=block)  # lam·T̄·S̄·T̄[:, cols]
         sq_st3 += _sq_norm(X)
-    return RelationReport(lam, math.sqrt(sq_st3), md.residual_s2, md.residual_unitary, tol, path)
+    return RelationReport(lam, math.sqrt(sq_st3), md.residual_s2, md.residual_unitary, TOL, path)
 
 
 #: Names of the embedded modular data tables, in the order the CLI lists them.
@@ -343,12 +346,18 @@ def builtin_modular_data(name: str) -> ModularData:
     if name not in BUILTIN_NAMES:
         raise ValidationError("blocks.bad_builtin", f"unknown modular data {name!r}")
     md = _fibonacci_data() if name == "fibonacci" else _ising_data()
-    report = check_relations(md, tol=1e-9)
+    report = check_relations(md)
     if not report.passed:
         raise InternalError(
             "blocks.builtin_relations", f"embedded table {name} fails relations: {report}"
         )
     return md
+
+
+def central_charge_mod8(z: complex) -> float:
+    """(4/pi)·arg(z) mod 8, rounded to 12 digits before the mod, so that a
+    phase of rounding noise just below 0 reads 0.0, not 8.0."""
+    return round((4 / math.pi) * cmath.phase(z), 12) % 8
 
 
 @dataclass(frozen=True)
@@ -372,8 +381,7 @@ def anomaly(C: PointedGVCategory) -> AnomalyReport:
     if not C.radical.is_trivial:
         raise DegenerateDataError("torus.degenerate", "degenerate double braiding")
     gamma = gauss_sum(C.qform)
-    c = (4 / math.pi) * cmath.phase(gamma) % 8
-    return AnomalyReport(gamma, c)
+    return AnomalyReport(gamma, central_charge_mod8(gamma))
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,24 @@ class TestSubcommands:
         }
         assert data["anomaly"]["central_charge_mod8"] == 1.0
 
+    @pytest.mark.parametrize("sub", ["torus-rep", "inspect"])
+    def test_central_charge_of_phase_noise_is_zero(self, tmp_path, capsys, sub):
+        # lambda = gamma = 1 up to a phase of about -1e-16, which used to print 8.0
+        config = {
+            "category": {
+                "pointed": {
+                    "invariant_factors": [2, 4],
+                    "qform_matrix": [["1/4", "0"], ["0", "7/8"]],
+                    "h0": [0, 0],
+                }
+            }
+        }
+        code, out, _ = run_cli(capsys, sub, "--config", write_config(tmp_path, config), "--json")
+        data = json.loads(out)
+        assert code == 0 and data["anomaly"] == {"gamma": [1.0, 0.0], "central_charge_mod8": 0.0}
+        if sub == "torus-rep":
+            assert data["lambda"] == [1.0, 0.0] and data["central_charge_mod8"] == 0.0
+
     def test_blocks_direct_and_glued(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FF8)
         code, out, _ = run_cli(

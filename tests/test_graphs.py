@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -410,29 +411,91 @@ class TestMorphisms:
         u_of_three = gv.make_graph({"u": ["a", "b", "e"], "v": ["c", "d"]}, [("b", "c")])
         with_isolated = gv.make_graph({"u": ["a", "b"], "v": ["c", "d"], "w": []}, [("b", "c")])
         ce = gv.new_corolla(["z"], id="ce")
+        source_keys = "source identification keys do not match the source legs"
+        target_keys = "target identification keys do not match the target legs"
+        vertices = "source corollas do not match the vertices of the graph"
+        components = "target corollas do not match the components of the graph"
         cases = [
-            ("source identification keys", g, [cu, cv], [t], {**src, ("cu", "x9"): "a"}, tgt),
-            ("source identification is not a bijection", g, [cu, cv], [t],
-             {**src, ("cv", "y2"): "a"}, tgt),
-            ("target identification keys", g, [cu, cv], [t], src, {("t", "p"): "a"}),
-            ("target identification is not a bijection", g, [cu, cv], [t], src,
+            (source_keys, g, [cu, cv], [t], {**src, ("cu", "x9"): "a"}, tgt),
+            (vertices, g, [cu, cv], [t], {**src, ("cv", "y2"): "a"}, tgt),  # not a bijection
+            (target_keys, g, [cu, cv], [t], src, {("t", "p"): "a"}),
+            (components, g, [cu, cv], [t], src,  # not a bijection onto the legs
              {("t", "p"): "a", ("t", "q"): "b"}),
-            ("span vertices", g, [cu, cv], [t],
+            (vertices, g, [cu, cv], [t],  # cu spans u and v
              {**src, ("cu", "x2"): "c", ("cv", "y1"): "b"}, tgt),
-            ("has arity 2, vertex degree 3", u_of_three, [cu, cv, ce],
+            (vertices, u_of_three, [cu, cv, ce],  # arity 2 on a vertex of degree 3
              [gv.new_corolla(["p", "q", "r"], id="t")], {**src, ("ce", "z"): "e"},
              {**tgt, ("t", "r"): "e"}),
-            ("do not hit every vertex", with_isolated, [cu, cv], [t], src, tgt),
-            ("span several components", two_pieces, [cu, cv], [t, s], src,
+            (vertices, with_isolated, [cu, cv], [t], src, tgt),  # w has no corolla
+            (components, two_pieces, [cu, cv], [t, s], src,  # t spans both pieces
              {("t", "p"): "a", ("t", "q"): "c", ("s", "p"): "b", ("s", "q"): "d"}),
-            ("does not cover all legs", g, [cu, cv], [t1, t2], src,
+            (components, g, [cu, cv], [t1, t2], src,  # two corollas on one component
              {("t1", "p"): "a", ("t2", "q"): "d"}),
-            ("target has 2 corollas but the graph has 1", g, [cu, cv], [t, t0], src, tgt),
+            (components, g, [cu, cv], [t, t0], src, tgt),  # 2 corollas, 1 component
         ]
         for message, graph, source, target, src_ident, tgt_ident in cases:
             with pytest.raises(ValidationError, match=message) as e:
                 gv.make_morphism(source, target, graph, src_ident, tgt_ident)
             assert e.value.code == "graphs.bad_ident"
+
+    def test_perturbed_identifications(self):
+        # swapping two images inside one corolla keeps every block, so the
+        # rule accepts it; every other perturbation moves an image off its
+        # block or changes the number of corollas, so the rule refuses it
+        rng = random.Random(17)
+        verdicts = Counter()
+        while sum(verdicts.values()) < 2000:
+            m = gv.morphism_from_graph(random_graph(rng))
+            sides = [[list(m.source), dict(m.source_map)], [list(m.target), dict(m.target_map)]]
+            kind = rng.choice(["within", "across", "duplicate", "extra", "merge"])
+            side = 1 if kind == "merge" else rng.randrange(2)
+            corollas, ident = sides[side]
+            keys = [[(c.id, leg) for leg in c.legs] for c in corollas]
+            if kind == "within":
+                blocks = [ks for ks in keys if len(ks) > 1]
+                if not blocks:
+                    continue
+                a, b = rng.sample(rng.choice(blocks), 2)
+                ident[a], ident[b] = ident[b], ident[a]
+            elif kind == "across":  # from a corolla of two or more legs, so it
+                # keeps an image on its own block (two one-leg corollas may trade)
+                pairs = [(i, j) for i, ki in enumerate(keys) for j, kj in enumerate(keys)
+                         if len(ki) > 1 and kj and i != j]
+                if not pairs:
+                    continue
+                i, j = rng.choice(pairs)
+                a, b = rng.choice(keys[i]), rng.choice(keys[j])
+                ident[a], ident[b] = ident[b], ident[a]
+            elif kind == "duplicate":
+                flat = [k for ks in keys for k in ks]
+                if len(flat) < 2:
+                    continue
+                a, b = rng.sample(flat, 2)
+                ident[a] = ident[b]
+            elif kind == "extra":
+                corollas.append(gv.new_corolla([], id="extra"))
+            else:  # merge two target corollas into the first
+                if len(corollas) < 2:
+                    continue
+                i, j = sorted(rng.sample(range(len(corollas)), 2))
+                c1, c2 = corollas[i], corollas.pop(j)
+                corollas[i] = gv.new_corolla(c1.legs + c2.legs, id=c1.id)
+                for leg in c2.legs:
+                    ident[(c1.id, leg)] = ident.pop((c2.id, leg))
+            (source, source_ident), (target, target_ident) = sides
+            try:
+                gv.make_morphism(source, target, m.graph, source_ident, target_ident)
+                accepted = True
+            except ValidationError as e:
+                assert e.code == "graphs.bad_ident"
+                accepted = False
+            assert accepted == (kind == "within"), (kind, side, m.graph)
+            verdicts[kind] += 1
+        assert min(verdicts.values()) >= 200, verdicts
+
+    def test_mismatched_boundaries_are_not_equivalent(self):
+        m = gv.morphism_from_graph(theta_graph())
+        assert not gv.morphisms_equivalent(m, gv.identity_morphism(m.source))
 
     def test_make_morphism_validation(self):
         g = gv.make_graph({"v": ["a", "b"]})

@@ -209,12 +209,16 @@ class TestFourierRelations:
         for shape in group_shapes(16):
             G = gv.make_group(shape)
             for q in enumerate_qforms(G):
+                C = gv.make_category(G, q, G.zero)
                 try:
-                    md = gv.st_matrices(gv.make_category(G, q, G.zero))
+                    md = gv.st_matrices(C)
                 except DegenerateDataError:
                     continue
-                assert_matches_reference(md, "fourier")
+                rel = assert_matches_reference(md, "fourier")
                 assert_matches_power_relations(md)
+                # as printed at 12 digits, both central charges lie in [0, 8)
+                for c in (gv.torus.central_charge_mod8(rel.lam), gv.anomaly(C).central_charge_mod8):
+                    assert 0 <= round(c, 12) < 8, (shape, q.matrix, c)
                 count += 1
         assert count == 8000
 
