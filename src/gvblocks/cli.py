@@ -19,15 +19,14 @@ import numpy as np
 
 from . import __version__
 from .blocks import block_dim_direct, block_dim_glued, meets_condition, verlinde_dim
-from .config import BuiltinSpec, CategorySpec, build_category, build_lattice, parse_config
+from .config import build_category, build_lattice, parse_config
 from .errors import CapacityError, GVBlocksError, ValidationError
-from .lattice import discriminant_data, to_pointed_gv
+from .lattice import LatticeData, discriminant_data, to_pointed_gv
 from .pointed import PointedGVCategory, check_axioms, mueger_center, verdicts
 from .surfaces import enumerate_decompositions, make_surface
 from .torus import (
     ModularData,
     anomaly,
-    builtin_modular_data,
     central_charge_mod8,
     check_relations,
     st_matrices,
@@ -88,7 +87,7 @@ def _category_summary(C: PointedGVCategory) -> dict:
     }
 
 
-def _cmd_inspect(cat: CategorySpec, args) -> dict:
+def _cmd_inspect(cat: LatticeData | PointedGVCategory | ModularData, args) -> dict:
     C = build_category(cat)
     v = verdicts(C)
     center = mueger_center(C)
@@ -125,7 +124,7 @@ def _cmd_inspect(cat: CategorySpec, args) -> dict:
     return data
 
 
-def _cmd_lattice(cat: CategorySpec, args) -> dict:
+def _cmd_lattice(cat: LatticeData | PointedGVCategory | ModularData, args) -> dict:
     L = build_lattice(cat)
     C = to_pointed_gv(L)
     return {
@@ -144,7 +143,7 @@ def _cmd_lattice(cat: CategorySpec, args) -> dict:
     }
 
 
-def _cmd_blocks(cat: CategorySpec, args) -> dict:
+def _cmd_blocks(cat: LatticeData | PointedGVCategory | ModularData, args) -> dict:
     C = build_category(cat)
     if args.genus is None or args.genus < 0:
         raise ValidationError("cli.bad_genus", "blocks needs --genus INT >= 0")
@@ -189,15 +188,15 @@ OUTPUT_CAP = 1024
 
 
 def _torus_data(
-    cat: CategorySpec, max_rank: int | None = None
+    cat: LatticeData | PointedGVCategory | ModularData, max_rank: int | None = None
 ) -> tuple[ModularData, PointedGVCategory | None]:
     """Modular data of the config and the pointed category behind it, if any.
 
     A pointed category that :func:`st_matrices` accepts but whose order
     exceeds ``max_rank`` is refused before its matrices are built.
     """
-    if isinstance(cat, BuiltinSpec):
-        return builtin_modular_data(cat.name), None
+    if isinstance(cat, ModularData):
+        return cat, None
     C = build_category(cat)
     if max_rank is not None and C.group.order > max_rank:
         st_preflight(C)  # the library's own refusals keep their codes
@@ -209,7 +208,7 @@ def _torus_data(
     return st_matrices(C), C
 
 
-def _cmd_torus_rep(cat: CategorySpec, args) -> dict:
+def _cmd_torus_rep(cat: LatticeData | PointedGVCategory | ModularData, args) -> dict:
     md, C = _torus_data(cat, max_rank=OUTPUT_CAP)
     rel = check_relations(md)
     data = {
@@ -235,7 +234,7 @@ def _cmd_torus_rep(cat: CategorySpec, args) -> dict:
     return data
 
 
-def _cmd_verlinde(cat: CategorySpec, args) -> dict:
+def _cmd_verlinde(cat: LatticeData | PointedGVCategory | ModularData, args) -> dict:
     max_genus = args.max_genus
     if max_genus < 1:
         raise ValidationError("cli.bad_genus", "--max-genus must be >= 1")
@@ -307,7 +306,7 @@ _COMMANDS = {
 }
 
 
-def run(subcommand: str, cat: CategorySpec, args) -> dict:
+def run(subcommand: str, cat: LatticeData | PointedGVCategory | ModularData, args) -> dict:
     """Dispatch a subcommand on a parsed config; returns the report data."""
     return _COMMANDS[subcommand](cat, args)
 

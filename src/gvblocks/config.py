@@ -1,7 +1,19 @@
-"""CLI configuration: one JSON file selecting exactly one category source.
+"""CLI configuration: one JSON file naming exactly one category source.
 
-Rationals are carried as "p/q" strings so exactness survives serialization;
-floats appear only in outputs.  Example::
+This module checks the envelope: both levels are objects, no field is
+unknown, exactly one of ``pointed``/``lattice``/``builtin`` is given and
+its required fields are present.  A breach raises
+:class:`~gvblocks.errors.ConfigError` (``cli.config``) naming the field.
+The values go as read to the library constructor that uses them
+(:func:`~gvblocks.forms.make_group`, :func:`~gvblocks.forms.make_qform`,
+:func:`~gvblocks.pointed.make_category`,
+:func:`~gvblocks.lattice.make_lattice` or
+:func:`~gvblocks.torus.builtin_modular_data`), which refuses a bad one
+with its own code.
+
+Rationals are carried as "p/q" strings so exactness survives
+serialization; floats appear only in outputs.  Empty lists describe
+rank 0.  Example::
 
     {"category": {"lattice": {"gram": [[8]], "xi": ["1/8"]}}}
     {"category": {"pointed": {"invariant_factors": [2],
@@ -12,36 +24,20 @@ floats appear only in outputs.  Example::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import ConfigError
 from .forms import make_group, make_qform
 from .lattice import LatticeData, make_lattice, to_pointed_gv
 from .pointed import PointedGVCategory, make_category
-from .torus import BUILTIN_NAMES
+from .torus import ModularData, builtin_modular_data
 
-
-@dataclass(frozen=True)
-class PointedSpec:
-    invariant_factors: tuple[int, ...]
-    qform_matrix: tuple[tuple[Fraction, ...], ...]
-    h0: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class LatticeSpec:
-    gram: tuple[tuple[int, ...], ...]
-    xi: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class BuiltinSpec:
-    name: str
-
-
-CategorySpec = PointedSpec | LatticeSpec | BuiltinSpec
+#: The fields of each category variant, all required; a builtin is a bare name.
+_FIELDS = {
+    "pointed": ("invariant_factors", "qform_matrix", "h0"),
+    "lattice": ("gram", "xi"),
+    "builtin": (),
+}
 
 
 def _expect(cond: bool, path: str, message: str):
@@ -49,100 +45,40 @@ def _expect(cond: bool, path: str, message: str):
         raise ConfigError(path, message)
 
 
-def _rational(value, path: str) -> Fraction:
-    if isinstance(value, bool):
-        raise ConfigError(path, f"expected a rational 'p/q' string, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            f = Fraction(value)
-        except (ValueError, ZeroDivisionError) as e:
-            raise ConfigError(path, f"malformed rational {value!r}: {e}") from None
-        return f
-    raise ConfigError(path, f"expected a rational 'p/q' string, got {value!r}")
-
-
-def _int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(path, f"expected an integer, got {value!r}")
-    return value
-
-
-def _int_list(value, path: str) -> tuple[int, ...]:
-    _expect(isinstance(value, list), path, "expected a list of integers")
-    return tuple(_int(x, f"{path}[{i}]") for i, x in enumerate(value))
-
-
-def _int_matrix(value, path: str) -> tuple[tuple[int, ...], ...]:
-    _expect(isinstance(value, list) and value, path, "expected a non-empty matrix")
-    return tuple(_int_list(row, f"{path}[{i}]") for i, row in enumerate(value))
-
-
-def _rational_matrix(value, path: str) -> tuple[tuple[Fraction, ...], ...]:
-    _expect(isinstance(value, list) and value, path, "expected a non-empty matrix")
-    out = []
-    for i, row in enumerate(value):
-        _expect(isinstance(row, list), f"{path}[{i}]", "expected a list")
-        out.append(tuple(_rational(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)))
-    return tuple(out)
-
-
-def _no_extra_keys(obj: dict, allowed: set[str], path: str):
-    extra = set(obj) - allowed
+def _check_object(obj, path: str, fields, not_object: str = "must be an object"):
+    """``obj`` is a JSON object with no field outside ``fields``."""
+    _expect(isinstance(obj, dict), path, not_object)
+    extra = set(obj) - set(fields)
     _expect(not extra, path, f"unknown fields {sorted(extra)}")
 
 
-def parse_config_data(data, path: str = "") -> CategorySpec:
-    root = path or "config"
-    _expect(isinstance(data, dict), root, "top level must be an object")
-    _no_extra_keys(data, {"category"}, root)
-    _expect("category" in data, root, "missing 'category'")
+def parse_config_data(data) -> LatticeData | PointedGVCategory | ModularData:
+    """The lattice, pointed category or modular data a parsed config names."""
+    _check_object(data, "config", ("category",), "top level must be an object")
+    _expect("category" in data, "config", "missing 'category'")
     cat = data["category"]
-    _expect(isinstance(cat, dict), f"{root}.category", "must be an object")
-    variants = set(cat) & {"pointed", "lattice", "builtin"}
-    _no_extra_keys(cat, {"pointed", "lattice", "builtin"}, f"{root}.category")
+    _check_object(cat, "config.category", _FIELDS)
     _expect(
-        len(variants) == 1,
-        f"{root}.category",
-        f"exactly one of pointed/lattice/builtin required, got {sorted(set(cat))}",
+        len(cat) == 1,
+        "config.category",
+        f"exactly one of pointed/lattice/builtin required, got {sorted(cat)}",
     )
-    variant = variants.pop()
-    body = cat[variant]
+    ((variant, body),) = cat.items()
     if variant == "builtin":
-        _expect(isinstance(body, str), f"{root}.category.builtin", "expected a name string")
-        _expect(
-            body.lower() in BUILTIN_NAMES,
-            f"{root}.category.builtin",
-            f"unknown builtin {body!r}; choose from {list(BUILTIN_NAMES)}",
-        )
-        return BuiltinSpec(body.lower())
-    if variant == "pointed":
-        p = f"{root}.category.pointed"
-        _expect(isinstance(body, dict), p, "must be an object")
-        _no_extra_keys(body, {"invariant_factors", "qform_matrix", "h0"}, p)
-        for key in ("invariant_factors", "qform_matrix", "h0"):
-            _expect(key in body, p, f"missing '{key}'")
-        return PointedSpec(
-            _int_list(body["invariant_factors"], f"{p}.invariant_factors"),
-            _rational_matrix(body["qform_matrix"], f"{p}.qform_matrix"),
-            _int_list(body["h0"], f"{p}.h0"),
-        )
-    p = f"{root}.category.lattice"
-    _expect(isinstance(body, dict), p, "must be an object")
-    _no_extra_keys(body, {"gram", "xi"}, p)
-    for key in ("gram", "xi"):
-        _expect(key in body, p, f"missing '{key}'")
-    xi_raw = body["xi"]
-    _expect(isinstance(xi_raw, list), f"{p}.xi", "expected a list of rationals")
-    return LatticeSpec(
-        _int_matrix(body["gram"], f"{p}.gram"),
-        tuple(_rational(x, f"{p}.xi[{i}]") for i, x in enumerate(xi_raw)),
-    )
+        return builtin_modular_data(body)
+    path = f"config.category.{variant}"
+    _check_object(body, path, _FIELDS[variant])
+    for key in _FIELDS[variant]:
+        _expect(key in body, path, f"missing '{key}'")
+    if variant == "lattice":
+        return make_lattice(body["gram"], body["xi"])
+    group = make_group(body["invariant_factors"])
+    return make_category(group, make_qform(group, body["qform_matrix"]), body["h0"])
 
 
-def parse_config(path) -> CategorySpec:
-    """Load and validate a config file; errors carry the offending field path."""
+def parse_config(path) -> LatticeData | PointedGVCategory | ModularData:
+    """Load a config file and build what it names; envelope errors carry the
+    offending field path, value errors the constructor's code."""
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
@@ -155,20 +91,18 @@ def parse_config(path) -> CategorySpec:
     return parse_config_data(data)
 
 
-def build_lattice(cat: CategorySpec) -> LatticeData:
-    if not isinstance(cat, LatticeSpec):
+def build_lattice(cat: LatticeData | PointedGVCategory | ModularData) -> LatticeData:
+    if not isinstance(cat, LatticeData):
         raise ConfigError("config.category", "this command needs a lattice category")
-    return make_lattice(cat.gram, cat.xi)
+    return cat
 
 
-def build_category(cat: CategorySpec) -> PointedGVCategory:
+def build_category(cat: LatticeData | PointedGVCategory | ModularData) -> PointedGVCategory:
     """Pointed category from a pointed or lattice config variant."""
-    if isinstance(cat, PointedSpec):
-        group = make_group(cat.invariant_factors)
-        q = make_qform(group, cat.qform_matrix)
-        return make_category(group, q, group.reduce(cat.h0))
-    if isinstance(cat, LatticeSpec):
-        return to_pointed_gv(make_lattice(cat.gram, cat.xi))
+    if isinstance(cat, LatticeData):
+        return to_pointed_gv(cat)
+    if isinstance(cat, PointedGVCategory):
+        return cat
     raise ConfigError(
         "config.category", "this command needs a pointed or lattice category, not a builtin table"
     )

@@ -48,8 +48,10 @@ def as_int(x, code: str, what: str) -> int:
 def as_coordinates(vec, what: str) -> tuple[int, ...]:
     """The coordinates of a group element as Python ints, each read by
     :func:`as_int`; a ``vec`` that is neither a sequence nor a 1-d numpy
-    array (a scalar, a set) raises ``ValidationError("forms.bad_element")``."""
-    if not isinstance(vec, abc.Sequence) and getattr(vec, "ndim", 0) != 1:
+    array (a scalar, a set) or is a string raises
+    ``ValidationError("forms.bad_element")``."""
+    is_sequence = isinstance(vec, abc.Sequence) and not isinstance(vec, (str, bytes))
+    if not is_sequence and getattr(vec, "ndim", 0) != 1:
         raise ValidationError(
             "forms.bad_element", f"element {vec!r} is not a sequence of coordinates"
         )
@@ -58,10 +60,11 @@ def as_coordinates(vec, what: str) -> tuple[int, ...]:
 
 def _as_items(x, code: str, what: str) -> tuple:
     """The items of a container argument as a tuple; an ``x`` that cannot
-    be iterated (a scalar), or a string, which would split into its
-    characters, raises ``ValidationError(code)``."""
+    be iterated (a scalar), a string, which would split into its
+    characters, or a mapping, which would give its keys, raises
+    ``ValidationError(code)``."""
     try:
-        if isinstance(x, (str, bytes)):
+        if isinstance(x, (str, bytes, abc.Mapping)):
             raise TypeError
         items = iter(x)
     except TypeError:

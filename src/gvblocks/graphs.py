@@ -349,8 +349,9 @@ def _corolla_keys(corollas: Sequence[Corolla]) -> set[IdentKey]:
 
 def _carries(corollas: Sequence[Corolla], ident: Mapping[IdentKey, str], blocks) -> bool:
     """Whether ``ident`` maps the legs of the corollas onto the blocks, one
-    corolla onto each block."""
-    images = (tuple(sorted(ident[(c.id, leg)] for leg in c.legs)) for c in corollas)
+    corolla onto each block.  Images sort by ``str``, so images of mixed
+    types sort too, and one that is not a half-edge string matches no block."""
+    images = (tuple(sorted((ident[(c.id, leg)] for leg in c.legs), key=str)) for c in corollas)
     return Counter(images) == Counter(tuple(sorted(b)) for b in blocks)
 
 

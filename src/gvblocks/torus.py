@@ -340,11 +340,15 @@ def _ising_data() -> ModularData:
 
 
 def builtin_modular_data(name: str) -> ModularData:
-    """One of the embedded (S, T) tables in :data:`BUILTIN_NAMES`,
-    relation-checked at load.  Pointed data comes from :func:`st_matrices`."""
+    """One of the embedded (S, T) tables in :data:`BUILTIN_NAMES`, named in
+    any case and relation-checked at load; any other ``name``, a non-string
+    included, raises ``ValidationError("blocks.bad_builtin")``.  Pointed
+    data comes from :func:`st_matrices`."""
+    if not isinstance(name, str) or name.lower() not in BUILTIN_NAMES:
+        raise ValidationError(
+            "blocks.bad_builtin", f"unknown modular data {name!r}; choose from {list(BUILTIN_NAMES)}"
+        )
     name = name.lower()
-    if name not in BUILTIN_NAMES:
-        raise ValidationError("blocks.bad_builtin", f"unknown modular data {name!r}")
     md = _fibonacci_data() if name == "fibonacci" else _ising_data()
     report = check_relations(md)
     if not report.passed:

@@ -6,7 +6,7 @@ import pytest
 
 from gvblocks import cli
 from gvblocks.config import parse_config, parse_config_data
-from gvblocks.errors import ConfigError
+from gvblocks.errors import ConfigError, ValidationError
 
 SEMION_POINTED = {
     "category": {
@@ -17,6 +17,7 @@ SEMION_LATTICE = {"category": {"lattice": {"gram": [[2]], "xi": ["0/1"]}}}
 FF8 = {"category": {"lattice": {"gram": [[8]], "xi": ["1/8"]}}}
 FIB = {"category": {"builtin": "fibonacci"}}
 ISING = {"category": {"builtin": "ising"}}
+VARIANTS = {"pointed", "lattice", "builtin"}
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -66,19 +67,41 @@ class TestParseConfig:
 
     def test_malformed_rational(self):
         data = {"category": {"lattice": {"gram": [[2]], "xi": ["1/0"]}}}
-        with pytest.raises(ConfigError) as e:
+        with pytest.raises(ValidationError) as e:
             parse_config_data(data)
-        assert "xi[0]" in e.value.message
+        assert e.value.code == "lattice.bad_xi" and "'1/0'" in e.value.message
 
     def test_bool_rational_refused(self):
-        with pytest.raises(ConfigError) as e:
+        with pytest.raises(ValidationError) as e:
             parse_config_data({"category": {"lattice": {"gram": [[2]], "xi": [True]}}})
-        assert e.value.code == "cli.config" and "xi[0]" in e.value.message
+        assert e.value.code == "lattice.bad_xi" and "True" in e.value.message
 
     def test_field_paths(self):
         with pytest.raises(ConfigError) as e:
             parse_config_data({"category": {"pointed": {"invariant_factors": [2]}}})
         assert "pointed" in e.value.message
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (dict(FIB, junk=1), "config: unknown fields ['junk']"),
+            (
+                {"category": dict(FIB["category"], **SEMION_LATTICE["category"])},
+                "config.category: exactly one of pointed/lattice/builtin required, "
+                "got ['builtin', 'lattice']",
+            ),
+            (
+                {"category": {"pointed": {"invariant_factors": [2], "qform_matrix": [["1/4"]]}}},
+                "config.category.pointed: missing 'h0'",
+            ),
+            ({"category": [FIB["category"]]}, "config.category: must be an object"),
+        ],
+        ids=["junk_key", "two_variants", "missing_h0", "category_not_object"],
+    )
+    def test_envelope_refusals_name_the_field(self, data, message):
+        with pytest.raises(ConfigError) as e:
+            parse_config_data(data)
+        assert e.value.code == "cli.config" and e.value.message == message
 
     def test_fuzz_no_uncontrolled_exceptions(self):
         rng = random.Random(55)
@@ -104,13 +127,86 @@ class TestParseConfig:
                 return [mutate(v, depth + 1) for v in obj]
             return rng.choice(atoms) if r < 0.4 else obj
 
+        def envelope_fault(data):
+            """The field of the top two levels whose envelope is broken, if any."""
+            if not isinstance(data, dict) or set(data) != {"category"}:
+                return "config"
+            cat = data["category"]
+            if not isinstance(cat, dict) or len(cat) != 1 or not set(cat) <= VARIANTS:
+                return "config.category"
+            return None
+
         bases = [SEMION_POINTED, SEMION_LATTICE, FF8, FIB, {}, {"category": {}}]
+        faults = 0
         for _ in range(400):
             data = mutate(rng.choice(bases))
+            fault = envelope_fault(data)
             try:
                 parse_config_data(data)
-            except ConfigError:
-                pass  # structured rejection is the contract
+            except ValidationError as e:
+                # a coded refusal, the envelope's own where the envelope is broken
+                assert e.code and e.exit_code == 2
+                if fault:
+                    faults += 1
+                    assert isinstance(e, ConfigError) and e.code == "cli.config"
+                    assert e.message.startswith(f"{fault}: ")
+            else:
+                assert fault is None
+        assert faults > 100
+
+    @pytest.mark.parametrize(
+        "category, code",
+        [
+            ({"pointed": dict(SEMION_POINTED["category"]["pointed"], invariant_factors=[True])},
+             "forms.invalid_factor"),
+            ({"lattice": {"gram": [[2.0]], "xi": [0]}}, "lattice.bad_matrix"),
+            ({"lattice": {"gram": [[2]], "xi": ["1/0"]}}, "lattice.bad_xi"),
+            ({"pointed": dict(SEMION_POINTED["category"]["pointed"], qform_matrix=[0])},
+             "forms.bad_matrix"),
+            ({"pointed": dict(SEMION_POINTED["category"]["pointed"], qform_matrix=[{"1/4": 0}])},
+             "forms.bad_matrix"),
+            ({"pointed": dict(SEMION_POINTED["category"]["pointed"], h0=0)}, "forms.bad_element"),
+            ({"builtin": "lucas"}, "blocks.bad_builtin"),
+            ({"builtin": 3}, "blocks.bad_builtin"),
+        ],
+        ids=["bool_factor", "float_gram", "zero_denominator_xi", "scalar_row", "mapping_row",
+             "scalar_h0", "unknown_builtin", "non_string_builtin"],
+    )
+    def test_values_refused_with_the_constructor_code(self, tmp_path, capsys, category, code):
+        cfg = write_config(tmp_path, {"category": category})
+        status, out, _ = run_cli(capsys, "inspect", "--config", cfg, "--json")
+        assert status == 2 and json.loads(out)["error"]["code"] == code
+
+    @pytest.mark.parametrize("sub", ["inspect", "lattice", "blocks", "torus-rep", "verlinde"])
+    @pytest.mark.parametrize(
+        "category",
+        [
+            {"pointed": {"invariant_factors": [], "qform_matrix": [], "h0": []}},
+            {"lattice": {"gram": [], "xi": []}},
+        ],
+        ids=["pointed", "lattice"],
+    )
+    def test_rank_zero(self, tmp_path, capsys, category, sub):
+        # empty lists describe the trivial group: order 1, dimension 1 everywhere
+        cfg = write_config(tmp_path, {"category": category})
+        argv = [sub, "--config", cfg, "--json"] + (["--genus", "2", "--glued"] if sub == "blocks" else [])
+        status, out, _ = run_cli(capsys, *argv)
+        data = json.loads(out)
+        if sub == "lattice" and "pointed" in category:
+            assert status == 2 and data["error"]["code"] == "cli.config"
+            return
+        assert status == 0
+        if sub == "inspect":
+            assert data["category"]["order"] == 1 and all(data["axioms"].values())
+            assert data["anomaly"]["gamma"] == [1.0, 0.0]
+        elif sub == "lattice":
+            assert data["determinant"] == 1 and data["discriminant_group"]["order"] == 1
+        elif sub == "blocks":
+            assert [r["dim"] for r in data["results"]] == [1, 1, 1]
+        elif sub == "torus-rep":
+            assert data["relations_pass"] and data["anomaly"]["gamma"] == [1.0, 0.0]
+        else:
+            assert [row["rounded"] for row in data["table"]] == [1, 1, 1]
 
 
 class TestSubcommands:

@@ -86,8 +86,10 @@ class TestIntegerInput:
         q = gv.make_qform(z3, [[F(1, 3)]])
         C = gv.make_category(z3, q, (0,))
         (pd,) = gv.enumerate_decompositions(gv.make_surface(0, [(0,)] * 3))
+        trivial = gv.make_group([])
         for call in (
             lambda: gv.make_category(z3, q, 1),
+            lambda: gv.make_category(trivial, gv.make_qform(trivial, []), ""),
             lambda: gv.make_surface(0, [1, 2, 0]),
             lambda: gv.block_dim_glued(C, pd, [1, 2, 0]),
         ):
@@ -117,6 +119,13 @@ class TestIntegerInput:
             "make_lattice_xi_str": (
                 "lattice.bad_xi", lambda x: gv.make_lattice([[2, 0], [0, 2]], x), "01"
             ),
+            "make_lattice_xi_mapping": (
+                "lattice.bad_xi", lambda x: gv.make_lattice([[8]], x), {"1/8": 1}
+            ),
+            "make_qform_row_mapping": (
+                "forms.bad_matrix", lambda x: gv.make_qform(gv.make_group([2]), [x]), {"1/4": 0}
+            ),
+            "make_group_mapping": ("forms.invalid_factor", gv.make_group, {2: 0}),
             "block_dim_glued": (
                 "blocks.label_mismatch", lambda x: gv.block_dim_glued(C, pd, x), 5
             ),
@@ -141,14 +150,15 @@ class TestIntegerInput:
     @pytest.mark.parametrize(
         "entry",
         ["make_group", "make_surface", "make_qform", "make_qform_row", "make_qform_row_str",
-         "make_lattice", "make_lattice_xi", "make_lattice_xi_str", "block_dim_glued",
+         "make_lattice", "make_lattice_xi", "make_lattice_xi_str", "make_lattice_xi_mapping",
+         "make_qform_row_mapping", "make_group_mapping", "block_dim_glued",
          "make_modular_data", "make_modular_data_str", "make_modular_data_conjugation",
          "verlinde_dim"],
     )
     def test_scalar_container_refused(self, entry):
         # a scalar where a list belongs is refused with the entry point's
         # code, not a bare TypeError from iterating it; a string is refused
-        # too, not split into its characters
+        # too, not split into its characters, and a mapping, not read as its keys
         code, call, bad = self.scalar_containers()[entry]
         with pytest.raises(ValidationError) as e:
             call(bad)

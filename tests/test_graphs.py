@@ -418,6 +418,7 @@ class TestMorphisms:
         cases = [
             (source_keys, g, [cu, cv], [t], {**src, ("cu", "x9"): "a"}, tgt),
             (vertices, g, [cu, cv], [t], {**src, ("cv", "y2"): "a"}, tgt),  # not a bijection
+            (vertices, g, [cu, cv], [t], {**src, ("cu", "x2"): 1}, tgt),  # an image not a str
             (target_keys, g, [cu, cv], [t], src, {("t", "p"): "a"}),
             (components, g, [cu, cv], [t], src,  # not a bijection onto the legs
              {("t", "p"): "a", ("t", "q"): "b"}),

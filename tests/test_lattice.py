@@ -20,6 +20,14 @@ class TestMakeLattice:
         L = gv.make_lattice([[2]], [F(1, 2)])
         assert L.determinant == 2
 
+    @pytest.mark.parametrize("gram, det", [(((0, 1), (1, 0)), -1), (((2, 1), (1, 2)), 3)])
+    def test_determinant_of_a_directly_built_lattice(self, gram, det):
+        # make_lattice stores the determinant it checked; a LatticeData built
+        # directly computes its own, and the two agree
+        xi = (F(0),) * len(gram)
+        assert gv.lattice.LatticeData(gram, xi).determinant == det
+        assert gv.make_lattice(gram, xi).determinant == det
+
     def test_not_even(self):
         with pytest.raises(ValidationError) as e:
             gv.make_lattice([[3]], [0])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gvblocks as gv
-from gvblocks.errors import DegenerateDataError, UnsupportedError
+from gvblocks.errors import DegenerateDataError, UnsupportedError, ValidationError
 from gvblocks.forms import enumerate_qforms
 
 from conftest import (
@@ -394,6 +394,16 @@ class TestModularDataHome:
             tracemalloc.stop()
         assert data.S.tobytes() == md.S.tobytes()
         assert peak < md.S.nbytes + 4 * 2**20
+
+    @pytest.mark.parametrize("name", ["lucas", 3, None])
+    def test_unknown_builtin_refused(self, name):
+        with pytest.raises(ValidationError) as e:
+            gv.builtin_modular_data(name)
+        assert e.value.code == "blocks.bad_builtin"
+        assert "choose from ['fibonacci', 'ising']" in e.value.message
+
+    def test_builtin_name_ignores_case(self):
+        assert gv.builtin_modular_data("Ising").labels == gv.builtin_modular_data("ising").labels
 
 
 class TestAnomaly:
