@@ -13,16 +13,20 @@ reads modular data in the (S, T) format of :mod:`gvblocks.torus`.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DegenerateDataError, ValidationError
+from .errors import CapacityError, ValidationError
 from .forms import _as_items, as_int
 from .pointed import PointedGVCategory
 from .surfaces import PantsDecomposition, SurfaceSpec
-from .torus import TOL, ModularData
+from .torus import ModularData, _vacuum
+
+#: Bits of the largest |G|^g computed; a larger one is refused before the power.
+DIM_BITS_CAP = 2**24
 
 
 def meets_condition(C: PointedGVCategory, spec: SurfaceSpec) -> bool:
@@ -35,15 +39,19 @@ def meets_condition(C: PointedGVCategory, spec: SurfaceSpec) -> bool:
 
 
 def block_dim_direct(C: PointedGVCategory, spec: SurfaceSpec) -> int:
-    """|G|^g when :func:`meets_condition`, else 0."""
-    return C.group.order**spec.genus if meets_condition(C, spec) else 0
+    """|G|^g when :func:`meets_condition`, else 0.  A |G|^g of more than
+    :data:`DIM_BITS_CAP` bits raises ``CapacityError("blocks.overflow")``."""
+    if not meets_condition(C, spec):
+        return 0
+    order = C.group.order
+    if spec.genus * math.log2(order) >= DIM_BITS_CAP:
+        raise CapacityError("blocks.overflow", f"{order}^{spec.genus} has more than 2^24 bits")
+    return order**spec.genus
 
 
 def pants_multiplicity(C: PointedGVCategory, x, y, z) -> int:
     """Dimension of the three-point space: 1 iff x + y + z = g0."""
-    g = C.group
-    s = g.add(g.add(g.reduce(x), g.reduce(y)), g.reduce(z))
-    return 1 if s == C.g0 else 0
+    return block_dim_direct(C, SurfaceSpec(0, (x, y, z)))
 
 
 def block_dim_glued(
@@ -102,9 +110,7 @@ def verlinde_dim(
             raise ValidationError(
                 "blocks.bad_index", f"boundary index {i!r} is not a label index in [0, {md.rank})"
             )
-    s0 = md.S[0]
-    if np.abs(s0).min() < TOL:
-        raise DegenerateDataError("blocks.degenerate", "a vacuum S-matrix entry vanishes")
+    s0 = _vacuum(md.S[0])
     exponent = 2 - 2 * genus - len(indices)
     # the product over no boundary is 1.0, which multiplies exactly; a power
     # or sum past the float range is inf or nan, refused below, not warned

@@ -493,33 +493,6 @@ def enumerate_qforms(group: FinAbGroup) -> Iterator[QForm]:
 # --- exact integer matrices -------------------------------------------------
 
 
-def det_int(mat: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix, exactly (Bareiss elimination)."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [[int(x) for x in row] for row in mat]
-    if any(len(row) != n for row in a):
-        raise ValidationError("forms.bad_matrix", "determinant needs a square matrix")
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        if a[t][t] == 0:
-            for i in range(t + 1, n):
-                if a[i][t] != 0:
-                    a[t], a[i] = a[i], a[t]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
-            a[i][t] = 0
-        prev = a[t][t]
-    return sign * a[n - 1][n - 1]
-
-
 def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -531,6 +504,12 @@ def smith_normal_form(mat: Sequence[Sequence[int]]):
     d_1 | d_2 | ... .  Works for arbitrary (also rectangular) integer
     matrices.
     """
+    return _smith_normal_form(mat)[:3]
+
+
+def _smith_normal_form(mat: Sequence[Sequence[int]]):
+    """(U, D, V, s) of :func:`smith_normal_form`, s = det(U)·det(V) = ±1 flipped on each
+    row swap, column swap and row negation, so det(A) = s·d_1·...·d_n for square A."""
     a = [[int(x) for x in row] for row in mat]
     m = len(a)
     n = len(a[0]) if m else 0
@@ -538,10 +517,7 @@ def smith_normal_form(mat: Sequence[Sequence[int]]):
         raise ValidationError("forms.bad_matrix", "ragged matrix")
     u = _identity(m)
     v = _identity(n)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+    sign = 1
 
     def add_row(i, j, c):
         # row_i += c * row_j
@@ -549,16 +525,6 @@ def smith_normal_form(mat: Sequence[Sequence[int]]):
             a[i][t] += c * a[j][t]
         for t in range(m):
             u[i][t] += c * u[j][t]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
 
     def add_col(i, j, c):
         # col_i += c * col_j
@@ -577,12 +543,19 @@ def smith_normal_form(mat: Sequence[Sequence[int]]):
                         best = (i, j)
             if best is None:
                 break
-            if best[0] != t:
-                swap_rows(t, best[0])
-            if best[1] != t:
-                swap_cols(t, best[1])
-            if a[t][t] < 0:
-                negate_row(t)
+            i, j = best
+            if i != t:  # swap rows t and i
+                a[t], a[i] = a[i], a[t]
+                u[t], u[i] = u[i], u[t]
+                sign = -sign
+            if j != t:  # swap columns t and j
+                for row in a + v:
+                    row[t], row[j] = row[j], row[t]
+                sign = -sign
+            if a[t][t] < 0:  # negate row t
+                a[t] = [-x for x in a[t]]
+                u[t] = [-x for x in u[t]]
+                sign = -sign
             dirty = False
             for i in range(t + 1, m):
                 if a[i][t] != 0:
@@ -609,4 +582,4 @@ def smith_normal_form(mat: Sequence[Sequence[int]]):
                 break
             add_row(t, offender, 1)
     d = [[a[i][j] if i == j else 0 for j in range(n)] for i in range(m)]
-    return u, d, v
+    return u, d, v, sign

@@ -9,6 +9,7 @@ the discriminant form is q(x) = <x, x>/2 mod 1 evaluated on rational lifts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -20,38 +21,78 @@ from .forms import (
     FinAbGroup,
     QForm,
     _as_items,
+    _smith_normal_form,
     as_fraction,
     as_int,
-    det_int,
     make_group,
     make_qform,
-    smith_normal_form,
 )
 from .pointed import PointedGVCategory, make_category
 
 
 @dataclass(frozen=True)
 class LatticeData:
-    """Even Gram matrix plus xi in the dual lattice (basis coordinates).
-
-    The determinant and the discriminant data, read off one Smith normal
-    form of the Gram matrix, are each computed once per lattice.
+    """Even Gram matrix plus xi in the dual lattice (basis coordinates),
+    validated on construction as :func:`make_lattice` says.  The lattice's one
+    exact elimination is the Smith form U·gram·V = D, s = det(U)·det(V): the
+    determinant s·d_1·...·d_k, the discriminant data and h0 are read off it.
     """
 
     gram: tuple[tuple[int, ...], ...]
     xi: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        rows = tuple(
+            tuple(
+                as_int(x, "lattice.bad_matrix", "Gram entry")
+                for x in _as_items(row, "lattice.bad_matrix", "Gram row")
+            )
+            for row in _as_items(self.gram, "lattice.bad_matrix", "Gram matrix")
+        )
+        k = len(rows)
+        if any(len(row) != k for row in rows):
+            raise ValidationError("lattice.bad_matrix", "Gram matrix must be square")
+        for i in range(k):
+            for j in range(k):
+                if rows[i][j] != rows[j][i]:
+                    raise ValidationError(
+                        "lattice.bad_matrix", f"Gram matrix not symmetric at ({i},{j})"
+                    )
+        for i in range(k):
+            if rows[i][i] % 2 != 0:
+                raise ValidationError(
+                    "lattice.not_even", f"diagonal entry gram[{i}][{i}] = {rows[i][i]} is odd"
+                )
+        object.__setattr__(self, "gram", rows)
+        if self.determinant == 0:
+            raise ValidationError("lattice.degenerate", "Gram matrix has determinant 0")
+        xi_vec = tuple(
+            as_fraction(x, "lattice.bad_xi")
+            for x in _as_items(self.xi, "lattice.bad_xi", "xi")
+        )
+        if len(xi_vec) != k:
+            raise ValidationError(
+                "lattice.bad_xi", f"xi has {len(xi_vec)} coordinates, lattice has rank {k}"
+            )
+        object.__setattr__(self, "xi", xi_vec)
+        self.h0  # refuses an xi outside the dual lattice
 
     @property
     def rank(self) -> int:
         return len(self.gram)
 
     @cached_property
+    def _smith(self) -> tuple:
+        return _smith_normal_form(self.gram)
+
+    @cached_property
     def determinant(self) -> int:
-        return det_int(self.gram)
+        _, d, _, sign = self._smith
+        return sign * math.prod(d[i][i] for i in range(self.rank))
 
     @cached_property
     def _discriminant(self) -> DiscriminantData:
-        u, d, v = smith_normal_form(self.gram)
+        u, d, v, _ = self._smith
         k = self.rank
         nontrivial = [i for i in range(k) if d[i][i] != 1]
         factors = [d[i][i] for i in nontrivial]
@@ -61,54 +102,20 @@ class LatticeData:
         proj_rows = tuple(tuple(u[i]) for i in nontrivial)
         return DiscriminantData(make_group(factors), lifts, proj_rows)
 
+    @cached_property
+    def h0(self) -> Element:
+        """The class of xi in the discriminant group."""
+        return self._discriminant.element_of(self, self.xi)
+
 
 def make_lattice(gram, xi) -> LatticeData:
     """Validate bosonic lattice input.
 
     Rejects odd diagonal entries (NotEven), zero determinant (Degenerate),
     an xi entry that is not an exact rational (a float or a bool, say), and
-    xi with gram @ xi not integral (XiNotDual).
+    xi with gram @ xi not integral (XiNotDual), in this order.
     """
-    rows = tuple(
-        tuple(
-            as_int(x, "lattice.bad_matrix", "Gram entry")
-            for x in _as_items(row, "lattice.bad_matrix", "Gram row")
-        )
-        for row in _as_items(gram, "lattice.bad_matrix", "Gram matrix")
-    )
-    k = len(rows)
-    if any(len(row) != k for row in rows):
-        raise ValidationError("lattice.bad_matrix", "Gram matrix must be square")
-    for i in range(k):
-        for j in range(k):
-            if rows[i][j] != rows[j][i]:
-                raise ValidationError(
-                    "lattice.bad_matrix", f"Gram matrix not symmetric at ({i},{j})"
-                )
-    for i in range(k):
-        if rows[i][i] % 2 != 0:
-            raise ValidationError(
-                "lattice.not_even", f"diagonal entry gram[{i}][{i}] = {rows[i][i]} is odd"
-            )
-    determinant = det_int(rows)
-    if determinant == 0:
-        raise ValidationError("lattice.degenerate", "Gram matrix has determinant 0")
-    xi_vec = tuple(
-        as_fraction(x, "lattice.bad_xi") for x in _as_items(xi, "lattice.bad_xi", "xi")
-    )
-    if len(xi_vec) != k:
-        raise ValidationError(
-            "lattice.bad_xi", f"xi has {len(xi_vec)} coordinates, lattice has rank {k}"
-        )
-    pairing = [sum(Fraction(rows[i][j]) * xi_vec[j] for j in range(k)) for i in range(k)]
-    for i, p in enumerate(pairing):
-        if p.denominator != 1:
-            raise ValidationError(
-                "lattice.xi_not_dual", f"<e_{i}, xi> = {p} is not an integer"
-            )
-    lattice = LatticeData(rows, xi_vec)
-    lattice.__dict__["determinant"] = determinant  # the cached property, already known
-    return lattice
+    return LatticeData(gram, xi)
 
 
 @dataclass(frozen=True)
@@ -132,9 +139,7 @@ class DiscriminantData:
         x = [sum(Fraction(lattice.gram[i][j]) * y[j] for j in range(k)) for i in range(k)]
         for i, c in enumerate(x):
             if c.denominator != 1:
-                raise ValidationError(
-                    "lattice.xi_not_dual", f"vector is not in the dual lattice (<e_{i}, y> = {c})"
-                )
+                raise ValidationError("lattice.xi_not_dual", f"<e_{i}, xi> = {c} is not an integer")
         coords = [sum(row[j] * int(x[j]) for j in range(k)) for row in self.proj_rows]
         return self.group.reduce(coords)
 
@@ -169,7 +174,5 @@ def discriminant_form(lattice: LatticeData) -> QForm:
 
 def to_pointed_gv(lattice: LatticeData) -> PointedGVCategory:
     """The pointed category of the lattice data, with h0 the class of xi."""
-    data = discriminant_data(lattice)
     q = discriminant_form(lattice)
-    h0 = data.element_of(lattice, lattice.xi)
-    return make_category(data.group, q, h0)
+    return make_category(q.group, q, lattice.h0)

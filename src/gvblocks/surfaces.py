@@ -170,12 +170,13 @@ def _enumerate_classes(genus: int, n: int) -> tuple[PantsDecomposition, ...]:
 
 
 def _find_edge(pd: PantsDecomposition, half_edge: str) -> tuple[str, str]:
-    for a, b in pd.dual.pairing:
-        if half_edge in (a, b):
-            return a, b
-    raise ValidationError(
-        "surfaces.unknown_edge", f"{half_edge!r} is not a half-edge of an internal edge"
-    )
+    inv = pd.dual.involution
+    other = inv.get(half_edge, half_edge) if isinstance(half_edge, str) else half_edge
+    if other == half_edge:
+        raise ValidationError(
+            "surfaces.unknown_edge", f"{half_edge!r} is not a half-edge of an internal edge"
+        )
+    return tuple(sorted((half_edge, other)))
 
 
 def _reassociate(pd: PantsDecomposition, half_edge: str, side: int) -> tuple[str, Graph]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -81,8 +82,16 @@ class ModularData:
 MATRIX_CAP = 4096
 
 #: Tolerance of the float checks of modular data: validation, the SL(2,Z)
-#: relations and the vacuum row of the Verlinde sum.
+#: relations and the vacuum entries divided by.
 TOL = 1e-9
+
+
+def _vacuum(entries: np.ndarray) -> np.ndarray:
+    """``entries`` of the vacuum row of S, which lam, the fusion rules and
+    the Verlinde sum divide by; one below :data:`TOL` is refused."""
+    if np.abs(entries).min() < TOL:
+        raise DegenerateDataError("torus.degenerate", "S has a vanishing vacuum entry")
+    return entries
 
 
 def _sq_norm(M: np.ndarray) -> float:
@@ -247,7 +256,8 @@ def st_matrices(C: PointedGVCategory) -> ModularData:
     T = np.exp(2j * math.pi * C.qform.values / qden)
     T.flags.writeable = False
     k = weights * np.array(group.invariant_factors, dtype=np.int64) // bden
-    labels = tuple(",".join(str(c) for c in x) for x in group.sorted_elements)
+    digits = (tuple(map(str, range(n))) for n in group.invariant_factors)
+    labels = tuple(map(",".join, itertools.product(*digits)))
     md = ModularData(labels, S, T, tuple(group.neg_index.tolist()), group=group)
     object.__setattr__(md, "_table", _CharacterTable(group, group.index_of(k)))
     object.__setattr__(md, "_norms", (0.0, 0.0))
@@ -306,8 +316,7 @@ def check_relations(md: ModularData) -> RelationReport:
         product, path = (lambda M: md._table.dft(M)[gather]), "fourier"
     else:
         product, path = (lambda M: (S @ M)[back]), "dense"
-    if abs(S[0, 0]) < 1e-12:
-        raise DegenerateDataError("torus.degenerate", "S has a vanishing vacuum entry")
+    _vacuum(S[0, :1])
     lam = complex((S[back[0]] * t * S[:, 0]).sum() / np.conj(t[0] * S[0, 0] * t[0]))
     sq_st3 = 0.0
     for cols in _chunks(md.rank):
@@ -408,9 +417,7 @@ def fusion_from_s(md: ModularData) -> FusionReport:
         raise CapacityError(
             "torus.capacity", f"rank {md.rank} exceeds the fusion cap 256 (rank^3 entries)"
         )
-    s0 = md.S[0]
-    if np.abs(s0).min() < 1e-12:
-        raise DegenerateDataError("torus.degenerate", "a vacuum S-matrix entry vanishes")
+    s0 = _vacuum(md.S[0])
     n = md.rank
     raw = ((md.S[:, None] * md.S).reshape(n * n, n) @ (md.S.conj() / s0).T).reshape(n, n, n)
     tensor = np.round(raw.real).astype(np.int64)

@@ -453,6 +453,26 @@ def power_relations_reference(md):
     )
 
 
+def det_reference(mat):
+    """Determinant of a square integer matrix by Bareiss fraction-free
+    elimination, which shares no code with the library's Smith form."""
+    a = [list(row) for row in mat]
+    n = len(a)
+    sign, prev = 1, 1
+    for t in range(n - 1):
+        if a[t][t] == 0:
+            swap = next((i for i in range(t + 1, n) if a[i][t] != 0), None)
+            if swap is None:
+                return 0
+            a[t], a[swap] = a[swap], a[t]
+            sign = -sign
+        for i in range(t + 1, n):
+            for j in range(t + 1, n):
+                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
+        prev = a[t][t]
+    return sign * a[n - 1][n - 1] if n else 1
+
+
 def mat_mul_int(a, b):
     """The product of two integer matrices given as lists of rows."""
     return [

@@ -9,7 +9,7 @@ import pytest
 
 import gvblocks as gv
 from gvblocks.errors import CapacityError, DegenerateDataError, ValidationError
-from gvblocks.forms import det_int
+from gvblocks.forms import _smith_normal_form
 from gvblocks.surfaces import (
     _enumerate_classes,
     enumerate_decompositions,
@@ -17,7 +17,7 @@ from gvblocks.surfaces import (
     make_surface,
 )
 
-from conftest import glued_dim_oracle, make_pointed, mat_mul_int
+from conftest import det_reference, glued_dim_oracle, make_pointed, mat_mul_int
 
 F = Fraction
 
@@ -207,7 +207,7 @@ class TestGluingPath:
     @pytest.fixture
     def smith_calls(self, monkeypatch):
         calls = []
-        original = gv.smith_normal_form
+        original = _smith_normal_form  # the elimination behind smith_normal_form
 
         def counted(mat):
             calls.append(len(mat))
@@ -215,9 +215,9 @@ class TestGluingPath:
 
         for name, module in list(sys.modules.items()):
             if name.partition(".")[0] == "gvblocks" and (
-                getattr(module, "smith_normal_form", None) is original
+                getattr(module, "_smith_normal_form", None) is original
             ):
-                monkeypatch.setattr(module, "smith_normal_form", counted)
+                monkeypatch.setattr(module, "_smith_normal_form", counted)
         _enumerate_classes.cache_clear()  # enumeration runs under the counter too
         return calls
 
@@ -278,7 +278,7 @@ class TestGluingPath:
                 U, D, _ = gv.smith_normal_form(A)
                 d = [D[r][r] if r < min(nv, len(edges)) else 0 for r in range(max(nv, len(edges)))]
                 assert d == [1] * (nv - 1) + [0] * (max(nv, len(edges)) - nv + 1)
-                assert abs(det_int(U)) == 1
+                assert abs(det_reference(U)) == 1
                 UA = mat_mul_int(U, A) if edges else []
                 assert all(not any(row) for row in UA[nv - 1 :])
 
@@ -442,6 +442,18 @@ class TestVerlinde:
             with pytest.raises(CapacityError) as e:
                 gv.verlinde_dim(md, 513)
         assert e.value.code == "blocks.overflow"
+
+    def test_dimension_bit_bound(self, semion):
+        # |G|^g is refused before the power once it needs more than
+        # DIM_BITS_CAP = 2^24 bits: 2^g has g + 1 bits, 4096^g = 2^(12 g)
+        assert gv.blocks.DIM_BITS_CAP == 2**24
+        z4096 = make_pointed([4096], [[F(1, 8192)]], (0,))
+        for C, below in [(semion, 2**24 - 1), (z4096, 2**24 // 12)]:
+            dim = gv.block_dim_direct(C, make_surface(below))
+            assert dim == C.group.order**below and dim.bit_length() <= 2**24
+            with pytest.raises(CapacityError) as e:
+                gv.block_dim_direct(C, make_surface(below + 1))
+            assert e.value.code == "blocks.overflow"
 
     def test_degenerate_vacuum_entry(self):
         md = gv.builtin_modular_data("ising")

@@ -9,10 +9,22 @@ import pytest
 import gvblocks as gv
 from gvblocks import cli
 from gvblocks.errors import ValidationError
-from gvblocks.forms import det_int
 from gvblocks.lattice import discriminant_data
 
+from conftest import det_reference
+
 F = Fraction
+
+E8 = (
+    (2, -1, 0, 0, 0, 0, 0, 0),
+    (-1, 2, -1, 0, 0, 0, 0, 0),
+    (0, -1, 2, -1, 0, 0, 0, -1),
+    (0, 0, -1, 2, -1, 0, 0, 0),
+    (0, 0, 0, -1, 2, -1, 0, 0),
+    (0, 0, 0, 0, -1, 2, -1, 0),
+    (0, 0, 0, 0, 0, -1, 2, 0),
+    (0, 0, -1, 0, 0, 0, 0, 2),
+)
 
 
 class TestMakeLattice:
@@ -20,10 +32,20 @@ class TestMakeLattice:
         L = gv.make_lattice([[2]], [F(1, 2)])
         assert L.determinant == 2
 
-    @pytest.mark.parametrize("gram, det", [(((0, 1), (1, 0)), -1), (((2, 1), (1, 2)), 3)])
+    @pytest.mark.parametrize(
+        "gram, det",
+        [
+            (((0, 1), (1, 0)), -1),
+            (((2, 1), (1, 2)), 3),
+            (((2, 1), (1, -2)), -5),
+            (((-2,),), -2),
+            ((), 1),
+            (E8, 1),
+        ],
+    )
     def test_determinant_of_a_directly_built_lattice(self, gram, det):
-        # make_lattice stores the determinant it checked; a LatticeData built
-        # directly computes its own, and the two agree
+        # the determinant is s·d_1·...·d_k off the Smith form, with its sign;
+        # a LatticeData built directly validates as make_lattice does
         xi = (F(0),) * len(gram)
         assert gv.lattice.LatticeData(gram, xi).determinant == det
         assert gv.make_lattice(gram, xi).determinant == det
@@ -36,6 +58,11 @@ class TestMakeLattice:
     def test_degenerate(self):
         with pytest.raises(ValidationError) as e:
             gv.make_lattice([[2, 2], [2, 2]], [0, 0])
+        assert e.value.code == "lattice.degenerate"
+
+    def test_degenerate_precedes_bad_xi(self):
+        with pytest.raises(ValidationError) as e:
+            gv.make_lattice([[2, 2], [2, 2]], ["1/0", "0"])
         assert e.value.code == "lattice.degenerate"
 
     def test_xi_not_dual(self):
@@ -100,10 +127,11 @@ class TestDiscriminantGroup:
             gram = [[m[i][j] + m[j][i] for j in range(k)] for i in range(k)]
             if any(abs(x) > 10 for row in gram for x in row):
                 continue
-            if det_int(gram) == 0:
+            if det_reference(gram) == 0:
                 continue
             L = gv.make_lattice(gram, [0] * k)
             group = discriminant_data(L).group
+            assert L.determinant == det_reference(gram)
             assert group.order == abs(L.determinant)
             built += 1
 
@@ -161,7 +189,7 @@ class TestDiscriminantForm:
             k = rng.randint(1, 3)
             m = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
             gram = [[m[i][j] + m[j][i] for j in range(k)] for i in range(k)]
-            if det_int(gram) == 0:
+            if det_reference(gram) == 0:
                 continue
             q = gv.discriminant_form(gv.make_lattice(gram, [0] * k))
             gv.make_qform(q.group, q.matrix)  # must not raise
@@ -194,7 +222,7 @@ class TestToPointedGV:
             k = rng.randint(1, 3)
             m = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
             gram = [[m[i][j] + m[j][i] for j in range(k)] for i in range(k)]
-            d = det_int(gram)
+            d = det_reference(gram)
             if d == 0 or abs(d) > 64:
                 continue
             C = gv.to_pointed_gv(gv.make_lattice(gram, [0] * k))
@@ -203,32 +231,33 @@ class TestToPointedGV:
 
 
 class TestSmithFormOncePerLattice:
-    """One Smith normal form and one determinant per lattice, however many
-    of its discriminant results a command reads."""
+    """One exact elimination per lattice, the Smith normal form, however
+    many of its results (determinant, discriminant data, h0) a command
+    reads."""
 
     A2 = {"gram": [[2, 1], [1, 2]], "xi": ["1/3", "1/3"]}
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"smith_normal_form": 0, "det_int": 0}
-        for name in calls:
-            original = getattr(gv.forms, name)
+        calls = []
+        original = gv.forms._smith_normal_form
 
-            def counted(mat, name=name, original=original):
-                calls[name] += 1
-                return original(mat)
+        def counted(mat):
+            calls.append(len(mat))
+            return original(mat)
 
-            for module_name, module in list(sys.modules.items()):
-                if module_name.partition(".")[0] == "gvblocks" and (
-                    getattr(module, name, None) is original
-                ):
-                    monkeypatch.setattr(module, name, counted)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.partition(".")[0] == "gvblocks" and (
+                getattr(module, "_smith_normal_form", None) is original
+            ):
+                monkeypatch.setattr(module, "_smith_normal_form", counted)
         return calls
 
     def test_to_pointed_gv(self, calls):
-        C = gv.to_pointed_gv(gv.make_lattice(self.A2["gram"], self.A2["xi"]))
-        assert C.group.invariant_factors == (3,) and C.h0 == (1,)
-        assert calls == {"smith_normal_form": 1, "det_int": 1}
+        L = gv.make_lattice(self.A2["gram"], self.A2["xi"])
+        C = gv.to_pointed_gv(L)
+        assert C.group.invariant_factors == (3,) and C.h0 == (1,) and L.determinant == 3
+        assert calls == [2]
 
     @pytest.mark.parametrize("command", ["lattice", "inspect"])
     def test_cli_command(self, calls, command, tmp_path, capsys):
@@ -236,4 +265,4 @@ class TestSmithFormOncePerLattice:
         config.write_text(json.dumps({"category": {"lattice": self.A2}}), encoding="utf-8")
         assert cli.main([command, "--config", str(config)]) == 0
         capsys.readouterr()
-        assert calls == {"smith_normal_form": 1, "det_int": 1}
+        assert calls == [2]

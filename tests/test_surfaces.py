@@ -248,6 +248,20 @@ class TestMoves:
             gv.whitehead_move(theta_pd(), "nope")
         assert e.value.code == "surfaces.unknown_edge"
 
+    @pytest.mark.parametrize("half_edge", ["nope", 3, ["a"], None])
+    def test_unknown_or_unhashable_edge_refused_by_both_moves(self, half_edge):
+        for move in (gv.whitehead_move, gv.s_move):
+            with pytest.raises(ValidationError) as e:
+                move(theta_pd(), half_edge)
+            assert e.value.code == "surfaces.unknown_edge"
+
+    def test_leg_is_not_an_edge(self):
+        (pd,) = enumerate_decompositions(make_surface(1, [(0,)]))
+        for move in (gv.whitehead_move, gv.s_move):
+            with pytest.raises(ValidationError) as e:
+                move(pd, pd.dual.legs[0])
+            assert e.value.code == "surfaces.unknown_edge"
+
     def test_moves_preserve_surface_on_all_enumerated(self):
         for g, n in surfaces_up_to_complexity(5):
             for pd in enumerate_decompositions(make_surface(g, [(0,)] * n)):

@@ -45,6 +45,16 @@ class TestSTMatrices:
                 expected = cmath.exp(-2j * math.pi * (2 * x * y % 3) / 3) / math.sqrt(3)
                 assert abs(md.S[x, y] - expected) < 1e-12
 
+    def test_labels_are_the_joined_coordinates(self):
+        # q(e_i) = 1/(2n) for even n and 1/n for odd n: modular on every shape
+        for shape in [(1,)] + group_shapes(64):
+            diag = [F(1, 2 * n) if n % 2 == 0 else F(1, n) for n in shape]
+            k = len(shape)
+            matrix = [[diag[i] if i == j else 0 for j in range(k)] for i in range(k)]
+            C = make_pointed(shape, matrix, (0,) * k)
+            labels = gv.st_matrices(C).labels
+            assert labels == tuple(",".join(str(c) for c in x) for x in C.group.sorted_elements)
+
     def test_h0_nonzero_refused(self, z8_ff):
         with pytest.raises(UnsupportedError) as e:
             gv.st_matrices(z8_ff)
@@ -465,6 +475,24 @@ class TestFusion:
         with pytest.raises(DegenerateDataError) as e:
             gv.fusion_from_s(md)
         assert e.value.code == "torus.degenerate"
+
+    @pytest.mark.parametrize("s00", [0.0, 1e-10, 0.99e-9])
+    @pytest.mark.parametrize(
+        "reader",
+        [gv.check_relations, gv.fusion_from_s, lambda md: gv.verlinde_dim(md, 2)],
+        ids=["check_relations", "fusion_from_s", "verlinde_dim"],
+    )
+    def test_one_vacuum_refusal(self, reader, s00):
+        # an orthogonal symmetric S whose S_00 lies below torus.TOL: every
+        # reader that divides by the vacuum row refuses it alike
+        c = math.sqrt(1 - s00**2)
+        md = gv.torus.make_modular_data(("0", "1"), [[s00, c], [c, -s00]], [1, 1], (0, 1))
+        with pytest.raises(DegenerateDataError) as e:
+            reader(md)
+        assert (e.value.code, e.value.message) == (
+            "torus.degenerate",
+            "S has a vanishing vacuum entry",
+        )
 
     def test_unit_column(self):
         for md in [gv.builtin_modular_data("fibonacci"), gv.builtin_modular_data("ising")]:
