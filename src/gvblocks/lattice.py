@@ -66,15 +66,7 @@ class LatticeData:
         object.__setattr__(self, "gram", rows)
         if self.determinant == 0:
             raise ValidationError("lattice.degenerate", "Gram matrix has determinant 0")
-        xi_vec = tuple(
-            as_fraction(x, "lattice.bad_xi")
-            for x in _as_items(self.xi, "lattice.bad_xi", "xi")
-        )
-        if len(xi_vec) != k:
-            raise ValidationError(
-                "lattice.bad_xi", f"xi has {len(xi_vec)} coordinates, lattice has rank {k}"
-            )
-        object.__setattr__(self, "xi", xi_vec)
+        object.__setattr__(self, "xi", _dual_coordinates(self.xi, k))
         self.h0  # refuses an xi outside the dual lattice
 
     @property
@@ -108,6 +100,17 @@ class LatticeData:
         return self._discriminant.element_of(self, self.xi)
 
 
+def _dual_coordinates(y, k: int) -> tuple[Fraction, ...]:
+    """``y`` as k exact rationals (:func:`~gvblocks.forms.as_fraction`);
+    another item or another length raises ``ValidationError("lattice.bad_xi")``."""
+    vec = tuple(as_fraction(c, "lattice.bad_xi") for c in _as_items(y, "lattice.bad_xi", "xi"))
+    if len(vec) != k:
+        raise ValidationError(
+            "lattice.bad_xi", f"xi has {len(vec)} coordinates, lattice has rank {k}"
+        )
+    return vec
+
+
 def make_lattice(gram, xi) -> LatticeData:
     """Validate bosonic lattice input.
 
@@ -133,9 +136,10 @@ class DiscriminantData:
     proj_rows: tuple[tuple[int, ...], ...]
 
     def element_of(self, lattice: LatticeData, y: Sequence[Fraction]) -> Element:
-        """Class in the discriminant group of a dual vector y (basis coords)."""
+        """Class in the discriminant group of a dual vector y (basis coords),
+        read as :func:`make_lattice` reads xi."""
         k = lattice.rank
-        y = [Fraction(c) for c in y]
+        y = _dual_coordinates(y, k)
         x = [sum(Fraction(lattice.gram[i][j]) * y[j] for j in range(k)) for i in range(k)]
         for i, c in enumerate(x):
             if c.denominator != 1:

@@ -169,20 +169,21 @@ def make_modular_data(
 @dataclass(frozen=True)
 class _CharacterTable:
     """The character table K_xy = |G|^(-1/2) e(-k(x)·y) of ``group``, with
-    k(x)·y = sum_j k_j(x) y_j / n_j and k(x) in G.
+    k(x)·y = sum_j k_j(x) y_j / n_j and k: G -> G a homomorphism.
 
     ``index`` holds the sorted-order position of k(x) and is a permutation,
-    so K is a row permutation of the unitary DFT of G: K·M is the row gather
-    ``index`` of ``dft(M)``, in O(|G| log |G|) per column.
+    so K is a row permutation of the unitary DFT of G: K·v is the gather
+    ``index`` of the DFT of v, one O(|G| log |G|) transform.
     """
 
     group: FinAbGroup
     index: np.ndarray
 
-    def dft(self, M: np.ndarray) -> np.ndarray:
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """K·v for a vector v over the group in sorted order."""
         factors = self.group.invariant_factors
-        F = np.fft.fftn(M.reshape(factors + M.shape[1:]), axes=range(len(factors)), norm="ortho")
-        return F.reshape(M.shape)
+        F = np.fft.fftn(v.reshape(factors), axes=range(len(factors)), norm="ortho")
+        return F.reshape(-1)[self.index]
 
 
 def _root_table(
@@ -268,8 +269,8 @@ def st_matrices(C: PointedGVCategory) -> ModularData:
 class RelationReport:
     """Residuals (Frobenius norms) of the projective SL(2,Z) relations;
     ``residual_s2`` and ``residual_unitary`` are those of the data.
-    ``path`` says how S multiplied: ``"fourier"`` as its character table,
-    ``"dense"`` as a matrix.
+    ``path`` says how Cᵀ·S·T·S was formed: ``"fourier"`` from the character
+    table, ``"dense"`` by matrix products.
     """
 
     lam: complex
@@ -303,28 +304,49 @@ def check_relations(md: ModularData) -> RelationReport:
     differ alike.  T is taken exactly unitary; its 1e-9 slack adds terms of
     that order.
 
-    Per column block, S multiplies T·S[:, cols] once and Cᵀ gathers rows:
-    as a DFT of G, with its gather composed with Cᵀ's once per call, when
-    the data carries the character table its S is built from (only
-    :func:`st_matrices` attaches one), and as a matmul otherwise.  lam is
-    (Cᵀ·S·T·S)_00 over conj(t_0·S_00·t_0).
+    The two paths differ only in how they form Cᵀ·S·T·S, a block at a
+    time; each compares it with lam·T̄·S̄·T̄, read off every entry of the
+    data's S and T, in one sum.  lam is (Cᵀ·S·T·S)_00 over
+    conj(t_0·S_00·t_0).
+
+    Data that carries the character table its S is built from (only
+    :func:`st_matrices` attaches one) takes one transform.  S is then
+    K_xy = |G|^(-1/2) e(-k(x)·y) with k a homomorphism and K symmetric, so
+    for any diagonal T
+
+        (K·T·K)_xz = sum_y K_xy t_y K_zy = |G|^(-1) sum_y t_y e(-k(x + z)·y)
+                   = |G|^(-1/2) h[x + z],  h = K·t,
+
+    and (Cᵀ·S·T·S)[x, z] = |G|^(-1/2) h[back[x] + z].  This is the exact
+    product, not a use of the relation it checks: it holds whatever T is.
+    Row block r is the gather of h at ``group.add_index(back[r])``, built
+    per cyclic factor, so the check is one O(|G| log |G|) transform of t
+    and O(|G|²) streaming with no temporary above a block; the blocks are
+    compared as conjugates, ||X - Ȳ|| = ||X̄ - Y||.  Data without a table
+    multiplies T·S[:, cols] by S as a matmul once per column block.
     """
     S, t = md.S, md.T
     back = np.argsort(md.conjugation)  # (Cᵀ·M)[i] = M[back[i]]
-    if md._table is not None:
-        gather = md._table.index[back]
-        product, path = (lambda M: md._table.dft(M)[gather]), "fourier"
-    else:
-        product, path = (lambda M: (S @ M)[back]), "dense"
     _vacuum(S[0, :1])
     lam = complex((S[back[0]] * t * S[:, 0]).sum() / np.conj(t[0] * S[0, 0] * t[0]))
     sq_st3 = 0.0
-    for cols in _chunks(md.rank):
-        block = t[:, None] * S[:, cols]  # T·S[:, cols]
-        X = product(block)  # Cᵀ·S·T·S[:, cols]
-        block *= lam.conjugate() * t[cols]
-        X -= np.conjugate(block, out=block)  # lam·T̄·S̄·T̄[:, cols]
-        sq_st3 += _sq_norm(X)
+    if md._table is None:
+        path = "dense"
+        for cols in _chunks(md.rank):
+            block = t[:, None] * S[:, cols]  # T·S[:, cols]
+            X = (S @ block)[back]  # Cᵀ·S·T·S[:, cols]
+            block *= lam.conjugate() * t[cols]
+            X -= np.conjugate(block, out=block)  # lam·T̄·S̄·T̄[:, cols]
+            sq_st3 += _sq_norm(X)
+    else:
+        path, table = "fourier", md._table
+        h = np.conjugate(table.apply(t)) / math.sqrt(md.rank)
+        for rows in _chunks(md.rank):
+            X = h[table.group.add_index(back[rows])]  # conj of (Cᵀ·S·T·S)[rows]
+            block = S[rows] * t
+            block *= lam.conjugate() * t[rows, None]  # conj of (lam·T̄·S̄·T̄)[rows]
+            X -= block
+            sq_st3 += _sq_norm(X)
     return RelationReport(lam, math.sqrt(sq_st3), md.residual_s2, md.residual_unitary, TOL, path)
 
 

@@ -46,6 +46,20 @@ class TestGroups:
         els = g.sorted_elements
         assert len(els) == 6 and els[0] == (0, 0) and els == tuple(sorted(els))
 
+    def test_add_index_matches_the_group_law(self):
+        # slices and index arrays, factors of 1 and the trivial group
+        rng = np.random.default_rng(5)
+        shapes = [(), (1,), (1, 3), (4, 1, 2), (2,) * 6, (3, 9, 27)] + group_shapes(36)
+        for shape in shapes:
+            G = gv.make_group(shape)
+            els = G.sorted_elements
+            position = {x: i for i, x in enumerate(els)}
+            picks = rng.integers(0, G.order, 7)
+            for rows in (slice(None), slice(G.order // 3, G.order // 3 + 5), picks):
+                idx = np.arange(G.order)[rows]
+                expected = [[position[G.add(els[x], y)] for y in els] for x in idx]
+                assert G.add_index(rows).tolist() == expected, (shape, rows)
+
 
 class TestIntegerInput:
     """Every entry point refuses a non-integer with its own code instead of

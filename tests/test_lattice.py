@@ -104,6 +104,25 @@ class TestDiscriminantGroup:
             discriminant_data(L).element_of(L, [F(1, 8)])
         assert e.value.code == "lattice.xi_not_dual"
 
+    @pytest.mark.parametrize(
+        "y, message",
+        [
+            ([1], "xi has 1 coordinates, lattice has rank 2"),
+            ([0, 0, 5], "xi has 3 coordinates, lattice has rank 2"),
+            ([0.5, 0], "not an exact rational: 0.5"),
+            ([True, 0], "not an exact rational: True"),
+            ("12", "xi must be a sequence, got '12'"),
+        ],
+        ids=["short", "long", "float", "bool", "string"],
+    )
+    def test_element_of_reads_the_vector_as_make_lattice_reads_xi(self, y, message):
+        L = gv.make_lattice([[2, 1], [1, 2]], [0, 0])
+        for read in (lambda: discriminant_data(L).element_of(L, y), lambda: gv.make_lattice(L.gram, y)):
+            with pytest.raises(ValidationError) as e:
+                read()
+            assert (e.value.code, e.value.message) == ("lattice.bad_xi", message)
+        assert discriminant_data(L).element_of(L, ["1/3", F(1, 3)]) == (1,)
+
     def test_a1(self):
         data = discriminant_data(gv.make_lattice([[2]], [0]))
         group, lifts = data.group, data.lifts

@@ -202,6 +202,32 @@ E8_GRAM = [
 ]
 
 
+#: Non-degenerate forms on groups above order 16, cyclic factors of several
+#: sizes and with off-diagonal terms; each runs in several row blocks but
+#: (Z/2)^8, four orthogonal copies of the form [[1/4, 1/4], [1/4, 1/2]].
+HALF, QUARTER = F(1, 2), F(1, 4)
+WIDE_FORMS = [
+    pytest.param(factors, matrix, id="x".join(map(str, factors)))
+    for factors, matrix in [
+        (
+            [4, 16, 16],
+            [[F(1, 8), 0, F(1, 8)], [0, F(1, 32), F(1, 32)], [F(1, 8), F(1, 32), F(1, 16)]],
+        ),
+        (
+            [2] * 8,
+            [
+                [(QUARTER if i % 2 == 0 else HALF) if i == j else QUARTER * (i // 2 == j // 2)
+                 for j in range(8)]
+                for i in range(8)
+            ],
+        ),
+        ([2, 256], [[QUARTER, QUARTER], [QUARTER, F(3, 512)]]),
+        ([32, 32], [[F(1, 64), F(1, 64)], [F(1, 64), F(1, 32)]]),
+        ([3, 9, 27], [[F(1, 3), F(1, 3), 0], [F(1, 3), F(1, 9), F(1, 9)], [0, F(1, 9), F(2, 27)]]),
+    ]
+]
+
+
 def z4_data():
     G = gv.make_group([4])
     return gv.st_matrices(gv.make_category(G, gv.make_qform(G, [[F(1, 8)]]), (0,)))
@@ -268,7 +294,7 @@ class TestFourierRelations:
 
     def test_broken_t_on_fourier_path_matches_reference(self):
         # random phases break (ST)^3 = lam S^2, so lam depends on reading
-        # the vacuum column; Z/2 x Z/256 runs over four column blocks
+        # the vacuum column; Z/2 x Z/256 runs over four row blocks
         C = make_pointed([2, 256], [[F(1, 4), 0], [0, F(3, 512)]], (0, 0))
         md = gv.st_matrices(C)
         phases = np.exp(2j * math.pi * np.random.default_rng(1).random(md.rank))
@@ -277,18 +303,51 @@ class TestFourierRelations:
         rel = assert_matches_reference(data, "fourier")
         assert rel.residual_st3 > 1
 
-    def test_one_transform_per_column_block(self, monkeypatch):
-        md = gv.st_matrices(make_pointed([1024], [[F(1, 2048)]], (0,)))
-        calls = []
-        fftn = np.fft.fftn
+    @pytest.mark.parametrize(
+        "factors, matrix", WIDE_FORMS[::2] + [pytest.param([1024], [[F(1, 2048)]], id="1024")]
+    )
+    def test_one_transform_per_call(self, factors, matrix, monkeypatch):
+        # one transform of T's diagonal, not one per block; the index of
+        # back[x] + z comes one row block at a time, never |G|² at once
+        md = gv.st_matrices(make_pointed(factors, matrix, (0,) * len(factors)))
+        transforms, index_shapes = [], []
+        fftn, add_index = np.fft.fftn, gv.FinAbGroup.add_index
 
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return fftn(*args, **kwargs)
+        def counting_fftn(a, *args, **kwargs):
+            transforms.append(a.shape)
+            return fftn(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.fft, "fftn", counting)
-        assert gv.check_relations(md).path == "fourier"
-        assert len(calls) == len(gv.forms._chunks(1024)) == 16
+        def counting_add_index(group, rows):
+            index = add_index(group, rows)
+            index_shapes.append(index.shape)
+            return index
+
+        monkeypatch.setattr(np.fft, "fftn", counting_fftn)
+        monkeypatch.setattr(gv.FinAbGroup, "add_index", counting_add_index)
+        tracemalloc.start()
+        try:
+            assert gv.check_relations(md).path == "fourier"
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert transforms == [tuple(factors)]
+        blocks = gv.forms._chunks(md.rank)
+        assert len(blocks) > 1 and index_shapes == [(r.stop - r.start, md.rank) for r in blocks]
+        assert peak <= 4 * 2**20  # a few blocks of 2^16 entries
+
+    @pytest.mark.parametrize("factors, matrix", WIDE_FORMS)
+    def test_fourier_path_matches_reference_beyond_order_16(self, factors, matrix):
+        # non-cyclic and odd groups over several row blocks, with the true T
+        # and with random phases under the same table
+        C = make_pointed(factors, matrix, (0,) * len(factors))
+        md = gv.st_matrices(C)
+        rel = assert_matches_reference(md, "fourier")
+        assert rel.passed and abs(rel.lam - gv.anomaly(C).gamma) < 1e-12
+        for seed in (2, 3):
+            phases = np.exp(2j * math.pi * np.random.default_rng(seed).random(md.rank))
+            data = dataclasses.replace(md, T=phases)
+            object.__setattr__(data, "_table", md._table)
+            assert assert_matches_reference(data, "fourier").residual_st3 > 1
 
     def test_one_product_of_s_per_column_block(self):
         calls = []
@@ -373,7 +432,7 @@ class TestStoredTable:
             gv.torus.make_modular_data(md.labels, S, md.T, md.conjugation)
 
     def test_fourier_path_over_several_column_blocks(self):
-        # 2^16 entries per block: Z/2 x Z/256 runs in four blocks of 128 columns
+        # 2^16 entries per block: Z/2 x Z/256 runs in four blocks of 128 rows
         C = make_pointed([2, 256], [[F(1, 4), 0], [0, F(3, 512)]], (0, 0))
         assert_matches_reference(gv.st_matrices(C), "fourier")
 
