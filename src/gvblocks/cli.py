@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .blocks import block_dim_direct, block_dim_glued, meets_condition, verlinde_dim
 from .config import build_category, build_lattice, parse_config
-from .errors import CapacityError, GVBlocksError, ValidationError
+from .errors import CapacityError, GVBlocksError, UnsupportedError, ValidationError
 from .lattice import LatticeData, discriminant_data, to_pointed_gv
 from .pointed import PointedGVCategory, check_axioms, mueger_center, verdicts
 from .surfaces import enumerate_decompositions, make_surface
@@ -87,6 +87,11 @@ def _category_summary(C: PointedGVCategory) -> dict:
     }
 
 
+def _anomaly_report(C: PointedGVCategory) -> dict:
+    rep = anomaly(C)
+    return {"gamma": _c12(rep.gamma), "central_charge_mod8": _r12(rep.central_charge_mod8)}
+
+
 def _cmd_inspect(cat: LatticeData | PointedGVCategory | ModularData, args) -> dict:
     C = build_category(cat)
     v = verdicts(C)
@@ -113,13 +118,9 @@ def _cmd_inspect(cat: LatticeData | PointedGVCategory | ModularData, args) -> di
             "balanced_invariant_factors": list(center.balanced.invariant_factors),
         },
     }
-    if v.nondegenerate and C.h0 == C.group.zero:
-        rep = anomaly(C)
-        data["anomaly"] = {
-            "gamma": _c12(rep.gamma),
-            "central_charge_mod8": _r12(rep.central_charge_mod8),
-        }
-    else:
+    try:
+        data["anomaly"] = _anomaly_report(C)
+    except UnsupportedError:
         data["anomaly"] = "undefined (needs h0 = 0 and non-degenerate braiding)"
     return data
 
@@ -226,11 +227,7 @@ def _cmd_torus_rep(cat: LatticeData | PointedGVCategory | ModularData, args) -> 
         "relations_pass": rel.passed,
     }
     if C is not None:
-        rep = anomaly(C)
-        data["anomaly"] = {
-            "gamma": _c12(rep.gamma),
-            "central_charge_mod8": _r12(rep.central_charge_mod8),
-        }
+        data["anomaly"] = _anomaly_report(C)
     return data
 
 

@@ -282,14 +282,24 @@ class QForm(_MatrixForm):
 class BilinearForm(_MatrixForm):
     """Symmetric biadditive form b(x, y) = x^T B y mod 1."""
 
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        weights = (self.group.element_array @ self.int_array) % self.int_form[0]
+        weights.flags.writeable = False
+        return weights
+
     def against_generators(self) -> np.ndarray:
-        """Numerators of b(x, e_j): one row per element in sorted order."""
-        return (self.group.element_array @ self.int_array) % self.int_form[0]
+        """Numerators of b(x, e_j): one row per element in sorted order,
+        computed once per form and read-only."""
+        return self._weights
 
     def table_rows(self, rows: slice = slice(None)) -> np.ndarray:
-        """Numerators of b(x, y) for x in ``element_array[rows]`` and every y."""
-        X = self.group.element_array
-        return (X[rows] @ self.int_array @ X.T) % self.int_form[0]
+        """Numerators of b(x, y) for x in ``element_array[rows]`` and every y:
+        b(x, y) = sum_j y_j b(x, e_j), so the rows are the weights of x
+        against the coordinates of y."""
+        out = self._weights[rows] @ self.group.element_array.T
+        out %= self.int_form[0]
+        return out
 
     def __call__(self, x: Sequence[int], y: Sequence[int]) -> Fraction:
         return self._pair(self.group.reduce(x), self.group.reduce(y))

@@ -136,14 +136,19 @@ def make_graph(
 ) -> Graph:
     """Build and validate a graph from per-vertex half-edge lists and edges."""
     attach: dict[str, str] = {}
+    vertices: set[str] = set()
     for v, halves in _as_mapping(vertex_half_edges, "vertex half-edges").items():
+        name = str(v)
+        if name in vertices:
+            raise ValidationError("graphs.bad_graph", f"two vertices are named {name!r}")
+        vertices.add(name)
         for h in _as_items(halves, "graphs.bad_graph", f"half-edges of vertex {v!r}"):
             h = str(h)
             if h in attach:
                 raise ValidationError(
                     "graphs.duplicate_half_edge", f"half-edge {h!r} attached twice"
                 )
-            attach[h] = str(v)
+            attach[h] = name
     pairing = []
     used: set[str] = set()
     for edge in _as_items(edges, "graphs.bad_edge", "edges"):
@@ -161,7 +166,7 @@ def make_graph(
         used.update((a, b))
         pairing.append(tuple(sorted((a, b))))
     return Graph(
-        vertices=tuple(sorted(str(v) for v in vertex_half_edges)),
+        vertices=tuple(sorted(vertices)),
         attach=tuple(sorted(attach.items())),
         pairing=tuple(sorted(pairing)),
     )

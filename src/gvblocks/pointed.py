@@ -59,8 +59,8 @@ class PointedGVCategory:
         """Denominator T and the numerators T*theta(x) for x in sorted order."""
         qden, bden = self.qform.int_form[0], self.bform.int_form[0]
         tden = math.lcm(qden, bden)
-        h0_idx = int(self.group.index_of(np.array(self.h0, dtype=np.int64)))
-        b_h0 = self.bform.table_rows(slice(h0_idx, h0_idx + 1))[0]
+        # b(x, h0) = sum_j h0_j b(x, e_j)
+        b_h0 = self.bform.against_generators() @ np.array(self.h0, dtype=np.int64) % bden
         return tden, (self.qform.values * (tden // qden) - b_h0 * (tden // bden)) % tden
 
     @cached_property

@@ -16,7 +16,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -186,29 +186,6 @@ class _CharacterTable:
         return F.reshape(-1)[self.index]
 
 
-def _root_table(
-    N: int, W: np.ndarray, group: FinAbGroup
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """The root table R_xy = roots[(W_x · y) mod N] of N-th roots, for x and
-    y over ``group`` in sorted order, as (rows, powers) per
-    :func:`~gvblocks.forms._chunks` with R[rows] = roots[powers].
-
-    ``W`` holds one row of weights per x, each in [0, N).  ``powers`` is
-    int32, exact while every sum W_x · y stays below 2^31.  Within the caps
-    it does: weights are below N <= 4096 (the caller takes N the denominator
-    of b, which divides the exponent of G), coordinates below n_j <= 4096,
-    and at most 12 cyclic factors exceed 1, as their product is
-    |G| <= 4096 (factors of 1 give y_j = 0), so every sum is below
-    12 · 2^12 · 2^12 < 2^28.
-    """
-    W = W.astype(np.int32)
-    Y = group.element_array.T.astype(np.int32)
-    for rows in _chunks(group.order):
-        powers = W[rows] @ Y
-        powers %= N
-        yield rows, powers
-
-
 def st_preflight(C: PointedGVCategory) -> None:
     """Raise the coded error :func:`st_matrices` gives for ``C``, if any,
     without building anything."""
@@ -233,11 +210,13 @@ def st_matrices(C: PointedGVCategory) -> ModularData:
     table that S is.
 
     Labels are the group elements in sorted order (unit first); the
-    conjugation permutation realizes x -> -x.  S is built a row block at a
-    time from the numerators of b(x, e_j); T is the diagonal vector.  As
-    b(x, y) = sum_j y_j b(x, e_j) and n_j e_j = 0, S is the character table
-    with k_j(x) = n_j b(x, e_j), an integer read exactly off the same
-    numerators; k is a bijection because b is non-degenerate.  S and T are
+    conjugation permutation realizes x -> -x.  S is filled one row block of
+    :func:`~gvblocks.forms._chunks` at a time with the roots of unity at the
+    form's b-table rows (``BilinearForm.table_rows``, exact in int64); T is
+    the diagonal vector.  As b(x, y) = sum_j y_j b(x, e_j) and n_j e_j = 0,
+    S is the character table with k_j(x) = n_j b(x, e_j), an integer read
+    exactly off the form's generator weights, from which its table rows are
+    built; k is a bijection because b is non-degenerate.  S and T are
     read-only.  ``residual_unitary`` and ``residual_s2`` are recorded as 0:
     (K·K̄ᵀ)_xz = (1/|G|) sum_y e(-b(x - z, y)) is 1 if b(x - z, ·) is the
     trivial character, that is if x = z as b is non-degenerate, and else 0,
@@ -248,15 +227,14 @@ def st_matrices(C: PointedGVCategory) -> ModularData:
     group = C.group
     n = group.order
     bden, qden = C.bform.int_form[0], C.qform.int_form[0]
-    weights = C.bform.against_generators()
     roots = np.exp(-2j * math.pi * np.arange(bden) / bden) / math.sqrt(n)
     S = np.empty((n, n), dtype=complex)
-    for rows, powers in _root_table(bden, weights, group):
-        np.take(roots, powers, out=S[rows])
+    for rows in _chunks(n):
+        np.take(roots, C.bform.table_rows(rows), out=S[rows])
     S.flags.writeable = False
     T = np.exp(2j * math.pi * C.qform.values / qden)
     T.flags.writeable = False
-    k = weights * np.array(group.invariant_factors, dtype=np.int64) // bden
+    k = C.bform.against_generators() * np.array(group.invariant_factors, dtype=np.int64) // bden
     digits = (tuple(map(str, range(n))) for n in group.invariant_factors)
     labels = tuple(map(",".join, itertools.product(*digits)))
     md = ModularData(labels, S, T, tuple(group.neg_index.tolist()), group=group)
@@ -431,25 +409,34 @@ def fusion_from_s(md: ModularData) -> FusionReport:
     """N_xy^z = sum_w S_xw S_yw conj(S_zw) / S_0w, rounded to integers.
 
     The dense tensor has rank^3 entries, so ranks above 256 (2^24 entries)
-    are refused before anything is allocated.  For pointed data the result
-    must be the group-law delta; a mismatch is an internal inconsistency
-    and raises.
+    are refused before anything is allocated.  It is formed a block of x
+    rows at a time, about 2^18 entries each (ranks up to 64 in one block),
+    so no temporary besides the int64 result exceeds a block.  For pointed
+    data each block must be the group-law delta at ``group.add_index`` of
+    its rows; a mismatch is an internal inconsistency and raises at the
+    first bad pair.
     """
-    if md.rank**3 > 2**24:
-        raise CapacityError(
-            "torus.capacity", f"rank {md.rank} exceeds the fusion cap 256 (rank^3 entries)"
-        )
-    s0 = _vacuum(md.S[0])
     n = md.rank
-    raw = ((md.S[:, None] * md.S).reshape(n * n, n) @ (md.S.conj() / s0).T).reshape(n, n, n)
-    tensor = np.round(raw.real).astype(np.int64)
-    residual = float(np.abs(raw - tensor).max())
-    if md.group is not None:
-        add = md.group.add_index()
-        bad = np.argwhere((tensor != (add[:, :, None] == np.arange(md.rank))).any(axis=2))
-        if bad.size:
-            x, y = (md.elements[i] for i in bad[0])
-            raise InternalError(
-                "torus.group_law", f"fusion from S disagrees with the group law at ({x}, {y})"
-            )
+    if n**3 > 2**24:
+        raise CapacityError(
+            "torus.capacity", f"rank {n} exceeds the fusion cap 256 (rank^3 entries)"
+        )
+    right = (md.S.conj() / _vacuum(md.S[0])).T
+    tensor = np.empty((n, n, n), dtype=np.int64)
+    residual = 0.0
+    step = max(1, 2**18 // n**2)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        raw = (md.S[rows, None] * md.S).reshape(-1, n) @ right
+        block = tensor[rows].reshape(-1, n)  # a view: rint writes into tensor
+        np.rint(raw.real, out=block, casting="unsafe")
+        residual = max(residual, float(np.abs(raw - block).max()))
+        if md.group is not None:
+            law = md.group.add_index(rows)[:, :, None] == np.arange(n)
+            bad = np.argwhere((tensor[rows] != law).any(axis=2))
+            if bad.size:
+                x, y = md.elements[start + bad[0][0]], md.elements[bad[0][1]]
+                raise InternalError(
+                    "torus.group_law", f"fusion from S disagrees with the group law at ({x}, {y})"
+                )
     return FusionReport(tensor, residual)

@@ -483,7 +483,8 @@ def mat_mul_int(a, b):
 
 def st_reference(C):
     """(S, ||S - K||_F, index) for a modular pointed ``C``: S from the full
-    table of b-numerators, e(-b(x, y))/sqrt(n), and K the character table
+    table of b-numerators x^T B y mod M, B the form's integer matrix and M
+    its denominator, e(-b(x, y))/sqrt(n), and K the character table
     read off its generator columns, k_j(x) from the angle of S_{x, e_j},
     both indexed in int64; the defect is summed over the library's row
     blocks, and ``index`` is the sorted-order position of k(x)."""
@@ -495,7 +496,9 @@ def st_reference(C):
     group = C.group
     n = group.order
     bden = C.bform.int_form[0]
-    S = (np.exp(-2j * math.pi * np.arange(bden) / bden) / math.sqrt(n))[C.bform.table_rows()]
+    X = group.element_array
+    numerators = X @ C.bform.int_array @ X.T % bden
+    S = (np.exp(-2j * math.pi * np.arange(bden) / bden) / math.sqrt(n))[numerators]
     factors = np.array(group.invariant_factors, dtype=np.int64)
     gens = group.index_of(np.eye(group.rank, dtype=np.int64))
     k = np.rint(-np.angle(S[:, gens]) * factors / (2 * math.pi)).astype(np.int64) % factors

@@ -219,6 +219,20 @@ class TestSubcommands:
         assert "cofactorizable: true" in out
         assert "connected: true" in out
 
+    @pytest.mark.parametrize(
+        "pointed",
+        [
+            {"invariant_factors": [8], "qform_matrix": [["1/16"]], "h0": [1]},
+            {"invariant_factors": [2], "qform_matrix": [["1/2"]], "h0": [0]},
+        ],
+        ids=["h0_nonzero", "degenerate"],
+    )
+    def test_inspect_anomaly_undefined_where_anomaly_refuses(self, tmp_path, capsys, pointed):
+        config = write_config(tmp_path, {"category": {"pointed": pointed}})
+        code, out, _ = run_cli(capsys, "inspect", "--config", config, "--json")
+        assert code == 0
+        assert json.loads(out)["anomaly"] == "undefined (needs h0 = 0 and non-degenerate braiding)"
+
     def test_inspect_json_fields(self, tmp_path, capsys):
         code, out, _ = run_cli(
             capsys, "inspect", "--config", write_config(tmp_path, SEMION_POINTED), "--json"

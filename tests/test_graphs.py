@@ -57,6 +57,13 @@ class TestMakeGraph:
             gv.make_graph({"u": ["a", "b", "c"]}, [("a", "b"), ("b", "c")])
         assert e.value.code == "graphs.bad_edge"
 
+    def test_vertex_names_colliding_after_str_refused(self):
+        # 1 and "1" would both become vertex "1", holding the half-edges of both
+        with pytest.raises(ValidationError, match="two vertices are named '1'") as e:
+            gv.make_graph({1: ["a"], "1": ["b"]})
+        assert e.value.code == "graphs.bad_graph"
+        assert gv.make_graph({1: ["a"], "2": ["b"]}).vertices == ("1", "2")
+
 
 class TestCodedRefusals:
     # a scalar where a container belongs is refused with a code, not a

@@ -1,6 +1,7 @@
 import ast
 import cmath
 import dataclasses
+import functools
 import math
 import pathlib
 import random
@@ -13,7 +14,7 @@ import pytest
 
 import gvblocks as gv
 from gvblocks.errors import DegenerateDataError, UnsupportedError, ValidationError
-from gvblocks.forms import enumerate_qforms
+from gvblocks.forms import BilinearForm, _chunks, enumerate_qforms
 
 from conftest import (
     group_shapes,
@@ -87,19 +88,31 @@ class TestSTMatrices:
             assert np.array_equal(md._table.index, index), C
         assert len(cats) > 8000
 
-    def test_one_root_table_per_call(self, monkeypatch):
-        calls = []
-        root_table = gv.torus._root_table
+    def test_one_weight_table_per_form_and_one_table_rows_call_per_block(self, monkeypatch):
+        computed, blocks = [], []
+        weights = BilinearForm.__dict__["_weights"]
+        table_rows = BilinearForm.table_rows
 
-        def counting(N, W, group):
-            calls.append(N)
-            return root_table(N, W, group)
+        def counting_weights(form):
+            computed.append(form)
+            return weights.func(form)
 
-        for module in (gv.blocks, gv.torus):  # every module that may bind the kernel
-            monkeypatch.setattr(module, "_root_table", counting, raising=False)
-        md = gv.st_matrices(make_pointed([2, 256], [[F(1, 4), 0], [0, F(3, 512)]], (0, 0)))
-        assert calls == [256]  # the denominator of b: 2 * 3/512 = 3/256
-        assert gv.check_relations(md).path == "fourier" and calls == [256]
+        def counting_rows(form, rows=slice(None)):
+            blocks.append(rows)
+            return table_rows(form, rows)
+
+        counted = functools.cached_property(counting_weights)
+        counted.__set_name__(BilinearForm, "_weights")
+        monkeypatch.setattr(BilinearForm, "_weights", counted)
+        monkeypatch.setattr(BilinearForm, "table_rows", counting_rows)
+        C = make_pointed([2, 256], [[F(1, 4), 0], [0, F(3, 512)]], (0, 0))
+        assert C.radical.is_trivial and gv.check_axioms(C).all_passed and blocks == []
+        md = gv.st_matrices(C)
+        assert computed == [C.bform]
+        assert blocks == _chunks(512) and len(blocks) > 1
+        assert gv.check_relations(md).path == "fourier"
+        with pytest.raises(ValueError, match="read-only"):
+            C.bform.against_generators()[0, 0] = 1
 
     def test_peak_memory_is_s_and_one_block(self):
         C = make_pointed([1024], [[F(1, 2048)]], (0,))
@@ -572,10 +585,13 @@ class TestFusion:
                 assert rep.residual < 1e-9
 
     def test_matches_einsum_contraction(self):
-        C = make_pointed([8, 8], [[F(1, 16), 0], [0, F(3, 16)]], (0, 0))
-        md = gv.st_matrices(C)
-        raw = np.einsum("xw,yw,zw->xyz", md.S, md.S, md.S.conj() / md.S[0])
-        assert np.array_equal(gv.fusion_from_s(md).tensor, np.round(raw.real))
+        # rank 64 is one block; rank 128 is eight blocks of 16 rows
+        for factors, diag in [((8, 8), (F(1, 16), F(3, 16))), ((2, 64), (F(1, 4), F(5, 128)))]:
+            md = gv.st_matrices(make_pointed(factors, [[diag[0], 0], [0, diag[1]]], (0, 0)))
+            raw = np.einsum("xw,yw,zw->xyz", md.S, md.S, md.S.conj() / md.S[0], optimize=True)
+            rep = gv.fusion_from_s(md)
+            assert np.array_equal(rep.tensor, np.round(raw.real))
+            assert abs(rep.residual - np.abs(raw - rep.tensor).max()) < 1e-12
 
 
     def test_capacity(self):
@@ -594,6 +610,27 @@ class TestFusion:
         md = gv.st_matrices(gv.make_category(G, gv.make_qform(G, [[F(1, 8)]]), (0,)))
         with pytest.raises(RuntimeError, match="group law"):
             gv.fusion_from_s(dataclasses.replace(md, group=gv.make_group([2, 2])))
+
+    def test_group_law_mismatch_names_the_first_bad_pair_past_the_first_block(self):
+        # Z/2 x Z/2 x Z/32 data read against Z/4 x Z/32: the sums agree for
+        # x < 32, so the first bad pair sits in the third block of 16 rows
+        md = gv.st_matrices(
+            make_pointed([2, 2, 32], [[F(1, 4), 0, 0], [0, F(1, 4), 0], [0, 0, F(1, 64)]], (0, 0, 0))
+        )
+        with pytest.raises(gv.InternalError) as e:
+            gv.fusion_from_s(dataclasses.replace(md, group=gv.make_group([4, 32])))
+        assert e.value.message.endswith("at ((1, 0), (1, 0))")
+
+    def test_peak_memory_at_the_cap_is_the_result_and_a_few_blocks(self):
+        md = gv.st_matrices(make_pointed([256], [[F(1, 512)]], (0,)))
+        tracemalloc.start()
+        try:
+            rep = gv.fusion_from_s(md)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.tensor.nbytes == 2**27 and rep.residual < 1e-9
+        assert peak <= 160 * 2**20
 
     def test_group_law_mismatch_is_coded(self):
         G = gv.make_group([4])
