@@ -22,7 +22,7 @@ import numpy as np
 from .errors import CapacityError, ValidationError
 from .forms import _as_items, as_int
 from .pointed import PointedGVCategory
-from .surfaces import PantsDecomposition, SurfaceSpec
+from .surfaces import PantsDecomposition, SurfaceSpec, _genus
 from .torus import ModularData, _vacuum
 
 #: Bits of the largest |G|^g computed; a larger one is refused before the power.
@@ -30,12 +30,13 @@ DIM_BITS_CAP = 2**24
 
 
 def meets_condition(C: PointedGVCategory, spec: SurfaceSpec) -> bool:
-    """Whether the total boundary degree plus (g-1)*g0 vanishes."""
+    """Whether the total boundary degree plus (g-1)*g0 vanishes; a genus
+    that is not an int >= 0 raises ``ValidationError("surfaces.bad_genus")``."""
     group = C.group
-    total = group.zero
+    total = group.scale(_genus(spec.genus) - 1, C.g0)
     for lab in spec.boundary_labels:
         total = group.add(total, group.reduce(lab))
-    return group.add(total, group.scale(spec.genus - 1, C.g0)) == group.zero
+    return total == group.zero
 
 
 def block_dim_direct(C: PointedGVCategory, spec: SurfaceSpec) -> int:
@@ -43,10 +44,10 @@ def block_dim_direct(C: PointedGVCategory, spec: SurfaceSpec) -> int:
     :data:`DIM_BITS_CAP` bits raises ``CapacityError("blocks.overflow")``."""
     if not meets_condition(C, spec):
         return 0
-    order = C.group.order
-    if spec.genus * math.log2(order) >= DIM_BITS_CAP:
-        raise CapacityError("blocks.overflow", f"{order}^{spec.genus} has more than 2^24 bits")
-    return order**spec.genus
+    genus, order = int(spec.genus), C.group.order  # an integer, checked above
+    if genus * math.log2(order) >= DIM_BITS_CAP:
+        raise CapacityError("blocks.overflow", f"{order}^{genus} has more than 2^24 bits")
+    return order**genus
 
 
 def pants_multiplicity(C: PointedGVCategory, x, y, z) -> int:

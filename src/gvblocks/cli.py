@@ -10,6 +10,7 @@ repeated runs byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -308,6 +309,7 @@ def run(subcommand: str, cat: LatticeData | PointedGVCategory | ModularData, arg
     return _COMMANDS[subcommand](cat, args)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gvblocks",

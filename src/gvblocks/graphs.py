@@ -246,15 +246,16 @@ def canonical_form(g: Graph, leg_marks: Mapping[str, object] | None = None):
     tried: swapping them is an automorphism, so their subtrees give the
     same certificates.  With ``leg_marks`` the isomorphisms are required to
     preserve the marking; unmarked legs at the same vertex are
-    interchangeable.  Graphs with more than ``CANONICAL_CAP`` vertices are
-    refused.
+    interchangeable; only ``None`` means no marks, and anything else that is
+    not a mapping is refused.  Graphs with more than ``CANONICAL_CAP``
+    vertices are refused.
     """
     nv = len(g.vertices)
     if nv > CANONICAL_CAP:
         raise CapacityError(
             "graphs.capacity", f"{nv} vertices exceed canonical-form cap {CANONICAL_CAP}"
         )
-    marks = _as_mapping(leg_marks or {}, "leg marks")
+    marks = {} if leg_marks is None else _as_mapping(leg_marks, "leg marks")
     index = {v: i for i, v in enumerate(g.vertices)}
     at = g.attach_map
     edges = [(index[at[a]], index[at[b]]) for a, b in g.pairing]

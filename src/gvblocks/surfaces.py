@@ -10,7 +10,7 @@ the dual graph and is only recorded in the move log).
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 from .errors import CapacityError, MoveNotApplicable, ValidationError
@@ -37,12 +37,17 @@ class SurfaceSpec:
         return 2 * self.genus - 2 + self.n
 
 
-def make_surface(genus: int, labels: Sequence[Sequence[int]] = ()) -> SurfaceSpec:
+def _genus(genus) -> int:
+    """``genus`` as an int >= 0, else ``ValidationError("surfaces.bad_genus")``."""
     genus = as_int(genus, "surfaces.bad_genus", "genus")
     if genus < 0:
         raise ValidationError("surfaces.bad_genus", f"genus {genus} is negative")
+    return genus
+
+
+def make_surface(genus: int, labels: Sequence[Sequence[int]] = ()) -> SurfaceSpec:
     return SurfaceSpec(
-        genus,
+        _genus(genus),
         tuple(
             as_coordinates(lab, "label coordinate")
             for lab in _as_items(labels, "forms.bad_element", "labels")
@@ -75,10 +80,10 @@ class PantsDecomposition:
         return canonical_form(self.dual, leg_marks=self.leg_map)
 
 
-def make_pants_decomposition(
-    dual: Graph, leg_order: Mapping[str, int], moves: Sequence[str] = ()
-) -> PantsDecomposition:
-    """Validate trivalence, connectedness, and the boundary matching."""
+def make_pants_decomposition(dual: Graph, leg_order: Mapping[str, int]) -> PantsDecomposition:
+    """Validate trivalence, connectedness, and the boundary matching: the
+    one check, for graphs from outside and the enumeration seed, as flips
+    keep all three (:func:`_reassociate`)."""
     for v in dual.vertices:
         if dual.degree(v) != 3:
             raise ValidationError(
@@ -100,7 +105,7 @@ def make_pants_decomposition(
             "surfaces.bad_leg_order",
             f"leg order must match the {len(legs)} legs bijectively onto 0..{len(legs) - 1}",
         )
-    return PantsDecomposition(dual, tuple(sorted(order.items())), tuple(moves))
+    return PantsDecomposition(dual, tuple(sorted(order.items())))
 
 
 def enumerate_decompositions(spec: SurfaceSpec) -> list[PantsDecomposition]:
@@ -162,7 +167,7 @@ def _enumerate_classes(genus: int, n: int) -> tuple[PantsDecomposition, ...]:
                 continue
             for side in (0, 1):
                 _, flipped = _reassociate(pd, a, side)
-                out = make_pants_decomposition(flipped, pd.leg_map)
+                out = PantsDecomposition(flipped, pd.leg_order)
                 if out.canonical_key not in found:
                     found[out.canonical_key] = out
                     queue.append(out)
@@ -182,7 +187,14 @@ def _find_edge(pd: PantsDecomposition, half_edge: str) -> tuple[str, str]:
 def _reassociate(pd: PantsDecomposition, half_edge: str, side: int) -> tuple[str, Graph]:
     """The move-log entry and the flipped dual graph of a flip at an edge:
     ``side`` 1 is the re-association of :func:`whitehead_move`, ``side`` 0
-    the other one, to (a, c) at u and (b, d) at v in its notation."""
+    the other one, to (a, c) at u and (b, d) at v in its notation.
+
+    A flip keeps all that :func:`make_pants_decomposition` checks.  One
+    half-edge moves from u to v and one from v to u, so every degree stays.
+    The edge still joins u and v and every moved half-edge stays on {u, v},
+    so each path of ``pd`` maps to one of the flip, which stays connected.
+    The half-edges and the pairing, so the legs and their order, are kept.
+    Only vertices change, so ``attach`` stays in half-edge order."""
     a_he, b_he = _find_edge(pd, half_edge)
     g = pd.dual
     u, v = g.attach_map[a_he], g.attach_map[b_he]
@@ -193,7 +205,7 @@ def _reassociate(pd: PantsDecomposition, half_edge: str, side: int) -> tuple[str
     rest_u = sorted(h for h in g.vertex_half_edges[u] if h != a_he)
     rest_v = sorted(h for h in g.vertex_half_edges[v] if h != b_he)
     moved = {rest_u[1]: v, rest_v[side]: u}
-    attach = tuple(sorted((h, moved.get(h, w)) for h, w in g.attach))
+    attach = tuple((h, moved.get(h, w)) for h, w in g.attach)
     return f"F:{a_he}-{b_he}", Graph(vertices=g.vertices, attach=attach, pairing=g.pairing)
 
 
@@ -206,7 +218,7 @@ def whitehead_move(pd: PantsDecomposition, half_edge: str) -> PantsDecomposition
     Preserves genus and boundary count.
     """
     entry, flipped = _reassociate(pd, half_edge, 1)
-    return make_pants_decomposition(flipped, pd.leg_map, moves=pd.moves + (entry,))
+    return PantsDecomposition(flipped, pd.leg_order, pd.moves + (entry,))
 
 
 def s_move(pd: PantsDecomposition, half_edge: str) -> PantsDecomposition:
@@ -221,6 +233,4 @@ def s_move(pd: PantsDecomposition, half_edge: str) -> PantsDecomposition:
         raise MoveNotApplicable(
             "surfaces.move_not_applicable", f"edge {a_he}-{b_he} is not a loop"
         )
-    return make_pants_decomposition(
-        g, pd.leg_map, moves=pd.moves + (f"S:{a_he}-{b_he}",)
-    )
+    return replace(pd, moves=pd.moves + (f"S:{a_he}-{b_he}",))

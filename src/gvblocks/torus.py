@@ -40,8 +40,9 @@ class ModularData:
     for pointed data it realizes x -> -x.  ``group`` is set when the data
     comes from a pointed category, whose labels are then its elements in
     sorted order.  :func:`make_modular_data` returns ``S`` and ``T``
-    read-only.  ``_table`` is the character table that :func:`st_matrices`
-    builds ``S`` from; data built any other way, ``dataclasses.replace``
+    read-only.  ``_table``, the sorted-order index of k(x) for the character
+    table K_xy = |G|^(-1/2) e(-k(x)·y) that S is, comes from
+    :func:`st_matrices`; data built any other way, ``dataclasses.replace``
     included, carries none.  ``residual_s2`` and ``residual_unitary`` are
     measured once per data set (:func:`_scan`; 0.0 from :func:`st_matrices`).
     """
@@ -51,7 +52,7 @@ class ModularData:
     T: np.ndarray
     conjugation: tuple[int, ...]
     group: FinAbGroup | None = None
-    _table: object = field(default=None, init=False, compare=False, repr=False)
+    _table: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -166,26 +167,6 @@ def make_modular_data(
     return md
 
 
-@dataclass(frozen=True)
-class _CharacterTable:
-    """The character table K_xy = |G|^(-1/2) e(-k(x)·y) of ``group``, with
-    k(x)·y = sum_j k_j(x) y_j / n_j and k: G -> G a homomorphism.
-
-    ``index`` holds the sorted-order position of k(x) and is a permutation,
-    so K is a row permutation of the unitary DFT of G: K·v is the gather
-    ``index`` of the DFT of v, one O(|G| log |G|) transform.
-    """
-
-    group: FinAbGroup
-    index: np.ndarray
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """K·v for a vector v over the group in sorted order."""
-        factors = self.group.invariant_factors
-        F = np.fft.fftn(v.reshape(factors), axes=range(len(factors)), norm="ortho")
-        return F.reshape(-1)[self.index]
-
-
 def st_preflight(C: PointedGVCategory) -> None:
     """Raise the coded error :func:`st_matrices` gives for ``C``, if any,
     without building anything."""
@@ -238,7 +219,7 @@ def st_matrices(C: PointedGVCategory) -> ModularData:
     digits = (tuple(map(str, range(n))) for n in group.invariant_factors)
     labels = tuple(map(",".join, itertools.product(*digits)))
     md = ModularData(labels, S, T, tuple(group.neg_index.tolist()), group=group)
-    object.__setattr__(md, "_table", _CharacterTable(group, group.index_of(k)))
+    object.__setattr__(md, "_table", group.index_of(k))
     object.__setattr__(md, "_norms", (0.0, 0.0))
     return md
 
@@ -289,8 +270,10 @@ def check_relations(md: ModularData) -> RelationReport:
 
     Data that carries the character table its S is built from (only
     :func:`st_matrices` attaches one) takes one transform.  S is then
-    K_xy = |G|^(-1/2) e(-k(x)·y) with k a homomorphism and K symmetric, so
-    for any diagonal T
+    K_xy = |G|^(-1/2) e(-k(x)·y), k(x)·y = sum_j k_j(x) y_j / n_j, with k a
+    bijective homomorphism and K symmetric.  K is thus a row permutation of
+    the unitary DFT of G: K·v is the DFT of v gathered at ``_table``.  For
+    any diagonal T
 
         (K·T·K)_xz = sum_y K_xy t_y K_zy = |G|^(-1) sum_y t_y e(-k(x + z)·y)
                    = |G|^(-1/2) h[x + z],  h = K·t,
@@ -317,10 +300,12 @@ def check_relations(md: ModularData) -> RelationReport:
             X -= np.conjugate(block, out=block)  # lam·T̄·S̄·T̄[:, cols]
             sq_st3 += _sq_norm(X)
     else:
-        path, table = "fourier", md._table
-        h = np.conjugate(table.apply(t)) / math.sqrt(md.rank)
+        path, group = "fourier", md.group
+        factors = group.invariant_factors
+        F = np.fft.fftn(t.reshape(factors), axes=range(len(factors)), norm="ortho")
+        h = np.conjugate(F.reshape(-1)[md._table]) / math.sqrt(md.rank)  # K·t, conjugated
         for rows in _chunks(md.rank):
-            X = h[table.group.add_index(back[rows])]  # conj of (Cᵀ·S·T·S)[rows]
+            X = h[group.add_index(back[rows])]  # conj of (Cᵀ·S·T·S)[rows]
             block = S[rows] * t
             block *= lam.conjugate() * t[rows, None]  # conj of (lam·T̄·S̄·T̄)[rows]
             X -= block

@@ -56,6 +56,21 @@ class TestDirectFormula:
         with pytest.raises(ValidationError):
             gv.block_dim_direct(z3, make_surface(0, [(1, 0)]))
 
+    @pytest.mark.parametrize("genus", [-1, 1.5, True])
+    def test_directly_built_bad_genus_refused(self, semion, genus):
+        # a SurfaceSpec built without make_surface is read like one built with it
+        spec = gv.surfaces.SurfaceSpec(genus, ())
+        for call in (gv.blocks.meets_condition, gv.block_dim_direct):
+            with pytest.raises(ValidationError) as e:
+                call(semion, spec)
+            assert e.value.code == "surfaces.bad_genus"
+
+    def test_directly_built_numpy_genus_is_exact(self):
+        # 1024^7 = 2^70 does not wrap around in int64
+        C = make_pointed([1024], [[F(1, 2048)]], (0,))
+        spec = gv.surfaces.SurfaceSpec(np.int64(7), ())
+        assert gv.block_dim_direct(C, spec) == 1024**7
+
 
 class TestPantsMultiplicity:
     def test_z3(self, z3):

@@ -80,10 +80,15 @@ class TestCodedRefusals:
             ("graphs.parse", lambda: gv.graph_from_text(5)),
             ("graphs.bad_graph", lambda: gv.new_corolla("abc")),
             ("graphs.bad_graph", lambda: gv.make_graph({"v": "ab"}, ["ab"])),
+            # only None means no marks; a falsy non-mapping is refused like 5
+            ("graphs.bad_graph", lambda: gv.canonical_form(loop_with_leg(), leg_marks=0)),
+            ("graphs.bad_graph", lambda: gv.canonical_form(loop_with_leg(), leg_marks=[])),
+            ("graphs.bad_graph", lambda: gv.canonical_form(loop_with_leg(), leg_marks="")),
         ],
         ids=["make_graph", "make_graph_halves", "new_corolla", "canonical_form_marks",
              "make_graph_edges", "make_graph_edge_pair", "graph_from_text", "new_corolla_str",
-             "make_graph_halves_str"],
+             "make_graph_halves_str", "canonical_form_marks_0", "canonical_form_marks_list",
+             "canonical_form_marks_str"],
     )
     def test_refused_with_code(self, code, call):
         with pytest.raises(ValidationError) as e:

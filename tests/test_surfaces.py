@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 
@@ -5,7 +6,12 @@ import pytest
 
 import gvblocks as gv
 from gvblocks.errors import CapacityError, MoveNotApplicable, ValidationError
-from gvblocks.surfaces import _reassociate, enumerate_decompositions, make_surface
+from gvblocks.surfaces import (
+    _enumerate_classes,
+    _reassociate,
+    enumerate_decompositions,
+    make_surface,
+)
 
 from conftest import enumerate_classes_reference, reference_key
 
@@ -85,6 +91,14 @@ class TestMakePantsDecomposition:
             with pytest.raises(ValidationError) as e:
                 gv.make_pants_decomposition(dual, leg_order)
             assert e.value.code == "surfaces.bad_leg_order"
+
+    def test_no_moves_parameter(self):
+        # the move log is written by the moves alone
+        dual = gv.corolla_graph(gv.new_corolla(["a", "b", "c"]))
+        assert "moves" not in inspect.signature(gv.make_pants_decomposition).parameters
+        with pytest.raises(TypeError):
+            gv.make_pants_decomposition(dual, {"a": 0, "b": 1, "c": 2}, moves=("S:a-b",))
+        assert gv.make_pants_decomposition(dual, {"a": 0, "b": 1, "c": 2}).moves == ()
 
 
 class TestEnumeration:
@@ -271,3 +285,40 @@ class TestMoves:
                     else:
                         out = gv.whitehead_move(pd, a)
                     assert (out.genus, out.n) == (g, n)
+
+
+class TestValidByConstruction:
+    def test_enumeration_checks_only_the_seed(self, monkeypatch):
+        calls = []
+        make = gv.surfaces.make_pants_decomposition
+
+        def counting(*args):
+            calls.append(args)
+            return make(*args)
+
+        monkeypatch.setattr(gv.surfaces, "make_pants_decomposition", counting)
+        for g, n in [(0, 7), (2, 1)]:
+            _enumerate_classes.cache_clear()
+            calls.clear()
+            pds = enumerate_decompositions(make_surface(g, [(0,)] * n))
+            assert len(calls) == 1 and len(pds) > 1
+            calls.clear()
+            for pd in pds:
+                for a, b in pd.dual.pairing:
+                    loop = pd.dual.attach_map[a] == pd.dual.attach_map[b]
+                    (gv.s_move if loop else gv.whitehead_move)(pd, a)
+            assert calls == []
+
+    def test_classes_and_moves_pass_the_checking_constructor(self):
+        # every class of complexity 1-5 and every move result, rebuilt from
+        # its parts through the checks, is itself, attach sorted by half-edge
+        for g, n in surfaces_up_to_complexity(5):
+            for pd in enumerate_decompositions(make_surface(g, [(0,)] * n)):
+                outs = [pd]
+                for a, b in pd.dual.pairing:
+                    loop = pd.dual.attach_map[a] == pd.dual.attach_map[b]
+                    outs.append((gv.s_move if loop else gv.whitehead_move)(pd, a))
+                for out in outs:
+                    dual = gv.make_graph(dict(out.dual.vertex_half_edges), out.dual.pairing)
+                    ref = gv.make_pants_decomposition(dual, out.leg_map)
+                    assert (ref.dual, ref.leg_order) == (out.dual, out.leg_order)

@@ -85,7 +85,7 @@ class TestSTMatrices:
             S, defect, index = st_reference(C)
             # S is the character table read back off its own angles, bit for bit
             assert md.S.tobytes() == S.tobytes() and defect == 0, C
-            assert np.array_equal(md._table.index, index), C
+            assert np.array_equal(md._table, index), C
         assert len(cats) > 8000
 
     def test_one_weight_table_per_form_and_one_table_rows_call_per_block(self, monkeypatch):
