@@ -9,7 +9,8 @@ chain.
 
 Whole-group computations index the elements one way: position in sorted
 (mixed-radix) order, through :attr:`FinAbGroup.element_array`,
-:meth:`FinAbGroup.index_of` and the add/neg index tables.  A form is
+:meth:`FinAbGroup.index_of` and the add/neg index tables; a
+:class:`Subgroup` is a tuple of such indices.  A form is
 evaluated on those arrays through its integer matrix M*A reduced modulo its
 common denominator M; for a validated form M divides 2*lcm(n_i), so within
 the group-order caps every int64 product stays below 2^62 and the tables
@@ -385,19 +386,54 @@ def make_bilinear(group: FinAbGroup, matrix) -> BilinearForm:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup given by its full element list plus abstract invariants."""
+    """A subgroup of ``ambient`` as the ascending sorted-order indices of its
+    elements in ``ambient.element_array``; its elements and invariant
+    factors are derived when first read, over an ambient group of order at
+    most :data:`ENUMERATION_CAP` (else ``CapacityError("forms.capacity")``)."""
 
     ambient: FinAbGroup
-    elements: tuple[Element, ...]
-    invariant_factors: tuple[int, ...]
+    index: tuple[int, ...]
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.index)
 
     @property
     def is_trivial(self) -> bool:
-        return len(self.elements) == 1
+        return len(self.index) == 1
+
+    @property
+    def _coords(self) -> np.ndarray:
+        _check_enumerable(self.ambient)
+        return self.ambient.element_array[list(self.index)]
+
+    @cached_property
+    def elements(self) -> tuple[Element, ...]:
+        return tuple(map(tuple, self._coords.tolist()))
+
+    @cached_property
+    def invariant_factors(self) -> tuple[int, ...]:
+        """Invariant factors (ascending divisibility chain), from the
+        element-order statistics: for each prime p the p^j-torsion has
+        p^(e_1 + ... + e_j) elements, e_j the number of cyclic p-factors of
+        order >= p^j, whose conjugate partition is the p-part.  Coordinates
+        are below max(n_i) <= |G| <= 2^16 and p^j divides the order, so every
+        ``coords * p**j`` stays below 2^32."""
+        coords = self._coords
+        factors = np.array(self.ambient.invariant_factors, dtype=np.int64)
+        powers_by_prime = []
+        for p in _prime_factors(self.order):
+            p_part = math.gcd(self.order, p ** self.order.bit_length())
+            logs = [0]  # log_p of the size of the p^j-torsion, j = 0, 1, ...
+            while p ** logs[-1] < p_part:
+                killed = np.count_nonzero(~(coords * p ** len(logs) % factors).any(axis=1))
+                logs.append(round(math.log(killed, p)))
+            exps = [b - a for a, b in zip(logs, logs[1:])]
+            # conjugate partition: sizes of the cyclic factors, descending
+            sizes = [sum(e >= k for e in exps) for k in range(1, max(exps) + 1)]
+            powers_by_prime.append([p**a for a in sizes])
+        chain = [math.prod(ps) for ps in itertools.zip_longest(*powers_by_prime, fillvalue=1)]
+        return tuple(reversed(chain))
 
 
 def _check_enumerable(group: FinAbGroup) -> None:
@@ -415,54 +451,7 @@ def radical(b: BilinearForm) -> Subgroup:
     group = b.group
     _check_enumerable(group)
     mask = ~b.against_generators().any(axis=1)
-    elems = tuple(map(tuple, group.element_array[mask].tolist()))
-    return Subgroup(group, elems, subgroup_invariants(group, elems))
-
-
-def subgroup_invariants(group: FinAbGroup, elements: Sequence[Element]) -> tuple[int, ...]:
-    """Invariant factors (ascending divisibility chain) of a subgroup.
-
-    Works from the element-order statistics: for each prime p the count of
-    elements killed by p^j determines the partition of the p-part.
-    """
-    order = len(elements)
-    if order <= 1:
-        return ()
-    # p^j <= order, so coords * p^j stays below max(factors) * order
-    dtype = np.int64 if max(group.invariant_factors) * order < 2**63 else object
-    coords = np.array(elements, dtype=dtype).reshape(order, group.rank)
-    factors = np.array(group.invariant_factors, dtype=dtype)
-    powers_by_prime: list[list[int]] = []
-    for p in _prime_factors(order):
-        p_part = 1
-        o = order
-        while o % p == 0:
-            p_part *= p
-            o //= p
-        # e_j = number of cyclic p-factors of order >= p^j
-        exps = []
-        prev = 0
-        j = 1
-        while True:
-            killed = int(np.count_nonzero(~(coords * p**j % factors).any(axis=1)))
-            cur = round(math.log(killed, p))
-            exps.append(cur - prev)
-            if killed == p_part:
-                break
-            prev = cur
-            j += 1
-        # conjugate partition: sizes of the cyclic factors, descending
-        sizes = [sum(1 for e in exps if e >= k) for k in range(1, max(exps) + 1)]
-        powers_by_prime.append(sorted((p**a for a in sizes), reverse=True))
-    n_factors = max(len(ps) for ps in powers_by_prime)
-    chain = []
-    for i in range(n_factors):
-        d = 1
-        for ps in powers_by_prime:
-            if i < len(ps):
-                d *= ps[i]
-        chain.append(d)
-    return tuple(reversed(chain))
+    return Subgroup(group, tuple(np.flatnonzero(mask).tolist()))
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -247,8 +247,8 @@ def canonical_form(g: Graph, leg_marks: Mapping[str, object] | None = None):
     same certificates.  With ``leg_marks`` the isomorphisms are required to
     preserve the marking; unmarked legs at the same vertex are
     interchangeable; only ``None`` means no marks, and anything else that is
-    not a mapping is refused.  Graphs with more than ``CANONICAL_CAP``
-    vertices are refused.
+    not a mapping, or a mapping with a key that is not a leg, is refused.
+    Graphs with more than ``CANONICAL_CAP`` vertices are refused.
     """
     nv = len(g.vertices)
     if nv > CANONICAL_CAP:
@@ -256,6 +256,11 @@ def canonical_form(g: Graph, leg_marks: Mapping[str, object] | None = None):
             "graphs.capacity", f"{nv} vertices exceed canonical-form cap {CANONICAL_CAP}"
         )
     marks = {} if leg_marks is None else _as_mapping(leg_marks, "leg marks")
+    stray = set(marks).difference(g.legs)
+    if stray:
+        raise ValidationError(
+            "graphs.bad_graph", f"leg marks {sorted(map(repr, stray))} are not legs of the graph"
+        )
     index = {v: i for i, v in enumerate(g.vertices)}
     at = g.attach_map
     edges = [(index[at[a]], index[at[b]]) for a, b in g.pairing]

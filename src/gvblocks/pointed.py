@@ -32,7 +32,6 @@ from .forms import (
     as_fraction,
     bilinear,
     radical,
-    subgroup_invariants,
 )
 
 #: Largest group order the exhaustive axiom checker accepts.
@@ -225,12 +224,9 @@ class MuegerCenter:
 def mueger_center(C: PointedGVCategory) -> MuegerCenter:
     """Radical of b, and within it the elements with trivial twist."""
     rad = C.radical
-    coords = np.array(rad.elements, dtype=np.int64).reshape(rad.order, C.group.rank)
-    theta = C.twist_numerators[1][C.group.index_of(coords)]
-    bal = tuple(x for x, t in zip(rad.elements, theta) if t == 0)
-    return MuegerCenter(
-        rad, Subgroup(C.group, bal, subgroup_invariants(C.group, bal))
-    )
+    index = np.array(rad.index, dtype=np.int64)
+    balanced = index[C.twist_numerators[1][index] == 0]
+    return MuegerCenter(rad, Subgroup(C.group, tuple(balanced.tolist())))
 
 
 @dataclass(frozen=True)

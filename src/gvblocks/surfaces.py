@@ -100,7 +100,8 @@ def make_pants_decomposition(dual: Graph, leg_order: Mapping[str, int]) -> Pants
         str(h): as_int(i, "surfaces.bad_leg_order", "boundary index")
         for h, i in leg_order.items()
     }
-    if set(order) != legs or sorted(order.values()) != list(range(len(legs))):
+    bijective = len(order) == len(leg_order) and set(order) == legs
+    if not bijective or sorted(order.values()) != list(range(len(legs))):
         raise ValidationError(
             "surfaces.bad_leg_order",
             f"leg order must match the {len(legs)} legs bijectively onto 0..{len(legs) - 1}",
@@ -225,7 +226,8 @@ def s_move(pd: PantsDecomposition, half_edge: str) -> PantsDecomposition:
     """Exchange the cut of a genus-one piece with a transversal one.
 
     Applies to loop edges only.  The dual graph is unchanged up to
-    isomorphism; the move is recorded in the log.
+    isomorphism; the move is recorded in the log, and the result keeps the
+    cached ``leg_map`` and ``canonical_key`` of ``pd``.
     """
     a_he, b_he = _find_edge(pd, half_edge)
     g = pd.dual
@@ -233,4 +235,8 @@ def s_move(pd: PantsDecomposition, half_edge: str) -> PantsDecomposition:
         raise MoveNotApplicable(
             "surfaces.move_not_applicable", f"edge {a_he}-{b_he} is not a loop"
         )
-    return replace(pd, moves=pd.moves + (f"S:{a_he}-{b_he}",))
+    out = replace(pd, moves=pd.moves + (f"S:{a_he}-{b_he}",))
+    for name in ("leg_map", "canonical_key"):
+        if name in vars(pd):
+            vars(out)[name] = vars(pd)[name]
+    return out

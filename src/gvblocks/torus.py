@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -216,8 +215,7 @@ def st_matrices(C: PointedGVCategory) -> ModularData:
     T = np.exp(2j * math.pi * C.qform.values / qden)
     T.flags.writeable = False
     k = C.bform.against_generators() * np.array(group.invariant_factors, dtype=np.int64) // bden
-    digits = (tuple(map(str, range(n))) for n in group.invariant_factors)
-    labels = tuple(map(",".join, itertools.product(*digits)))
+    labels = tuple(",".join(map(str, x)) for x in group.sorted_elements)
     md = ModularData(labels, S, T, tuple(group.neg_index.tolist()), group=group)
     object.__setattr__(md, "_table", group.index_of(k))
     object.__setattr__(md, "_norms", (0.0, 0.0))
@@ -236,7 +234,6 @@ class RelationReport:
     residual_st3: float  # ||S T S - lam C T* S* T*|| for the conjugation C
     residual_s2: float  # ||S - C S*||
     residual_unitary: float  # ||S S*^T - 1||
-    tol: float
     path: str
 
     @property
@@ -245,7 +242,7 @@ class RelationReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_residual < self.tol
+        return self.max_residual < TOL
 
 
 def check_relations(md: ModularData) -> RelationReport:
@@ -310,7 +307,7 @@ def check_relations(md: ModularData) -> RelationReport:
             block *= lam.conjugate() * t[rows, None]  # conj of (lam·T̄·S̄·T̄)[rows]
             X -= block
             sq_st3 += _sq_norm(X)
-    return RelationReport(lam, math.sqrt(sq_st3), md.residual_s2, md.residual_unitary, TOL, path)
+    return RelationReport(lam, math.sqrt(sq_st3), md.residual_s2, md.residual_unitary, path)
 
 
 #: Names of the embedded modular data tables, in the order the CLI lists them.

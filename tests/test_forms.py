@@ -9,9 +9,10 @@ import pytest
 import gvblocks as gv
 from gvblocks.errors import CapacityError, InvalidQForm, ValidationError
 from gvblocks.forms import (
+    ENUMERATION_CAP,
+    Subgroup,
     _smith_normal_form,
     enumerate_qforms,
-    subgroup_invariants,
 )
 
 from conftest import (
@@ -410,17 +411,25 @@ class TestRadical:
         )
 
 
+def subgroup(g, elements):
+    """The Subgroup of ``g`` with the given elements, by sorted-order index."""
+    coords = np.array(elements, dtype=np.int64).reshape(len(elements), g.rank)
+    return Subgroup(g, tuple(sorted(g.index_of(coords).tolist())))
+
+
 class TestSubgroupInvariants:
     def test_mixed_primes(self):
         g = gv.make_group([2, 6])
-        assert subgroup_invariants(g, tuple(g.elements())) == (2, 6)
+        assert subgroup(g, tuple(g.elements())).invariant_factors == (2, 6)
         g12 = gv.make_group([12])
-        assert subgroup_invariants(g12, tuple(g12.elements())) == (12,)
+        assert subgroup(g12, tuple(g12.elements())).invariant_factors == (12,)
 
     def test_partial_subgroup(self):
         g = gv.make_group([4, 2])
-        sub = ((0, 0), (2, 0), (0, 1), (2, 1))
-        assert subgroup_invariants(g, sub) == (2, 2)
+        sub = subgroup(g, ((0, 0), (2, 0), (0, 1), (2, 1)))
+        assert sub.index == (0, 1, 4, 5) and sub.order == 4
+        assert sub.elements == ((0, 0), (0, 1), (2, 0), (2, 1))
+        assert sub.invariant_factors == (2, 2)
 
     def test_matches_reference_on_all_subgroups(self):
         for shape in group_shapes(16):
@@ -436,7 +445,28 @@ class TestSubgroupInvariants:
                         frontier.append(grown)
             for h in subgroups:
                 elems = tuple(sorted(h))
-                assert subgroup_invariants(g, elems) == subgroup_invariants_reference(g, elems)
+                sub = subgroup(g, elems)
+                assert sub.elements == elems
+                assert sub.invariant_factors == subgroup_invariants_reference(g, elems)
+
+    def test_derived_only_when_read(self):
+        g = gv.make_group([2, 4])
+        sub = Subgroup(g, (0, 2, 4, 6))
+        assert sub.order == 4 and not sub.is_trivial
+        assert "elements" not in vars(sub) and "invariant_factors" not in vars(sub)
+        assert sub.invariant_factors == (2, 2)
+        assert sub == Subgroup(g, (0, 2, 4, 6)) and hash(sub) == hash(Subgroup(g, (0, 2, 4, 6)))
+
+    @pytest.mark.parametrize("name", ["elements", "invariant_factors"])
+    def test_capacity(self, name):
+        g = gv.make_group([2] * 17)
+        assert g.order > ENUMERATION_CAP
+        sub = Subgroup(g, (0, 1))
+        assert sub.order == 2
+        with pytest.raises(CapacityError) as e:
+            getattr(sub, name)
+        assert e.value.code == "forms.capacity"
+        assert "element_array" not in vars(g)
 
 
 class TestGaussSum:

@@ -84,11 +84,17 @@ class TestCodedRefusals:
             ("graphs.bad_graph", lambda: gv.canonical_form(loop_with_leg(), leg_marks=0)),
             ("graphs.bad_graph", lambda: gv.canonical_form(loop_with_leg(), leg_marks=[])),
             ("graphs.bad_graph", lambda: gv.canonical_form(loop_with_leg(), leg_marks="")),
+            # a mark on a key that is not a leg would be dropped without notice
+            ("graphs.bad_graph", lambda: gv.canonical_form(
+                gv.make_graph({"u": ["1", "2", "x"], "v": ["3", "4", "y"]}, [("x", "y")]),
+                leg_marks={1: 0, 3: 0, 2: 1, 4: 1})),
+            ("graphs.bad_graph", lambda: gv.canonical_form(loop_with_leg(), leg_marks={"zz": 5})),
         ],
         ids=["make_graph", "make_graph_halves", "new_corolla", "canonical_form_marks",
              "make_graph_edges", "make_graph_edge_pair", "graph_from_text", "new_corolla_str",
              "make_graph_halves_str", "canonical_form_marks_0", "canonical_form_marks_list",
-             "canonical_form_marks_str"],
+             "canonical_form_marks_str", "canonical_form_marks_int_keys",
+             "canonical_form_marks_unknown_leg"],
     )
     def test_refused_with_code(self, code, call):
         with pytest.raises(ValidationError) as e:

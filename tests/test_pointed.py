@@ -330,6 +330,16 @@ class TestMuegerCenter:
                 rad = radical_reference(q)
                 assert gv.mueger_center(C).balanced.elements == tuple(x for x in rad if th[x] == 0)
 
+    def test_verdicts_and_center_derive_no_elements_or_invariants(self):
+        # the verdict chain reads orders and indices only
+        C = make_pointed([2, 4], [[F(1, 2), 0], [0, F(1, 4)]], (0, 0))
+        gv.verdicts(C)
+        c = gv.mueger_center(C)
+        for sub in (c.radical, c.balanced):
+            assert "elements" not in vars(sub) and "invariant_factors" not in vars(sub)
+        assert c.radical.index == (0, 2, 4, 6) and c.balanced.index == (0, 2)
+        assert c.radical.invariant_factors == (2, 2) and c.balanced.invariant_factors == (2,)
+
 
 class TestVerdicts:
     def test_semion(self, semion):

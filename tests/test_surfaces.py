@@ -85,6 +85,13 @@ class TestMakePantsDecomposition:
         with pytest.raises(ValidationError):
             gv.make_pants_decomposition(dual, {"a": 0, "b": 0, "c": 2})
 
+    def test_leg_order_keys_that_collide_after_str(self):
+        # "1" and 1 name the same leg, so the order is not a bijection
+        dual = gv.corolla_graph(gv.new_corolla(["1", "2", "3"]))
+        with pytest.raises(ValidationError) as e:
+            gv.make_pants_decomposition(dual, {"1": 0, 1: 0, "2": 1, "3": 2})
+        assert e.value.code == "surfaces.bad_leg_order"
+
     def test_leg_order_that_is_not_a_mapping(self):
         dual = gv.corolla_graph(gv.new_corolla(["a", "b", "c"]))
         for leg_order in (5, [("a", 0), ("b", 1), ("c", 2)]):
@@ -246,6 +253,24 @@ class TestMoves:
         out = gv.s_move(pd, "p")
         assert out.canonical_key == pd.canonical_key
         assert out.moves == ("S:p-q",)
+
+    def test_s_move_keeps_the_cached_key(self, monkeypatch):
+        calls = []
+        canonical = gv.surfaces.canonical_form
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return canonical(*args, **kwargs)
+
+        monkeypatch.setattr(gv.surfaces, "canonical_form", counting)
+        pd = dumbbell_pd()
+        key = pd.canonical_key
+        loops = [a for a, b in pd.dual.pairing if pd.dual.attach_map[a] == pd.dual.attach_map[b]]
+        calls.clear()
+        out = gv.s_move(gv.s_move(pd, loops[0]), loops[1])
+        assert out.canonical_key == key and out.leg_map == pd.leg_map
+        assert calls == []
+        assert out.moves == tuple(f"S:{a}-{pd.dual.involution[a]}" for a in loops)
 
     def test_s_move_dumbbell(self):
         pd = dumbbell_pd()
