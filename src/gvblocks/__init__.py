@@ -26,7 +26,6 @@ from .forms import (
     bilinear,
     enumerate_qforms,
     gauss_sum,
-    make_bilinear,
     make_group,
     make_qform,
     radical,

@@ -30,11 +30,11 @@ DIM_BITS_CAP = 2**24
 
 
 def meets_condition(C: PointedGVCategory, spec: SurfaceSpec) -> bool:
-    """Whether the total boundary degree plus (g-1)*g0 vanishes; a genus
-    that is not an int >= 0 raises ``ValidationError("surfaces.bad_genus")``."""
+    """Whether the total boundary degree plus (g-1)*g0 vanishes; ``spec`` is
+    read as :func:`~gvblocks.surfaces.make_surface` reads its arguments."""
     group = C.group
     total = group.scale(_genus(spec.genus) - 1, C.g0)
-    for lab in spec.boundary_labels:
+    for lab in _as_items(spec.boundary_labels, "forms.bad_element", "labels"):
         total = group.add(total, group.reduce(lab))
     return total == group.zero
 

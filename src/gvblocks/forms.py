@@ -63,7 +63,9 @@ def _as_items(x, code: str, what: str) -> tuple:
     """The items of a container argument as a tuple; an ``x`` that cannot
     be iterated (a scalar), a string, which would split into its
     characters, or a mapping, which would give its keys, raises
-    ``ValidationError(code)``."""
+    ``ValidationError(code)``.  A tuple is returned as it is."""
+    if type(x) is tuple:
+        return x
     try:
         if isinstance(x, (str, bytes, abc.Mapping)):
             raise TypeError
@@ -139,15 +141,10 @@ class FinAbGroup:
     def generator(self, i: int) -> Element:
         return tuple(1 if j == i else 0 for j in range(self.rank))
 
-    def generators(self) -> list[Element]:
-        return [self.generator(i) for i in range(self.rank)]
-
-    def elements(self) -> Iterator[Element]:
-        return itertools.product(*(range(n) for n in self.invariant_factors))
-
     @cached_property
-    def sorted_elements(self) -> tuple[Element, ...]:
-        return tuple(self.elements())
+    def elements(self) -> tuple[Element, ...]:
+        """All elements as tuples in sorted order: the rows of :attr:`element_array`."""
+        return tuple(itertools.product(*(range(n) for n in self.invariant_factors)))
 
     @cached_property
     def element_array(self) -> np.ndarray:
@@ -284,21 +281,18 @@ class BilinearForm(_MatrixForm):
     """Symmetric biadditive form b(x, y) = x^T B y mod 1."""
 
     @cached_property
-    def _weights(self) -> np.ndarray:
+    def weights(self) -> np.ndarray:
+        """Numerators of b(x, e_j): one row per element in sorted order,
+        computed once per form and read-only."""
         weights = (self.group.element_array @ self.int_array) % self.int_form[0]
         weights.flags.writeable = False
         return weights
-
-    def against_generators(self) -> np.ndarray:
-        """Numerators of b(x, e_j): one row per element in sorted order,
-        computed once per form and read-only."""
-        return self._weights
 
     def table_rows(self, rows: slice = slice(None)) -> np.ndarray:
         """Numerators of b(x, y) for x in ``element_array[rows]`` and every y:
         b(x, y) = sum_j y_j b(x, e_j), so the rows are the weights of x
         against the coordinates of y."""
-        out = self._weights[rows] @ self.group.element_array.T
+        out = self.weights[rows] @ self.group.element_array.T
         out %= self.int_form[0]
         return out
 
@@ -371,19 +365,6 @@ def bilinear(q: QForm) -> BilinearForm:
     )
 
 
-def make_bilinear(group: FinAbGroup, matrix) -> BilinearForm:
-    """Validate and build a symmetric bilinear form from its matrix."""
-    rows = _check_matrix_shape(group, matrix)
-    for i, n in enumerate(group.invariant_factors):
-        for j in range(group.rank):
-            if (n * rows[j][i]).denominator != 1:
-                raise ValidationError(
-                    "forms.bad_bilinear",
-                    f"b(e_{j}, {n}*e_{i}) = {n * rows[j][i]} is not 0 mod 1",
-                )
-    return BilinearForm(group, rows)
-
-
 @dataclass(frozen=True)
 class Subgroup:
     """A subgroup of ``ambient`` as the ascending sorted-order indices of its
@@ -418,17 +399,25 @@ class Subgroup:
         p^(e_1 + ... + e_j) elements, e_j the number of cyclic p-factors of
         order >= p^j, whose conjugate partition is the p-part.  Coordinates
         are below max(n_i) <= |G| <= 2^16 and p^j divides the order, so every
-        ``coords * p**j`` stays below 2^32."""
+        ``coords * p**j`` stays below 2^32.  Counts no subgroup has raise
+        ``ValidationError("forms.bad_subgroup")``, which bounds the loop by
+        the p-part; this is not a full closure test."""
         coords = self._coords
         factors = np.array(self.ambient.invariant_factors, dtype=np.int64)
         powers_by_prime = []
         for p in _prime_factors(self.order):
             p_part = math.gcd(self.order, p ** self.order.bit_length())
-            logs = [0]  # log_p of the size of the p^j-torsion, j = 0, 1, ...
-            while p ** logs[-1] < p_part:
-                killed = np.count_nonzero(~(coords * p ** len(logs) % factors).any(axis=1))
-                logs.append(round(math.log(killed, p)))
-            exps = [b - a for a, b in zip(logs, logs[1:])]
+            exps = []  # e_1, e_2, ...: the p^j-torsion has p^sum(exps[:j]) elements
+            while p ** sum(exps) < p_part:
+                killed = np.count_nonzero(~(coords * p ** (len(exps) + 1) % factors).any(axis=1))
+                exps.append((round(math.log(killed, p)) if killed else 0) - sum(exps))
+                # a subgroup's counts are powers of p up to the p-part, e_1 >= e_2 >= ... > 0
+                if p ** sum(exps) != killed or killed > p_part or not 0 < exps[-1] == min(exps):
+                    raise ValidationError(
+                        "forms.bad_subgroup",
+                        f"not a subgroup of {self.ambient.invariant_factors}: {killed} of its "
+                        f"{self.order} elements are killed by {p}^{len(exps)}",
+                    )
             # conjugate partition: sizes of the cyclic factors, descending
             sizes = [sum(e >= k for e in exps) for k in range(1, max(exps) + 1)]
             powers_by_prime.append([p**a for a in sizes])
@@ -450,7 +439,7 @@ def radical(b: BilinearForm) -> Subgroup:
     """
     group = b.group
     _check_enumerable(group)
-    mask = ~b.against_generators().any(axis=1)
+    mask = ~b.weights.any(axis=1)
     return Subgroup(group, tuple(np.flatnonzero(mask).tolist()))
 
 
@@ -516,18 +505,13 @@ def _identity(n: int) -> list[list[int]]:
 
 
 def smith_normal_form(mat: Sequence[Sequence[int]]):
-    """Smith normal form with transforms: returns (U, D, V) with U*A*V = D.
+    """Smith normal form with transforms: returns (U, D, V, s) with U*A*V = D.
 
     U and V are unimodular, D is diagonal with nonnegative entries and
     d_1 | d_2 | ... .  Works for arbitrary (also rectangular) integer
-    matrices.
+    matrices.  s = det(U)·det(V) = ±1, flipped on each row swap, column
+    swap and row negation, so det(A) = s·d_1·...·d_n for square A.
     """
-    return _smith_normal_form(mat)[:3]
-
-
-def _smith_normal_form(mat: Sequence[Sequence[int]]):
-    """(U, D, V, s) of :func:`smith_normal_form`, s = det(U)·det(V) = ±1 flipped on each
-    row swap, column swap and row negation, so det(A) = s·d_1·...·d_n for square A."""
     a = [[int(x) for x in row] for row in mat]
     m = len(a)
     n = len(a[0]) if m else 0

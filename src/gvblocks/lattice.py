@@ -21,11 +21,11 @@ from .forms import (
     FinAbGroup,
     QForm,
     _as_items,
-    _smith_normal_form,
     as_fraction,
     as_int,
     make_group,
     make_qform,
+    smith_normal_form,
 )
 from .pointed import PointedGVCategory, make_category
 
@@ -75,7 +75,7 @@ class LatticeData:
 
     @cached_property
     def _smith(self) -> tuple:
-        return _smith_normal_form(self.gram)
+        return smith_normal_form(self.gram)
 
     @cached_property
     def determinant(self) -> int:

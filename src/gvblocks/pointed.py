@@ -59,7 +59,7 @@ class PointedGVCategory:
         qden, bden = self.qform.int_form[0], self.bform.int_form[0]
         tden = math.lcm(qden, bden)
         # b(x, h0) = sum_j h0_j b(x, e_j)
-        b_h0 = self.bform.against_generators() @ np.array(self.h0, dtype=np.int64) % bden
+        b_h0 = self.bform.weights @ np.array(self.h0, dtype=np.int64) % bden
         return tden, (self.qform.values * (tden // qden) - b_h0 * (tden // bden)) % tden
 
     @cached_property
@@ -152,7 +152,7 @@ def check_axioms(
         raise CapacityError(
             "pointed.capacity", f"group order {m} exceeds axiom cap {AXIOM_CAP}"
         )
-    elements = group.sorted_elements
+    elements = group.elements
     b = C.bform
     bden, B = b.int_form
     if twist is None:
@@ -176,7 +176,7 @@ def check_axioms(
 
     # x -> x + e_i is a roll along axis i of the sorted-order grid
     gens = group.index_of(np.eye(group.rank, dtype=np.int64))
-    Vg = b.against_generators().astype(tnum.dtype) * scale
+    Vg = b.weights.astype(tnum.dtype) * scale
     tgrid = tnum.reshape(shape)
     scan = failing or not (
         tnum[0] == 0

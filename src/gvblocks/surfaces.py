@@ -113,9 +113,12 @@ def enumerate_decompositions(spec: SurfaceSpec) -> list[PantsDecomposition]:
     """All isomorphism classes of pants decompositions of the surface.
 
     Classes are distinguished up to dual-graph isomorphism preserving the
-    boundary marking, sorted by canonical form.
+    boundary marking, sorted by canonical form; ``spec`` is read as
+    :func:`make_surface` reads its arguments.
     """
-    return list(_enumerate_classes(spec.genus, spec.n))
+    genus = _genus(spec.genus)
+    labels = _as_items(spec.boundary_labels, "forms.bad_element", "labels")
+    return list(_enumerate_classes(genus, len(labels)))
 
 
 def _seed(genus: int, n: int) -> PantsDecomposition:

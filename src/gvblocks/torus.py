@@ -60,7 +60,7 @@ class ModularData:
     @property
     def elements(self) -> tuple[Element, ...] | None:
         """The group elements behind the labels, for pointed data."""
-        return None if self.group is None else self.group.sorted_elements
+        return None if self.group is None else self.group.elements
 
     @functools.cached_property
     def _norms(self) -> tuple[float, float]:
@@ -214,8 +214,8 @@ def st_matrices(C: PointedGVCategory) -> ModularData:
     S.flags.writeable = False
     T = np.exp(2j * math.pi * C.qform.values / qden)
     T.flags.writeable = False
-    k = C.bform.against_generators() * np.array(group.invariant_factors, dtype=np.int64) // bden
-    labels = tuple(",".join(map(str, x)) for x in group.sorted_elements)
+    k = C.bform.weights * np.array(group.invariant_factors, dtype=np.int64) // bden
+    labels = tuple(",".join(map(str, x)) for x in group.elements)
     md = ModularData(labels, S, T, tuple(group.neg_index.tolist()), group=group)
     object.__setattr__(md, "_table", group.index_of(k))
     object.__setattr__(md, "_norms", (0.0, 0.0))

@@ -135,7 +135,7 @@ def glued_dim_oracle(C, pd, labels):
     label_of_leg = {h: group.reduce(labels[i]) for h, i in pd.leg_map.items()}
     edges = list(pd.dual.pairing)
     total = 0
-    for assign in itertools.product(group.sorted_elements, repeat=len(edges)):
+    for assign in itertools.product(group.elements, repeat=len(edges)):
         val = {}
         for (a, b), e in zip(edges, assign):
             val[a] = e
@@ -177,12 +177,12 @@ def b_reference(q, x, y):
 
 def radical_reference(q):
     """Elements x with b(x, y) = 0 for every y, in sorted order."""
-    els = list(q.group.elements())
+    els = q.group.elements
     return tuple(x for x in els if all(b_reference(q, x, y) == 0 for y in els))
 
 
 def gauss_sum_reference(q):
-    total = sum(cmath.exp(2j * math.pi * q_reference(q, x)) for x in q.group.elements())
+    total = sum(cmath.exp(2j * math.pi * q_reference(q, x)) for x in q.group.elements)
     return total / math.sqrt(q.group.order)
 
 
@@ -191,7 +191,7 @@ def twist_table(C, twist=None):
     if twist is None:
         q = C.qform
         twist = lambda x: q_reference(q, x) - b_reference(q, x, C.h0)
-    return {x: twist(x) % 1 for x in C.group.elements()}
+    return {x: twist(x) % 1 for x in C.group.elements}
 
 
 def axiom_violation(C, th, name, witness, b=None):
@@ -228,10 +228,10 @@ def axioms_reference(C, twist=None):
     group = C.group
     th = twist_table(C, twist)
     b = functools.cache(functools.partial(b_reference, C.qform))
-    els = list(group.elements())
+    els = group.elements
     triples = itertools.product(els, els, els)
     if group.order > 128:
-        gens = [e for e, n in zip(group.generators(), group.invariant_factors) if n > 1]
+        gens = [group.generator(i) for i, n in enumerate(group.invariant_factors) if n > 1]
         pair = next(
             (
                 (x, y)

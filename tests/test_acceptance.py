@@ -176,7 +176,7 @@ def test_criterion_7_oracles():
     for _ in range(210):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         a = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
-        u, d, v = gv.smith_normal_form(a)
+        u, d, v, _ = gv.smith_normal_form(a)
         assert mat_mul_int(mat_mul_int(u, a), v) == d
         assert abs(det_reference(u)) == 1 and abs(det_reference(v)) == 1
         diag = [d[i][i] for i in range(min(m, n))]

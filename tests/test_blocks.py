@@ -9,7 +9,7 @@ import pytest
 
 import gvblocks as gv
 from gvblocks.errors import CapacityError, DegenerateDataError, ValidationError
-from gvblocks.forms import _smith_normal_form
+from gvblocks.forms import smith_normal_form
 from gvblocks.surfaces import (
     _enumerate_classes,
     enumerate_decompositions,
@@ -64,6 +64,14 @@ class TestDirectFormula:
             with pytest.raises(ValidationError) as e:
                 call(semion, spec)
             assert e.value.code == "surfaces.bad_genus"
+
+    @pytest.mark.parametrize("labels", [5, "ab", {(0,): 1}])
+    def test_directly_built_bad_labels_refused(self, semion, labels):
+        spec = gv.surfaces.SurfaceSpec(1, labels)
+        for call in (gv.blocks.meets_condition, gv.block_dim_direct):
+            with pytest.raises(ValidationError) as e:
+                call(semion, spec)
+            assert e.value.code == "forms.bad_element"
 
     def test_directly_built_numpy_genus_is_exact(self):
         # 1024^7 = 2^70 does not wrap around in int64
@@ -209,8 +217,8 @@ class TestGluedFormula:
         ]
         assert [C.g0 for C in cats] == [(2,), (0, 0), (2,)]  # 2 h0 = 0 on Z/2 x Z/2
         for C in cats:
-            counts = [gv.block_dim_glued(C, pd, [lab]) for lab in C.group.sorted_elements]
-            assert counts == [glued_dim_oracle(C, pd, [lab]) for lab in C.group.sorted_elements]
+            counts = [gv.block_dim_glued(C, pd, [lab]) for lab in C.group.elements]
+            assert counts == [glued_dim_oracle(C, pd, [lab]) for lab in C.group.elements]
             assert sorted(counts) == [0] * (C.group.order - 1) + [C.group.order**3]
 
 
@@ -222,7 +230,7 @@ class TestGluingPath:
     @pytest.fixture
     def smith_calls(self, monkeypatch):
         calls = []
-        original = _smith_normal_form  # the elimination behind smith_normal_form
+        original = smith_normal_form
 
         def counted(mat):
             calls.append(len(mat))
@@ -230,9 +238,9 @@ class TestGluingPath:
 
         for name, module in list(sys.modules.items()):
             if name.partition(".")[0] == "gvblocks" and (
-                getattr(module, "_smith_normal_form", None) is original
+                getattr(module, "smith_normal_form", None) is original
             ):
-                monkeypatch.setattr(module, "_smith_normal_form", counted)
+                monkeypatch.setattr(module, "smith_normal_form", counted)
         _enumerate_classes.cache_clear()  # enumeration runs under the counter too
         return calls
 
@@ -290,7 +298,7 @@ class TestGluingPath:
                 edges = [(a, b) for a, b in pd.dual.pairing if attach[a] != attach[b]]
                 assert pd.genus == g
                 A = [[(attach[a] == v) - (attach[b] == v) for a, b in edges] for v in vertices]
-                U, D, _ = gv.smith_normal_form(A)
+                U, D, _, _ = gv.smith_normal_form(A)
                 d = [D[r][r] if r < min(nv, len(edges)) else 0 for r in range(max(nv, len(edges)))]
                 assert d == [1] * (nv - 1) + [0] * (max(nv, len(edges)) - nv + 1)
                 assert abs(det_reference(U)) == 1

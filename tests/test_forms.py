@@ -11,7 +11,6 @@ from gvblocks.errors import CapacityError, InvalidQForm, ValidationError
 from gvblocks.forms import (
     ENUMERATION_CAP,
     Subgroup,
-    _smith_normal_form,
     enumerate_qforms,
 )
 
@@ -44,8 +43,14 @@ class TestGroups:
 
     def test_elements_sorted(self):
         g = gv.make_group([2, 3])
-        els = g.sorted_elements
+        els = g.elements
         assert len(els) == 6 and els[0] == (0, 0) and els == tuple(sorted(els))
+
+    def test_elements_are_the_rows_of_element_array(self):
+        for shape in [(), (1,)] + group_shapes(16):
+            g = gv.make_group(shape)
+            assert g.elements == tuple(map(tuple, g.element_array.tolist())), shape
+            assert g.elements is g.elements
 
     def test_add_index_matches_the_group_law(self):
         # slices and index arrays, factors of 1 and the trivial group
@@ -53,7 +58,7 @@ class TestGroups:
         shapes = [(), (1,), (1, 3), (4, 1, 2), (2,) * 6, (3, 9, 27)] + group_shapes(36)
         for shape in shapes:
             G = gv.make_group(shape)
-            els = G.sorted_elements
+            els = G.elements
             position = {x: i for i, x in enumerate(els)}
             picks = rng.integers(0, G.order, 7)
             for rows in (slice(None), slice(G.order // 3, G.order // 3 + 5), picks):
@@ -246,7 +251,7 @@ class TestQForm:
         for shape in group_shapes(16):
             g = gv.make_group(shape)
             k = g.rank
-            X = np.array(list(g.elements()), dtype=np.int64).reshape(g.order, k)
+            X = np.array(g.elements, dtype=np.int64).reshape(g.order, k)
             # every element, then every element moved by n_i e_i for each i
             P = np.concatenate([X] + [X + s for s in np.diag(shape)])
             matrices = [q.matrix for q in enumerate_qforms(g)]
@@ -277,14 +282,14 @@ class TestQForm:
     def test_zero_form(self):
         g = gv.make_group([5, 7])
         q = gv.make_qform(g, [[0, 0], [0, 0]])
-        assert all(q(x) == 0 for x in g.elements())
+        assert all(q(x) == 0 for x in g.elements)
 
     def test_large_integer_part(self):
         # 9 * (2^58 + 1/9) * x^2 overflows int64 unless the matrix is reduced first
         g = gv.make_group([9])
         big = gv.make_qform(g, [[2**58 + F(1, 9)]])
         small = gv.make_qform(g, [[F(1, 9)]])
-        assert [big(x) for x in g.elements()] == [small(x) for x in g.elements()]
+        assert [big(x) for x in g.elements] == [small(x) for x in g.elements]
 
     def test_asymmetric_rejected(self):
         g = gv.make_group([2, 2])
@@ -301,7 +306,7 @@ class TestQForm:
         for factors, mat in cases:
             g = gv.make_group(factors)
             q = gv.make_qform(g, mat)
-            for x in g.elements():
+            for x in g.elements:
                 for k in range(max(factors) + 2):
                     assert q(g.scale(k, x)) == (k * k * q(x)) % 1
 
@@ -313,8 +318,8 @@ class TestBilinear:
         b = gv.bilinear(q)
         assert b((1,), (1,)) == F(1, 2)
         # polarization identity
-        for x in g.elements():
-            for y in g.elements():
+        for x in g.elements:
+            for y in g.elements:
                 assert b(x, y) == (q(g.add(x, y)) - q(x) - q(y)) % 1
 
     def test_zero(self):
@@ -336,27 +341,24 @@ class TestBilinear:
             forms = list(enumerate_qforms(g))
             for q in rng.sample(forms, min(6, len(forms))):
                 b = gv.bilinear(q)
-                els = list(g.elements())
+                els = g.elements
                 for x in els:
                     for y in els:
                         assert b(x, y) == b(y, x)
                         for z in els:
                             assert b(g.add(x, y), z) == (b(x, z) + b(y, z)) % 1
 
-    def test_make_bilinear_rebuilds_the_polarization(self):
+    def test_polarization_is_well_defined(self):
+        # b(e_j, n_i e_i) = n_i B_ji is 0 mod 1, so b is well defined on G
         count = 0
-        for shape in group_shapes(12):
+        for shape in group_shapes(16):
             g = gv.make_group(shape)
             for q in enumerate_qforms(g):
-                b = gv.bilinear(q)
-                assert gv.make_bilinear(g, b.matrix) == b
+                B = gv.bilinear(q).matrix
+                for i, n in enumerate(shape):
+                    assert all((n * B[j][i]).denominator == 1 for j in range(g.rank)), (shape, q)
                 count += 1
         assert count > 100
-
-    def test_make_bilinear_rejects_ill_defined(self):
-        g = gv.make_group([2])
-        with pytest.raises(ValidationError):
-            gv.make_bilinear(g, [[F(1, 3)]])
 
 
 class TestRadical:
@@ -420,9 +422,9 @@ def subgroup(g, elements):
 class TestSubgroupInvariants:
     def test_mixed_primes(self):
         g = gv.make_group([2, 6])
-        assert subgroup(g, tuple(g.elements())).invariant_factors == (2, 6)
+        assert subgroup(g, g.elements).invariant_factors == (2, 6)
         g12 = gv.make_group([12])
-        assert subgroup(g12, tuple(g12.elements())).invariant_factors == (12,)
+        assert subgroup(g12, g12.elements).invariant_factors == (12,)
 
     def test_partial_subgroup(self):
         g = gv.make_group([4, 2])
@@ -438,7 +440,7 @@ class TestSubgroupInvariants:
             frontier = list(subgroups)
             while frontier:
                 h = frontier.pop()
-                for x in g.elements():
+                for x in g.elements:
                     grown = frozenset(g.add(y, g.scale(k, x)) for y in h for k in range(g.order))
                     if grown not in subgroups:
                         subgroups.add(grown)
@@ -467,6 +469,24 @@ class TestSubgroupInvariants:
             getattr(sub, name)
         assert e.value.code == "forms.capacity"
         assert "element_array" not in vars(g)
+
+    @pytest.mark.parametrize(
+        "shape, index",
+        [
+            ([8], (0, 1, 2)),  # a 3-part with no 3-torsion
+            ([4], (0, 1)),  # 2-torsion {0} short of the 2-part
+            ([2, 2], (0, 1, 2)),
+            ([8], (0, 1, 2, 3)),
+            ([8], (0, 1, 4, 7)),  # 2-torsion of size 2 twice: e_2 = 0
+            ([4, 4], (0, 2, 8, 12)),  # 2-torsion of size 3
+            ([4, 4], tuple(range(8))),  # torsion 1, 2, 8: e_1 = 1 < e_2 = 2
+            ([2, 2, 2, 3], (0, 1, 2, 3, 4, 5, 6, 9, 12, 15, 18, 21)),  # 2-torsion 8 > 2-part 4
+        ],
+    )
+    def test_refuses_statistics_no_subgroup_has(self, shape, index):
+        with pytest.raises(ValidationError) as e:
+            Subgroup(gv.make_group(shape), index).invariant_factors
+        assert e.value.code == "forms.bad_subgroup"
 
 
 class TestGaussSum:
@@ -537,22 +557,21 @@ class TestSmithNormalForm:
         assert e.value.code == "forms.bad_matrix"
 
     def test_already_diagonal(self):
-        u, d, v = gv.smith_normal_form([[2, 0], [0, 2]])
+        u, d, v, _ = gv.smith_normal_form([[2, 0], [0, 2]])
         assert [d[i][i] for i in range(2)] == [2, 2]
 
     def test_a2_gram(self):
-        u, d, v = gv.smith_normal_form([[2, 1], [1, 2]])
+        u, d, v, _ = gv.smith_normal_form([[2, 1], [1, 2]])
         assert [d[i][i] for i in range(2)] == [1, 3]
 
     def test_scaled_a2(self):
-        u, d, v = gv.smith_normal_form([[4, 2], [2, 4]])
+        u, d, v, _ = gv.smith_normal_form([[4, 2], [2, 4]])
         assert [d[i][i] for i in range(2)] == [2, 6]
 
     @staticmethod
     def _check(a):
         m, n = len(a), len(a[0]) if a else 0
-        u, d, v, sign = _smith_normal_form(a)
-        assert gv.smith_normal_form(a) == (u, d, v)
+        u, d, v, sign = gv.smith_normal_form(a)
         assert mat_mul_int(mat_mul_int(u, a), v) == d
         # the tracked sign is det(U)·det(V), each of them a unit
         assert sign in (1, -1) and abs(det_reference(u)) == 1
@@ -573,6 +592,14 @@ class TestSmithNormalForm:
         if m == n:
             assert det_reference(a) == sign * math.prod(diag)
 
+    def test_sign_times_diagonal_is_the_determinant(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            a = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
+            _, d, _, sign = gv.smith_normal_form(a)
+            assert sign * math.prod(d[i][i] for i in range(n)) == det_reference(a), a
+
     def test_random_matrices(self):
         rng = random.Random(2024)
         for _ in range(220):
@@ -585,3 +612,18 @@ class TestSmithNormalForm:
         self._check([[0, 0], [0, 0]])
         self._check([[1, 2], [2, 4]])
         self._check([[6]])
+
+
+def test_each_computation_has_one_name():
+    for owner, name in [
+        (gv, "make_bilinear"),
+        (gv.forms, "make_bilinear"),
+        (gv.forms, "_smith_normal_form"),
+        (gv.FinAbGroup, "generators"),
+        (gv.FinAbGroup, "sorted_elements"),
+        (gv.BilinearForm, "against_generators"),
+        (gv.BilinearForm, "_weights"),
+    ]:
+        assert not hasattr(owner, name), name
+    g = gv.make_group([2, 3])
+    assert isinstance(g.elements, tuple) and not callable(g.elements)

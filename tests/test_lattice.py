@@ -259,7 +259,7 @@ class TestSmithFormOncePerLattice:
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = []
-        original = gv.forms._smith_normal_form
+        original = gv.forms.smith_normal_form
 
         def counted(mat):
             calls.append(len(mat))
@@ -267,9 +267,9 @@ class TestSmithFormOncePerLattice:
 
         for module_name, module in list(sys.modules.items()):
             if module_name.partition(".")[0] == "gvblocks" and (
-                getattr(module, "_smith_normal_form", None) is original
+                getattr(module, "smith_normal_form", None) is original
             ):
-                monkeypatch.setattr(module, "_smith_normal_form", counted)
+                monkeypatch.setattr(module, "smith_normal_form", counted)
         return calls
 
     def test_to_pointed_gv(self, calls):

@@ -46,7 +46,7 @@ class TestStructure:
 
     def test_duality_involution_and_pairing(self, z8_ff, klein, semion):
         for C in (z8_ff, klein, semion):
-            for x in C.group.elements():
+            for x in C.group.elements:
                 assert C.dual(C.dual(x)) == x
                 assert C.kappa(x, C.dual(x)) == 1
 
@@ -58,7 +58,7 @@ class TestStructure:
             ([8], [[F(1, 16)]]),
         ]:
             C = make_pointed(factors, mat, tuple([0] * len(factors)))
-            for x in C.group.elements():
+            for x in C.group.elements:
                 assert C.theta(x) == C.qform(x)
 
 

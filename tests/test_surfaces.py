@@ -2,6 +2,7 @@ import inspect
 import math
 import random
 
+import numpy as np
 import pytest
 
 import gvblocks as gv
@@ -51,6 +52,30 @@ class TestSurfaceSpec:
     def test_negative_genus(self):
         with pytest.raises(ValidationError):
             make_surface(-1)
+
+    @pytest.mark.parametrize(
+        "genus, labels, code",
+        [
+            (-1, [(0,)] * 7, "surfaces.bad_genus"),  # complexity 3, as if genus 0 with 7 legs
+            (1.5, [(0,)] * 2, "surfaces.bad_genus"),
+            (True, [(0,)] * 2, "surfaces.bad_genus"),
+            (1, "ab", "forms.bad_element"),  # would be two legs
+            (1, 5, "forms.bad_element"),
+        ],
+    )
+    def test_directly_built_spec_enumerated_as_make_surface_reads_it(self, genus, labels, code):
+        with pytest.raises(ValidationError) as e:
+            enumerate_decompositions(gv.SurfaceSpec(genus, labels))
+        assert e.value.code == code
+        with pytest.raises(ValidationError) as e:
+            make_surface(genus, labels)
+        assert e.value.code == code
+
+    def test_directly_built_spec_with_list_labels(self):
+        spec = gv.SurfaceSpec(np.int64(1), [(0,), (1,)])
+        assert enumerate_decompositions(spec) == enumerate_decompositions(
+            make_surface(1, [(0,), (1,)])
+        )
 
 
 class TestMakePantsDecomposition:
