@@ -9,7 +9,9 @@ chain.
 
 Whole-group computations index the elements one way: position in sorted
 (mixed-radix) order, through :attr:`FinAbGroup.element_array`,
-:meth:`FinAbGroup.index_of` and the add/neg index tables; a
+:meth:`FinAbGroup.index_of` and :attr:`FinAbGroup.neg_index`; values at
+x + y are read by :meth:`FinAbGroup.translates` as strided windows of the
+periodically extended grid, with no addition table; a
 :class:`Subgroup` is a tuple of such indices.  A form is
 evaluated on those arrays through its integer matrix M*A reduced modulo its
 common denominator M; for a validated form M divides 2*lcm(n_i), so within
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,7 +81,7 @@ def _as_items(x, code: str, what: str) -> tuple:
 def _chunks(n: int) -> list[slice]:
     """Slices of ``range(n)`` whose rows of an n x n table hold about 2^16
     entries (1 MB of complex) each: the one block size of every |G|²-sized
-    table, such as :meth:`FinAbGroup.add_index` and ``table_rows`` take."""
+    table, such as :meth:`FinAbGroup.translates` and ``table_rows`` take."""
     step = max(1, 2**16 // max(n, 1))
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
@@ -166,33 +169,50 @@ class FinAbGroup:
         factors, strides = self._radix
         return (coords % factors) @ strides
 
+    @property
+    def wrap_index(self) -> np.ndarray:
+        """Sorted-order index of each point of the group grid extended
+        periodically by n_i - 1 along each axis, (2n_1 - 1) x ... x
+        (2n_k - 1) points in C order (at most 3^12 = 531 441 within the
+        group caps); ``values[wrap_index]`` is what :meth:`translates`
+        reads."""
+        return self._windows[0]
+
     @cached_property
-    def _cyclic_sums(self) -> tuple[np.ndarray, ...]:
-        """Per cyclic factor n, its addition table A[a, b] = (a + b) mod n for
-        a <= n: an (n + 1, n) view whose row a starts at entry a of the 2n
-        entries ``arange(2n) mod n`` (a plain strided view, which costs a
-        fraction of ``sliding_window_view``'s set-up on small groups)."""
-        tables = []
-        for n in self.invariant_factors:
-            wrap = np.arange(2 * n) % n
-            tables.append(np.ndarray((n + 1, n), wrap.dtype, wrap, strides=wrap.strides * 2))
-        return tuple(tables)
+    def _windows(self) -> tuple[np.ndarray, np.ndarray, int, tuple[int, ...]]:
+        """:attr:`wrap_index`, built by padding the sorted-order grid
+        periodically along one axis at a time; the offset of each element,
+        in sorted order, in the extended grid (the positions of its box
+        [0, n_1) x ... x [0, n_k)); one past the largest offset; and the
+        extended grid's strides in entries."""
+        wrap = np.arange(self.order).reshape(self.invariant_factors)
+        for axis, n in enumerate(self.invariant_factors):
+            wrap = wrap.take(np.arange(2 * n - 1), axis=axis, mode="wrap")
+        positions = np.arange(wrap.size).reshape(wrap.shape)
+        offsets = positions[tuple(slice(n) for n in self.invariant_factors)].reshape(-1)
+        strides = tuple(s // positions.itemsize for s in positions.strides)
+        return wrap.reshape(-1), offsets, int(offsets[-1]) + 1, strides
 
-    def add_index(self, rows: slice | np.ndarray = slice(None)) -> np.ndarray:
-        """Index of x + y for x in ``element_array[rows]`` and every y, ``rows``
-        a slice or an index array.
+    def translates(self, wrapped: np.ndarray, rows: slice | np.ndarray) -> np.ndarray:
+        """``values[x + y]`` for x in ``element_array[rows]`` and every y in
+        sorted order, as a fresh (len(rows), order) array; ``wrapped`` is
+        ``values[wrap_index]``, of any dtype, and ``rows`` a slice or an
+        index array.
 
-        Built one cyclic factor at a time by Horner's rule on the digits,
-        each read off that factor's addition table: after factor i the table
-        has |rows|·n_0···n_i entries, so each step but those of factors of 1
-        at least doubles it and the work is O(|rows|·|G|) whatever the number
-        of factors.
+        The values at x + y, y running over the group, are the box
+        x + [0, n_1) x ... x [0, n_k) of the extended grid, so row x is the
+        box at x's offset in one plain strided view of ``wrapped``: no index
+        table is built.
         """
-        X = self.element_array[rows]
-        out = np.zeros((len(X), 1), dtype=np.int64)
-        for n, sums, digits in zip(self.invariant_factors, self._cyclic_sums, X.T):
-            out = (out[:, :, None] * n + sums[digits][:, None]).reshape(len(X), -1)
-        return out
+        _, offsets, span, strides = self._windows
+        item = wrapped.itemsize
+        boxes = np.ndarray(
+            (span, *self.invariant_factors),
+            wrapped.dtype,
+            wrapped,
+            strides=(item, *(s * item for s in strides)),
+        )
+        return boxes[offsets[rows]].reshape(-1, self.order)
 
     @cached_property
     def neg_index(self) -> np.ndarray:
@@ -291,7 +311,8 @@ class BilinearForm(_MatrixForm):
     def table_rows(self, rows: slice = slice(None)) -> np.ndarray:
         """Numerators of b(x, y) for x in ``element_array[rows]`` and every y:
         b(x, y) = sum_j y_j b(x, e_j), so the rows are the weights of x
-        against the coordinates of y."""
+        against the coordinates of y.  Read by the axiom scan, which tests
+        b against the twist and so must not derive it from q."""
         out = self.weights[rows] @ self.group.element_array.T
         out %= self.int_form[0]
         return out
@@ -370,10 +391,21 @@ class Subgroup:
     """A subgroup of ``ambient`` as the ascending sorted-order indices of its
     elements in ``ambient.element_array``; its elements and invariant
     factors are derived when first read, over an ambient group of order at
-    most :data:`ENUMERATION_CAP` (else ``CapacityError("forms.capacity")``)."""
+    most :data:`ENUMERATION_CAP` (else ``CapacityError("forms.capacity")``).
+    An ``index`` that is empty, not strictly ascending, out of range or
+    without 0 raises ``ValidationError("forms.bad_subgroup")``."""
 
     ambient: FinAbGroup
     index: tuple[int, ...]
+
+    def __post_init__(self):
+        index, order = self.index, self.ambient.order
+        # one C-level pass over the pairs, cheaper than np.asarray at any size
+        ascending = all(map(operator.lt, index, index[1:]))
+        if not (index and index[0] == 0 and index[-1] < order and ascending):
+            raise ValidationError(
+                "forms.bad_subgroup", f"index {index!r} does not ascend from 0 below {order}"
+            )
 
     @property
     def order(self) -> int:

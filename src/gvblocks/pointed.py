@@ -144,7 +144,8 @@ def check_axioms(
       multiplicativity at (x, y') over to (x, y' + e_i), from y' = 0.
       Only when b is not biadditive or an identity fails are the pairs
       scanned for the witness, comparing exact integer value tables built in the row
-      blocks of :func:`~gvblocks.forms._chunks`.
+      blocks of :func:`~gvblocks.forms._chunks`, with theta(x + y) read by
+      :meth:`~gvblocks.forms.FinAbGroup.translates`.
     """
     group = C.group
     m = group.order
@@ -152,13 +153,12 @@ def check_axioms(
         raise CapacityError(
             "pointed.capacity", f"group order {m} exceeds axiom cap {AXIOM_CAP}"
         )
-    elements = group.elements
     b = C.bform
     bden, B = b.int_form
     if twist is None:
         tden, tnum = C.twist_numerators
     else:
-        tvals = [as_fraction(twist(x)) % 1 for x in elements]
+        tvals = [as_fraction(twist(x)) % 1 for x in group.elements]
         tden = math.lcm(bden, *(t.denominator for t in tvals))
         # the multiplicativity sum adds three values below tden
         dtype = object if tden >= 2**61 else np.int64
@@ -174,39 +174,37 @@ def check_axioms(
         e = group.generator(i)
         biadditive = (e, group.scale(shape[i] - 1, e), group.generator(j))
 
-    # x -> x + e_i is a roll along axis i of the sorted-order grid
-    gens = group.index_of(np.eye(group.rank, dtype=np.int64))
-    Vg = b.weights.astype(tnum.dtype) * scale
-    tgrid = tnum.reshape(shape)
+    # theta(x + e_i) for every x and every axis i with n_i > 1, one row per
+    # axis; its column 0 is theta(e_i)
+    steps = np.eye(group.rank, dtype=np.int64)[axes, None]
+    shifted = tnum[group.index_of(group.element_array + steps)]
+    Vg = b.weights[:, axes].T.astype(tnum.dtype) * scale
     scan = failing or not (
-        tnum[0] == 0
-        and all(
-            np.array_equal(
-                np.roll(tgrid, -1, axis=i).reshape(m), (tnum + tnum[gens[i]] + Vg[:, i]) % tden
-            )
-            for i in axes
-        )
+        tnum[0] == 0 and np.array_equal(shifted, (tnum + shifted[:, :1] + Vg) % tden)
     )
     multiplicative = None
-    for chunk in _chunks(m) if scan else ():
-        V = b.table_rows(chunk).astype(tnum.dtype, copy=False) * scale
-        add = group.add_index(chunk)
-        bad = np.argwhere(tnum[add] != (tnum[chunk, None] + tnum[None, :] + V) % tden)
-        if bad.size:
-            multiplicative = (elements[chunk.start + bad[0][0]], elements[bad[0][1]])
-            break
+    if scan:
+        wrapped = tnum[group.wrap_index]
+        for chunk in _chunks(m):
+            V = b.table_rows(chunk).astype(tnum.dtype, copy=False) * scale
+            total = (tnum[chunk, None] + tnum[None, :] + V) % tden
+            bad = np.argwhere(group.translates(wrapped, chunk) != total)
+            if bad.size:
+                x, y = chunk.start + bad[0][0], bad[0][1]
+                multiplicative = (group.elements[x], group.elements[y])
+                break
 
     dual_idx = group.index_of(np.array(C.g0, dtype=np.int64) - group.element_array)
     unbalanced = np.flatnonzero(tnum[dual_idx] != tnum)
     odd = np.flatnonzero(C.qform.values[group.neg_index] != C.qform.values)
-    u = elements[unbalanced[0]] if unbalanced.size else None
+    u = group.elements[unbalanced[0]] if unbalanced.size else None
     witnesses = {
         "braiding biadditive": biadditive,
         "twist multiplicative": multiplicative,
         "twist unit": None if tnum[0] == 0 else (group.zero,),
         "ribbon": None if u is None else (u,),
         "pairing balance": None if u is None else (u, C.dual(u)),
-        "quadratic even": (elements[odd[0]],) if odd.size else None,
+        "quadratic even": (group.elements[odd[0]],) if odd.size else None,
     }
     return AxiomReport(
         tuple(AxiomCheck(name, w is None, w) for name, w in witnesses.items())

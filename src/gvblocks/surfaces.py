@@ -30,11 +30,9 @@ class SurfaceSpec:
 
     @property
     def n(self) -> int:
-        return len(self.boundary_labels)
-
-    @property
-    def complexity(self) -> int:
-        return 2 * self.genus - 2 + self.n
+        """The number of boundary labels, read as :func:`make_surface` reads
+        them (else ``ValidationError("forms.bad_element")``)."""
+        return len(_as_items(self.boundary_labels, "forms.bad_element", "labels"))
 
 
 def _genus(genus) -> int:
@@ -116,9 +114,7 @@ def enumerate_decompositions(spec: SurfaceSpec) -> list[PantsDecomposition]:
     boundary marking, sorted by canonical form; ``spec`` is read as
     :func:`make_surface` reads its arguments.
     """
-    genus = _genus(spec.genus)
-    labels = _as_items(spec.boundary_labels, "forms.bad_element", "labels")
-    return list(_enumerate_classes(genus, len(labels)))
+    return list(_enumerate_classes(_genus(spec.genus), spec.n))
 
 
 def _seed(genus: int, n: int) -> PantsDecomposition:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -189,33 +190,46 @@ def st_matrices(C: PointedGVCategory) -> ModularData:
     """The (S, T) pair of a modular pointed category, with the character
     table that S is.
 
-    Labels are the group elements in sorted order (unit first); the
-    conjugation permutation realizes x -> -x.  S is filled one row block of
-    :func:`~gvblocks.forms._chunks` at a time with the roots of unity at the
-    form's b-table rows (``BilinearForm.table_rows``, exact in int64); T is
-    the diagonal vector.  As b(x, y) = sum_j y_j b(x, e_j) and n_j e_j = 0,
-    S is the character table with k_j(x) = n_j b(x, e_j), an integer read
-    exactly off the form's generator weights, from which its table rows are
-    built; k is a bijection because b is non-degenerate.  S and T are
-    read-only.  ``residual_unitary`` and ``residual_s2`` are recorded as 0:
-    (K·K̄ᵀ)_xz = (1/|G|) sum_y e(-b(x - z, y)) is 1 if b(x - z, ·) is the
-    trivial character, that is if x = z as b is non-degenerate, and else 0,
-    as a non-trivial character sums to 0; K is symmetric, as b is, and
-    likewise K² = P, the conjugation x -> -x, so K = P·K̄.
+    Labels are the group elements in sorted order (unit first), joined
+    from per-factor digit strings; the conjugation permutation realizes
+    x -> -x.  S is filled one row block of :func:`~gvblocks.forms._chunks`
+    at a time by polarization, b(x, y) = q(x + y) - q(x) - q(y): with Q the
+    numerators of q over its denominator M, Q[x + y] - Q[x] - Q[y] + 2M lies
+    in [2, 3M) and indexes the roots of unity over M tiled three times, so
+    no reduction mod M is needed; Q[x + y] comes from
+    :meth:`~gvblocks.forms.FinAbGroup.translates`.  A numerator j over b's
+    denominator M' (which divides M) reads the root at j·(M/M')/M, the same
+    correctly rounded float as j/M', so S is bit for bit the table of
+    e(-b(x, y))/sqrt(|G|) over M'.  T is the diagonal vector.  As
+    b(x, y) = sum_j y_j b(x, e_j) and n_j e_j = 0, S is the character table
+    with k_j(x) = n_j b(x, e_j), an integer read exactly off the form's
+    generator weights; k is a bijection because b is non-degenerate.  S and
+    T are read-only.  ``residual_unitary`` and ``residual_s2`` are recorded
+    as 0: (K·K̄ᵀ)_xz = (1/|G|) sum_y e(-b(x - z, y)) is 1 if b(x - z, ·) is
+    the trivial character, that is if x = z as b is non-degenerate, and
+    else 0, as a non-trivial character sums to 0; K is symmetric, as b is,
+    and likewise K² = P, the conjugation x -> -x, so K = P·K̄.
     """
     st_preflight(C)
     group = C.group
     n = group.order
-    bden, qden = C.bform.int_form[0], C.qform.int_form[0]
-    roots = np.exp(-2j * math.pi * np.arange(bden) / bden) / math.sqrt(n)
+    Q, qden = C.qform.values, C.qform.int_form[0]
+    roots = np.exp(-2j * math.pi * np.arange(qden) / qden) / math.sqrt(n)
+    roots = np.concatenate((roots, roots, roots))
+    wrapped = Q[group.wrap_index]
     S = np.empty((n, n), dtype=complex)
     for rows in _chunks(n):
-        np.take(roots, C.bform.table_rows(rows), out=S[rows])
+        m = group.translates(wrapped, rows)  # Q[x + y]
+        m -= Q
+        m += 2 * qden - Q[rows, None]  # in [2, 3·qden)
+        # every index is in range, and mode "raise" would copy out through a buffer
+        np.take(roots, m, out=S[rows], mode="clip")
     S.flags.writeable = False
-    T = np.exp(2j * math.pi * C.qform.values / qden)
+    T = np.exp(2j * math.pi * Q / qden)
     T.flags.writeable = False
-    k = C.bform.weights * np.array(group.invariant_factors, dtype=np.int64) // bden
-    labels = tuple(",".join(map(str, x)) for x in group.elements)
+    k = C.bform.weights * np.array(group.invariant_factors, dtype=np.int64) // C.bform.int_form[0]
+    digits = [[str(a) for a in range(f)] for f in group.invariant_factors]
+    labels = tuple(map(",".join, itertools.product(*digits)))
     md = ModularData(labels, S, T, tuple(group.neg_index.tolist()), group=group)
     object.__setattr__(md, "_table", group.index_of(k))
     object.__setattr__(md, "_norms", (0.0, 0.0))
@@ -277,9 +291,10 @@ def check_relations(md: ModularData) -> RelationReport:
 
     and (Cᵀ·S·T·S)[x, z] = |G|^(-1/2) h[back[x] + z].  This is the exact
     product, not a use of the relation it checks: it holds whatever T is.
-    Row block r is the gather of h at ``group.add_index(back[r])``, built
-    per cyclic factor, so the check is one O(|G| log |G|) transform of t
-    and O(|G|²) streaming with no temporary above a block; the blocks are
+    Row block r is h at back[r] + z, read by
+    :meth:`~gvblocks.forms.FinAbGroup.translates` as strided windows of h,
+    so the check is one O(|G| log |G|) transform of t and O(|G|²) streaming
+    with no index table and no temporary above a block; the blocks are
     compared as conjugates, ||X - Ȳ|| = ||X̄ - Y||.  Data without a table
     multiplies T·S[:, cols] by S as a matmul once per column block.
     """
@@ -301,8 +316,9 @@ def check_relations(md: ModularData) -> RelationReport:
         factors = group.invariant_factors
         F = np.fft.fftn(t.reshape(factors), axes=range(len(factors)), norm="ortho")
         h = np.conjugate(F.reshape(-1)[md._table]) / math.sqrt(md.rank)  # K·t, conjugated
+        wrapped = h[group.wrap_index]
         for rows in _chunks(md.rank):
-            X = h[group.add_index(back[rows])]  # conj of (Cᵀ·S·T·S)[rows]
+            X = group.translates(wrapped, back[rows])  # conj of (Cᵀ·S·T·S)[rows]
             block = S[rows] * t
             block *= lam.conjugate() * t[rows, None]  # conj of (lam·T̄·S̄·T̄)[rows]
             X -= block
@@ -392,11 +408,13 @@ def fusion_from_s(md: ModularData) -> FusionReport:
 
     The dense tensor has rank^3 entries, so ranks above 256 (2^24 entries)
     are refused before anything is allocated.  It is formed a block of x
-    rows at a time, about 2^18 entries each (ranks up to 64 in one block),
-    so no temporary besides the int64 result exceeds a block.  For pointed
-    data each block must be the group-law delta at ``group.add_index`` of
-    its rows; a mismatch is an internal inconsistency and raises at the
-    first bad pair.
+    rows at a time, about 2^16 entries each as in
+    :func:`~gvblocks.forms._chunks` (ranks up to 40 in one block), so no
+    temporary besides the int64 result exceeds a block.  For pointed data
+    each block must be the group-law delta at the index of x + y, read
+    through :meth:`~gvblocks.forms.FinAbGroup.translates` off
+    ``group.wrap_index``; a mismatch is an internal inconsistency and
+    raises at the first bad pair.
     """
     n = md.rank
     if n**3 > 2**24:
@@ -406,7 +424,7 @@ def fusion_from_s(md: ModularData) -> FusionReport:
     right = (md.S.conj() / _vacuum(md.S[0])).T
     tensor = np.empty((n, n, n), dtype=np.int64)
     residual = 0.0
-    step = max(1, 2**18 // n**2)
+    step = max(1, 2**16 // n**2)
     for start in range(0, n, step):
         rows = slice(start, start + step)
         raw = (md.S[rows, None] * md.S).reshape(-1, n) @ right
@@ -414,7 +432,7 @@ def fusion_from_s(md: ModularData) -> FusionReport:
         np.rint(raw.real, out=block, casting="unsafe")
         residual = max(residual, float(np.abs(raw - block).max()))
         if md.group is not None:
-            law = md.group.add_index(rows)[:, :, None] == np.arange(n)
+            law = md.group.translates(md.group.wrap_index, rows)[:, :, None] == np.arange(n)
             bad = np.argwhere((tensor[rows] != law).any(axis=2))
             if bad.size:
                 x, y = md.elements[start + bad[0][0]], md.elements[bad[0][1]]

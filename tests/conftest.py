@@ -481,13 +481,23 @@ def mat_mul_int(a, b):
     ]
 
 
+def s_reference(C):
+    """S of a modular pointed ``C`` as e(-b(x, y))/sqrt(n) looked up at the
+    b-numerators weights·element_arrayᵀ mod M, M the denominator of b."""
+    import numpy as np
+
+    group = C.group
+    bden = C.bform.int_form[0]
+    numerators = C.bform.weights @ group.element_array.T % bden
+    return (np.exp(-2j * math.pi * np.arange(bden) / bden) / math.sqrt(group.order))[numerators]
+
+
 def st_reference(C):
-    """(S, ||S - K||_F, index) for a modular pointed ``C``: S from the full
-    table of b-numerators x^T B y mod M, B the form's integer matrix and M
-    its denominator, e(-b(x, y))/sqrt(n), and K the character table
-    read off its generator columns, k_j(x) from the angle of S_{x, e_j},
-    both indexed in int64; the defect is summed over the library's row
-    blocks, and ``index`` is the sorted-order position of k(x)."""
+    """(S, ||S - K||_F, index) for a modular pointed ``C``: S from
+    :func:`s_reference`, and K the character table read off its generator
+    columns, k_j(x) from the angle of S_{x, e_j}, indexed in int64; the
+    defect is summed over the library's row blocks, and ``index`` is the
+    sorted-order position of k(x)."""
     import numpy as np
 
     from gvblocks.forms import _chunks
@@ -495,10 +505,7 @@ def st_reference(C):
 
     group = C.group
     n = group.order
-    bden = C.bform.int_form[0]
-    X = group.element_array
-    numerators = X @ C.bform.int_array @ X.T % bden
-    S = (np.exp(-2j * math.pi * np.arange(bden) / bden) / math.sqrt(n))[numerators]
+    S = s_reference(C)
     factors = np.array(group.invariant_factors, dtype=np.int64)
     gens = group.index_of(np.eye(group.rank, dtype=np.int64))
     k = np.rint(-np.angle(S[:, gens]) * factors / (2 * math.pi)).astype(np.int64) % factors

@@ -52,19 +52,30 @@ class TestGroups:
             assert g.elements == tuple(map(tuple, g.element_array.tolist())), shape
             assert g.elements is g.elements
 
-    def test_add_index_matches_the_group_law(self):
-        # slices and index arrays, factors of 1 and the trivial group
+    def test_translates_matches_the_group_law(self):
+        # every shape of order <= 16, rank 0, factors of 1 and a few wider
+        # shapes; int64, complex and object values; slices and index arrays
         rng = np.random.default_rng(5)
-        shapes = [(), (1,), (1, 3), (4, 1, 2), (2,) * 6, (3, 9, 27)] + group_shapes(36)
+        shapes = [(), (1,), (1, 3), (4, 1, 2), (2,) * 6, (3, 9, 27)] + group_shapes(16)
         for shape in shapes:
             G = gv.make_group(shape)
             els = G.elements
             position = {x: i for i, x in enumerate(els)}
-            picks = rng.integers(0, G.order, 7)
-            for rows in (slice(None), slice(G.order // 3, G.order // 3 + 5), picks):
-                idx = np.arange(G.order)[rows]
-                expected = [[position[G.add(els[x], y)] for y in els] for x in idx]
-                assert G.add_index(rows).tolist() == expected, (shape, rows)
+            assert G.wrap_index.shape == (math.prod(2 * n - 1 for n in shape),)
+            for values in (
+                rng.integers(-(2**40), 2**40, G.order),
+                rng.random(G.order) + 1j * rng.random(G.order),
+                np.array([F(i, 7) for i in range(G.order)], dtype=object),
+            ):
+                wrapped = values[G.wrap_index]
+                picks = rng.integers(0, G.order, 7)
+                for rows in (slice(None), slice(G.order // 3, G.order // 3 + 5), picks, picks[:0]):
+                    idx = np.arange(G.order)[rows]
+                    got = G.translates(wrapped, rows)
+                    assert got.dtype == values.dtype and got.shape == (len(idx), G.order)
+                    expected = [[values[position[G.add(els[x], y)]] for y in els] for x in idx]
+                    assert got.tolist() == expected, (shape, values.dtype, rows)
+                    assert not np.may_share_memory(got, wrapped)
 
 
 class TestIntegerInput:
@@ -469,6 +480,22 @@ class TestSubgroupInvariants:
             getattr(sub, name)
         assert e.value.code == "forms.capacity"
         assert "element_array" not in vars(g)
+
+    @pytest.mark.parametrize(
+        "index",
+        [
+            (0, 2, 2, 2),  # repeated: order 4, factors (2, 2) unchecked
+            (0, 2, 1),  # not ascending
+            (0, 9),  # out of range: a bare IndexError unchecked
+            (-1, 0),
+            (),  # order 0
+            (1, 3),  # no unit
+        ],
+    )
+    def test_refuses_an_index_that_lists_no_subgroup(self, index):
+        with pytest.raises(ValidationError) as e:
+            Subgroup(gv.make_group([4]), index)
+        assert e.value.code == "forms.bad_subgroup"
 
     @pytest.mark.parametrize(
         "shape, index",

@@ -139,9 +139,11 @@ class TestAxioms:
         G = gv.make_group([2048])
         C = PointedGVCategory(G, gv.QForm(G, ((F(1, 3),),)), G.zero)
         chunks = []
-        add_index = gv.FinAbGroup.add_index
+        translates = gv.FinAbGroup.translates
         monkeypatch.setattr(
-            gv.FinAbGroup, "add_index", lambda g, rows: chunks.append(rows) or add_index(g, rows)
+            gv.FinAbGroup,
+            "translates",
+            lambda g, wrapped, rows: chunks.append(rows) or translates(g, wrapped, rows),
         )
         report = gv.check_axioms(C)
         assert chunks == gv.forms._chunks(2048)[:1] == [slice(0, 32)]
@@ -179,10 +181,17 @@ class TestAxiomDecision:
     def test_passing_suite_scans_no_pair(self, factors, mat, monkeypatch):
         G = gv.make_group(factors)
         C = gv.make_category(G, gv.make_qform(G, mat), G.zero)
-        calls = []
-        monkeypatch.setattr(gv.FinAbGroup, "add_index", lambda g, rows: calls.append(rows))
+        calls, translated = [], []
+        translates = gv.FinAbGroup.translates
+
+        def counting_translates(group, wrapped, rows):
+            translated.append(rows)
+            return translates(group, wrapped, rows)
+
+        monkeypatch.setattr(gv.FinAbGroup, "translates", counting_translates)
+        monkeypatch.setattr(gv.BilinearForm, "table_rows", lambda b, rows: calls.append(rows))
         assert gv.check_axioms(C).all_passed
-        assert calls == []
+        assert calls == [] and translated == []
 
     def test_matches_reference_every_shape_up_to_16(self):
         rng = random.Random(71)

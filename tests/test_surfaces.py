@@ -45,9 +45,23 @@ def dumbbell_pd():
 
 class TestSurfaceSpec:
     def test_examples(self):
-        assert make_surface(2).n == 0
-        assert make_surface(0, [(1,), (2,), (0,)]).complexity == 1
-        assert make_surface(1, [(0,)]).complexity == 1
+        assert make_surface(2) == gv.SurfaceSpec(2, ()) and make_surface(2).n == 0
+        assert make_surface(0, [[1], (2,), np.array([0])]) == gv.SurfaceSpec(0, ((1,), (2,), (0,)))
+        # the complexity 2g - 2 + n is read by the enumeration's range check
+        assert not hasattr(gv.SurfaceSpec, "complexity")
+        for genus, labels in [(0, [(1,), (2,), (0,)]), (1, [(0,)])]:  # complexity 1
+            assert len(enumerate_decompositions(make_surface(genus, labels))) == 1
+        for genus, labels in [(0, [(0,)] * 2), (1, [])]:  # complexity 0
+            with pytest.raises(CapacityError) as e:
+                enumerate_decompositions(make_surface(genus, labels))
+            assert e.value.code == "surfaces.complexity"
+
+    @pytest.mark.parametrize("labels", [5, "ab", {(0,): 1}])
+    def test_n_of_a_directly_built_spec_reads_labels_as_make_surface(self, labels):
+        assert gv.SurfaceSpec(1, [(0,), (1,)]).n == 2
+        with pytest.raises(ValidationError) as e:
+            gv.SurfaceSpec(1, labels).n
+        assert e.value.code == "forms.bad_element"
 
     def test_negative_genus(self):
         with pytest.raises(ValidationError):

@@ -79,6 +79,9 @@ class TestSTMatrices:
             make_pointed([32, 32], [[F(1, 64), 0], [0, F(1, 64)]], (0, 0)),
             # sums up to 728^2, and N = 729 does not divide a power of two
             make_pointed([729], [[F(1, 729)]], (0,)),
+            make_pointed([2, 512], [[F(1, 4), 0], [0, F(3, 1024)]], (0, 0)),
+            make_pointed([2] * 10, [[F(1, 4) * (i == j) for j in range(10)] for i in range(10)], (0,) * 10),
+            make_pointed([3, 9, 27], [[F(1, 3), 0, 0], [0, F(2, 9), F(1, 9)], [0, F(1, 9), F(1, 27)]], (0,) * 3),
         ]
         for C in cats:
             md = gv.st_matrices(C)
@@ -88,28 +91,31 @@ class TestSTMatrices:
             assert np.array_equal(md._table, index), C
         assert len(cats) > 8000
 
-    def test_one_weight_table_per_form_and_one_table_rows_call_per_block(self, monkeypatch):
-        computed, blocks = [], []
+    def test_one_weight_table_per_form_and_one_translates_call_per_block(self, monkeypatch):
+        # S comes from q by polarization, one window read per row block;
+        # b's table rows are left to the axiom scan
+        computed, blocks, table_rows = [], [], []
         weights = BilinearForm.__dict__["weights"]
-        table_rows = BilinearForm.table_rows
+        translates = gv.FinAbGroup.translates
 
         def counting_weights(form):
             computed.append(form)
             return weights.func(form)
 
-        def counting_rows(form, rows=slice(None)):
-            blocks.append(rows)
-            return table_rows(form, rows)
+        def counting_translates(group, wrapped, rows=slice(None)):
+            blocks.append((rows, wrapped.dtype))
+            return translates(group, wrapped, rows)
 
         counted = functools.cached_property(counting_weights)
         counted.__set_name__(BilinearForm, "weights")
         monkeypatch.setattr(BilinearForm, "weights", counted)
-        monkeypatch.setattr(BilinearForm, "table_rows", counting_rows)
+        monkeypatch.setattr(gv.FinAbGroup, "translates", counting_translates)
+        monkeypatch.setattr(BilinearForm, "table_rows", lambda form, rows: table_rows.append(rows))
         C = make_pointed([2, 256], [[F(1, 4), 0], [0, F(3, 512)]], (0, 0))
         assert C.radical.is_trivial and gv.check_axioms(C).all_passed and blocks == []
         md = gv.st_matrices(C)
-        assert computed == [C.bform]
-        assert blocks == _chunks(512) and len(blocks) > 1
+        assert computed == [C.bform] and table_rows == []
+        assert blocks == [(r, np.int64) for r in _chunks(512)] and len(blocks) > 1
         assert gv.check_relations(md).path == "fourier"
         with pytest.raises(ValueError, match="read-only"):
             C.bform.weights[0, 0] = 1
@@ -320,23 +326,23 @@ class TestFourierRelations:
         "factors, matrix", WIDE_FORMS[::2] + [pytest.param([1024], [[F(1, 2048)]], id="1024")]
     )
     def test_one_transform_per_call(self, factors, matrix, monkeypatch):
-        # one transform of T's diagonal, not one per block; the index of
-        # back[x] + z comes one row block at a time, never |G|² at once
+        # one transform of T's diagonal, not one per block; h at back[x] + z
+        # comes one row block at a time, never |G|² at once
         md = gv.st_matrices(make_pointed(factors, matrix, (0,) * len(factors)))
         transforms, index_shapes = [], []
-        fftn, add_index = np.fft.fftn, gv.FinAbGroup.add_index
+        fftn, translates = np.fft.fftn, gv.FinAbGroup.translates
 
         def counting_fftn(a, *args, **kwargs):
             transforms.append(a.shape)
             return fftn(a, *args, **kwargs)
 
-        def counting_add_index(group, rows):
-            index = add_index(group, rows)
-            index_shapes.append(index.shape)
-            return index
+        def counting_translates(group, wrapped, rows):
+            block = translates(group, wrapped, rows)
+            index_shapes.append(block.shape)
+            return block
 
         monkeypatch.setattr(np.fft, "fftn", counting_fftn)
-        monkeypatch.setattr(gv.FinAbGroup, "add_index", counting_add_index)
+        monkeypatch.setattr(gv.FinAbGroup, "translates", counting_translates)
         tracemalloc.start()
         try:
             assert gv.check_relations(md).path == "fourier"
