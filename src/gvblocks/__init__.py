@@ -5,7 +5,7 @@ combinatorics."""
 
 __version__ = "0.1.0"
 
-from .blocks import block_dim_direct, block_dim_glued, pants_multiplicity, verlinde_dim
+from .blocks import block_dim_direct, block_dim_glued, verlinde_dim
 from .errors import (
     CapacityError,
     CompositionError,

@@ -50,11 +50,6 @@ def block_dim_direct(C: PointedGVCategory, spec: SurfaceSpec) -> int:
     return order**genus
 
 
-def pants_multiplicity(C: PointedGVCategory, x, y, z) -> int:
-    """Dimension of the three-point space: 1 iff x + y + z = g0."""
-    return block_dim_direct(C, SurfaceSpec(0, (x, y, z)))
-
-
 def block_dim_glued(
     C: PointedGVCategory, pd: PantsDecomposition, labels: Sequence[Sequence[int]]
 ) -> int:

@@ -392,14 +392,18 @@ class Subgroup:
     elements in ``ambient.element_array``; its elements and invariant
     factors are derived when first read, over an ambient group of order at
     most :data:`ENUMERATION_CAP` (else ``CapacityError("forms.capacity")``).
-    An ``index`` that is empty, not strictly ascending, out of range or
-    without 0 raises ``ValidationError("forms.bad_subgroup")``."""
+    Entries are read by :func:`as_int`, so numpy integers become ints.  An
+    ``index`` with an entry that is not an integer (a float, a bool), or
+    that is empty, not strictly ascending, out of range or without 0,
+    raises ``ValidationError("forms.bad_subgroup")``."""
 
     ambient: FinAbGroup
     index: tuple[int, ...]
 
     def __post_init__(self):
-        index, order = self.index, self.ambient.order
+        order = self.ambient.order
+        index = tuple(as_int(i, "forms.bad_subgroup", "subgroup index entry") for i in self.index)
+        object.__setattr__(self, "index", index)
         # one C-level pass over the pairs, cheaper than np.asarray at any size
         ascending = all(map(operator.lt, index, index[1:]))
         if not (index and index[0] == 0 and index[-1] < order and ascending):

@@ -81,17 +81,22 @@ class TestDirectFormula:
 
 
 class TestPantsMultiplicity:
+    # the three-point space on the pair of pants: dimension 1 iff x + y + z = g0
+    @staticmethod
+    def pants(C, x, y, z):
+        return gv.block_dim_direct(C, make_surface(0, (x, y, z)))
+
     def test_z3(self, z3):
-        assert gv.pants_multiplicity(z3, (1,), (1,), (1,)) == 1
-        assert gv.pants_multiplicity(z3, (1,), (1,), (0,)) == 0
+        assert self.pants(z3, (1,), (1,), (1,)) == 1
+        assert self.pants(z3, (1,), (1,), (0,)) == 0
 
     def test_z8_ff(self, z8_ff):
-        assert gv.pants_multiplicity(z8_ff, (1,), (1,), (0,)) == 1
+        assert self.pants(z8_ff, (1,), (1,), (0,)) == 1
 
     def test_unit_forced(self, semion, z8_ff, klein):
         for C in (semion, z8_ff, klein):
             z = C.group.zero
-            assert gv.pants_multiplicity(C, z, z, C.g0) == 1
+            assert self.pants(C, z, z, C.g0) == 1
 
 
 class TestGluedFormula:

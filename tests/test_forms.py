@@ -490,12 +490,21 @@ class TestSubgroupInvariants:
             (-1, 0),
             (),  # order 0
             (1, 3),  # no unit
+            (0.0, 2.0),  # floats: a bare IndexError on reading the elements unchecked
+            (False, True),  # bools: likewise
         ],
     )
     def test_refuses_an_index_that_lists_no_subgroup(self, index):
         with pytest.raises(ValidationError) as e:
             Subgroup(gv.make_group([4]), index)
         assert e.value.code == "forms.bad_subgroup"
+
+    def test_numpy_integer_entries_are_read_as_ints(self):
+        g = gv.make_group([4])
+        sub = Subgroup(g, tuple(np.array([0, 2])))
+        assert sub == Subgroup(g, (0, 2)) and {type(i) for i in sub.index} == {int}
+        assert sub.elements == ((0,), (2,)) and sub.invariant_factors == (2,)
+        assert Subgroup(g, [0, 2]).index == (0, 2) == Subgroup(g, np.array([0, 2])).index
 
     @pytest.mark.parametrize(
         "shape, index",

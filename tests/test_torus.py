@@ -578,26 +578,51 @@ class TestFusion:
             for x in range(n):
                 assert md and gv.fusion_from_s(md).tensor[0, x, x] == 1
 
+    @staticmethod
+    def assert_matches_einsum(md):
+        """The tensor is the Verlinde sum contracted by einsum, a slice of x
+        rows of at most 2^18 entries at a time, rounded; it is symmetric in
+        x and y, and its residual is within 1e-15 of the einsum's."""
+        rep = gv.fusion_from_s(md)  # raises internally on a group-law mismatch
+        n, right = md.rank, md.S.conj() / md.S[0]
+        step, residual = max(1, 2**18 // n**2), 0.0
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            raw = np.einsum("xw,yw,zw->xyz", md.S[rows], md.S, right, optimize=True)
+            assert np.array_equal(rep.tensor[rows], np.round(raw.real)), (md.labels[:2], start)
+            residual = max(residual, np.abs(raw - rep.tensor[rows]).max())
+        assert np.array_equal(rep.tensor, rep.tensor.transpose(1, 0, 2))
+        assert abs(rep.residual - residual) <= 1e-15
+        return rep
+
     def test_pointed_sweep(self):
-        for shape in [(2,), (4,), (2, 2), (5,)]:
+        # every non-degenerate pointed form of order <= 16
+        count = 0
+        for shape in group_shapes(16):
             G = gv.make_group(shape)
             for q in enumerate_qforms(G):
                 C = gv.make_category(G, q, G.zero)
-                try:
-                    md = gv.st_matrices(C)
-                except DegenerateDataError:
-                    continue
-                rep = gv.fusion_from_s(md)  # raises internally on mismatch
-                assert rep.residual < 1e-9
+                if C.radical.is_trivial:
+                    assert self.assert_matches_einsum(gv.st_matrices(C)).residual < 1e-9
+                    count += 1
+        assert count == 8000
 
     def test_matches_einsum_contraction(self):
-        # rank 64 is one block; rank 128 is eight blocks of 16 rows
-        for factors, diag in [((8, 8), (F(1, 16), F(3, 16))), ((2, 64), (F(1, 4), F(5, 128)))]:
-            md = gv.st_matrices(make_pointed(factors, [[diag[0], 0], [0, diag[1]]], (0, 0)))
-            raw = np.einsum("xw,yw,zw->xyz", md.S, md.S, md.S.conj() / md.S[0], optimize=True)
-            rep = gv.fusion_from_s(md)
-            assert np.array_equal(rep.tensor, np.round(raw.real))
-            assert abs(rep.residual - np.abs(raw - rep.tensor).max()) < 1e-12
+        # up to rank 25 the tensor is one block; the others are blocks of
+        # x rows [start, stop) against y >= start, Z/256 one row each
+        corpus = [
+            ([3, 18], [F(1, 3), F(1, 36)]),
+            ([64], [F(1, 128)]),
+            ([8, 8], [F(1, 16), F(3, 16)]),
+            ([4, 4, 4], [F(1, 8), F(1, 8), F(3, 8)]),
+            ([2, 64], [F(1, 4), F(5, 128)]),
+            ([256], [F(1, 512)]),
+        ]
+        for factors, diag in corpus:
+            matrix = [[diag[i] if i == j else 0 for j in range(len(diag))] for i in range(len(diag))]
+            self.assert_matches_einsum(gv.st_matrices(make_pointed(factors, matrix, (0,) * len(diag))))
+        for name in gv.torus.BUILTIN_NAMES:
+            self.assert_matches_einsum(gv.builtin_modular_data(name))
 
 
     def test_capacity(self):
@@ -619,13 +644,32 @@ class TestFusion:
 
     def test_group_law_mismatch_names_the_first_bad_pair_past_the_first_block(self):
         # Z/2 x Z/2 x Z/32 data read against Z/4 x Z/32: the sums agree for
-        # x < 32, so the first bad pair sits in the third block of 16 rows
+        # x < 32, so the first bad pair sits in the block of the one row 32
+        # against y >= 32, the 33rd block
         md = gv.st_matrices(
             make_pointed([2, 2, 32], [[F(1, 4), 0, 0], [0, F(1, 4), 0], [0, 0, F(1, 64)]], (0, 0, 0))
         )
         with pytest.raises(gv.InternalError) as e:
             gv.fusion_from_s(dataclasses.replace(md, group=gv.make_group([4, 32])))
         assert e.value.message.endswith("at ((1, 0), (1, 0))")
+
+    def test_group_law_mismatch_names_the_first_bad_pair_inside_a_diagonal_square(self):
+        # Z/4 x Z/12 data read against Z/2 x Z/2 x Z/12: the sums agree for
+        # x < 12, and rank 48 takes rows [0, 7), then [7, 15) against y >= 7,
+        # so the first bad pair, (12, 12), lies in that block's diagonal
+        # square [7, 15)², below rows of the square that pass
+        md = gv.st_matrices(make_pointed([4, 12], [[F(1, 8), 0], [0, F(1, 24)]], (0, 0)))
+        with pytest.raises(gv.InternalError) as e:
+            gv.fusion_from_s(dataclasses.replace(md, group=gv.make_group([2, 2, 12])))
+        assert e.value.message.endswith("at ((0, 1, 0), (0, 1, 0))")
+
+    def test_group_law_mismatch_with_a_second_entry_beside_the_sum(self):
+        # Ising read against Z/3: sigma x sigma = 1 + psi has its 1 at
+        # 1 + 1 = 2 but also one at 0, so (1, 1) is the first bad pair
+        md = gv.builtin_modular_data("ising")
+        with pytest.raises(gv.InternalError) as e:
+            gv.fusion_from_s(dataclasses.replace(md, group=gv.make_group([3])))
+        assert e.value.message.endswith("at ((1,), (1,))")
 
     def test_peak_memory_at_the_cap_is_the_result_and_a_few_blocks(self):
         md = gv.st_matrices(make_pointed([256], [[F(1, 512)]], (0,)))
