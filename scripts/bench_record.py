@@ -15,11 +15,11 @@ end-to-end metric with both sides' runs, medians and inclusive quartiles,
 the median ratio (change over parent), how many pairs the change won, and
 whether the change's median is worse than the parent's by more than the
 metric's ``bound`` (a relative change);
-the operations and failures of every run; the ``caps`` probe on seed 1; and
-the traced ``catalog`` runs on seed 1, each per-layer metric as a list in
-run order (metrics that read 0 in every run are left out).  Untraced runs
-are paired by seed, and both sides must hold the same seeds.  Only the
-standard library is used.
+the operations and failures of every run; the ``caps`` probe on seed 1; and,
+as ``traced_<workload>_seed1``, the traced runs on seed 1 of each measured
+workload, each per-layer metric as a list in run order (metrics that read 0
+in every run are left out).  Untraced runs are paired by seed, and both
+sides must hold the same seeds.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -102,9 +102,9 @@ def _caps(records: list[dict]) -> dict | None:
     }
 
 
-def _traced(sides: dict) -> dict | None:
+def _traced(name: str, sides: dict) -> dict | None:
     traced = {
-        side: [r for r in records if r["workload"] == "catalog" and _seed(r) == 1 and r["trace"] == 1]
+        side: [r for r in records if r["workload"] == name and _seed(r) == 1 and r["trace"] == 1]
         for side, records in sides.items()
     }
     if not all(traced.values()):
@@ -131,12 +131,12 @@ def build(parent: list[Path], change: list[Path], parent_commit: str, what: str,
         summary = _workload(w["name"], bench["end_to_end"], sides, holdout)
         if summary is not None:
             record[w["name"]] = summary
+        traced = _traced(w["name"], sides)
+        if traced is not None:
+            record[f"traced_{w['name']}_seed1"] = traced
     caps = {side: _caps(records) for side, records in sides.items()}
     if all(caps.values()):
         record["caps_seed1"] = caps
-    traced = _traced(sides)
-    if traced is not None:
-        record["traced_catalog_seed1"] = traced
     return record
 
 

@@ -44,7 +44,6 @@ from .graphs import (
     graph_from_text,
     graph_to_text,
     identity_morphism,
-    is_isomorphic,
     make_graph,
     make_morphism,
     morphism_from_graph,

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .forms import _as_items, as_int
+from .forms import _as_items, as_coordinates, as_int
 from .pointed import PointedGVCategory
 from .surfaces import PantsDecomposition, SurfaceSpec, _genus
 from .torus import ModularData, _vacuum
@@ -29,25 +29,48 @@ from .torus import ModularData, _vacuum
 DIM_BITS_CAP = 2**24
 
 
+def _vanishes(C: PointedGVCategory, genus: int, labels: tuple) -> bool:
+    """Whether ``labels`` plus (genus - 1)*g0 sum to zero: the one reader of
+    a surface's label degree.  Each label is read once, as
+    :meth:`~gvblocks.forms.FinAbGroup.reduce` reads it, with its refusal
+    codes, messages and order; the coordinates are added as Python ints and
+    reduced once mod each n_i, which is the same test, as a sum of the
+    a_i mod n is congruent to the sum of the a_i."""
+    rank = C.group.rank
+    total = [(genus - 1) * a for a in C.g0]
+    for lab in labels:
+        vec = lab if type(lab) is tuple else as_coordinates(lab, "coordinate")
+        if len(vec) != rank:
+            raise ValidationError(
+                "forms.bad_element", f"element has {len(vec)} coordinates, group has rank {rank}"
+            )
+        for i, v in enumerate(vec):
+            total[i] += as_int(v, "forms.bad_element", "coordinate")
+    return not any(t % n for t, n in zip(total, C.group.invariant_factors))
+
+
+def _dimension(C: PointedGVCategory, genus: int, labels: tuple) -> int:
+    """:func:`block_dim_direct` on a genus and labels already read."""
+    if not _vanishes(C, genus, labels):
+        return 0
+    order = C.group.order
+    if genus * math.log2(order) >= DIM_BITS_CAP:
+        raise CapacityError("blocks.overflow", f"{order}^{genus} has more than 2^24 bits")
+    return order**genus
+
+
 def meets_condition(C: PointedGVCategory, spec: SurfaceSpec) -> bool:
     """Whether the total boundary degree plus (g-1)*g0 vanishes; ``spec`` is
     read as :func:`~gvblocks.surfaces.make_surface` reads its arguments."""
-    group = C.group
-    total = group.scale(_genus(spec.genus) - 1, C.g0)
-    for lab in _as_items(spec.boundary_labels, "forms.bad_element", "labels"):
-        total = group.add(total, group.reduce(lab))
-    return total == group.zero
+    genus = _genus(spec.genus)
+    return _vanishes(C, genus, _as_items(spec.boundary_labels, "forms.bad_element", "labels"))
 
 
 def block_dim_direct(C: PointedGVCategory, spec: SurfaceSpec) -> int:
     """|G|^g when :func:`meets_condition`, else 0.  A |G|^g of more than
     :data:`DIM_BITS_CAP` bits raises ``CapacityError("blocks.overflow")``."""
-    if not meets_condition(C, spec):
-        return 0
-    genus, order = int(spec.genus), C.group.order  # an integer, checked above
-    if genus * math.log2(order) >= DIM_BITS_CAP:
-        raise CapacityError("blocks.overflow", f"{order}^{genus} has more than 2^24 bits")
-    return order**genus
+    genus = _genus(spec.genus)
+    return _dimension(C, genus, _as_items(spec.boundary_labels, "forms.bad_element", "labels"))
 
 
 def block_dim_glued(
@@ -79,7 +102,7 @@ def block_dim_glued(
             "blocks.label_mismatch",
             f"decomposition has {pd.n} boundary legs, got {len(labels)} labels",
         )
-    return block_dim_direct(C, SurfaceSpec(pd.genus, labels))
+    return _dimension(C, pd.genus, labels)
 
 
 @dataclass(frozen=True)

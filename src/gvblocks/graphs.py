@@ -316,10 +316,6 @@ def canonical_form(g: Graph, leg_marks: Mapping[str, object] | None = None):
     return (nv,) + best
 
 
-def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    return canonical_form(g1) == canonical_form(g2)
-
-
 # --- morphisms ---------------------------------------------------------------
 
 IdentKey = tuple[str, str]  # (corolla id, leg label)

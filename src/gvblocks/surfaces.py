@@ -194,7 +194,9 @@ def _reassociate(pd: PantsDecomposition, half_edge: str, side: int) -> tuple[str
     The edge still joins u and v and every moved half-edge stays on {u, v},
     so each path of ``pd`` maps to one of the flip, which stays connected.
     The half-edges and the pairing, so the legs and their order, are kept.
-    Only vertices change, so ``attach`` stays in half-edge order."""
+    Only vertices change, so ``attach`` stays in half-edge order, and the
+    flipped graph takes the source's ``half_edges``, ``legs`` and
+    ``involution`` as they are."""
     a_he, b_he = _find_edge(pd, half_edge)
     g = pd.dual
     u, v = g.attach_map[a_he], g.attach_map[b_he]
@@ -206,7 +208,10 @@ def _reassociate(pd: PantsDecomposition, half_edge: str, side: int) -> tuple[str
     rest_v = sorted(h for h in g.vertex_half_edges[v] if h != b_he)
     moved = {rest_u[1]: v, rest_v[side]: u}
     attach = tuple((h, moved.get(h, w)) for h, w in g.attach)
-    return f"F:{a_he}-{b_he}", Graph(vertices=g.vertices, attach=attach, pairing=g.pairing)
+    flipped = Graph(vertices=g.vertices, attach=attach, pairing=g.pairing)
+    for name in ("half_edges", "legs", "involution"):
+        vars(flipped)[name] = getattr(g, name)
+    return f"F:{a_he}-{b_he}", flipped
 
 
 def whitehead_move(pd: PantsDecomposition, half_edge: str) -> PantsDecomposition:

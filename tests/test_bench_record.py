@@ -86,3 +86,21 @@ def test_unpaired_seeds_are_refused(tmp_path):
     write_run(tmp_path / "c", "gluing", 2, 0, e2e(1, 1))
     with pytest.raises(SystemExit, match="seeds"):
         bench_record.build([tmp_path / "p"], [tmp_path / "c"], "abc", "test", None)
+
+
+def test_traced_runs_of_every_workload(tmp_path):
+    # seed-1 traced runs are kept per workload, in run order; a workload
+    # traced on one side only, or on another seed, is left out
+    for i, (p_busy, c_busy) in enumerate([(0.5, 0.2), (0.6, 0.3)]):
+        write_run(tmp_path / f"p{i}", "gluing", 1, 1, {"blocks.block_dim_glued.busy_s": p_busy, "torus.self_s": 0})
+        write_run(tmp_path / f"c{i}", "gluing", 1, 1, {"blocks.block_dim_glued.busy_s": c_busy, "torus.self_s": 0})
+    write_run(tmp_path / "p0", "catalog", 1, 1, {"forms.radical.busy_s": 0.1})
+    write_run(tmp_path / "c0", "catalog", 2, 1, {"forms.radical.busy_s": 0.1})
+    out = bench_record.build(
+        [tmp_path / "p0", tmp_path / "p1"], [tmp_path / "c0", tmp_path / "c1"], "abc", "test", None
+    )
+    assert out["traced_gluing_seed1"] == {
+        "parent": {"blocks.block_dim_glued.busy_s": [0.5, 0.6]},
+        "change": {"blocks.block_dim_glued.busy_s": [0.2, 0.3]},
+    }
+    assert "traced_catalog_seed1" not in out and "gluing" not in out

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import tracemalloc
@@ -9,15 +10,24 @@ import pytest
 
 import gvblocks as gv
 from gvblocks.errors import CapacityError, DegenerateDataError, ValidationError
-from gvblocks.forms import smith_normal_form
+from gvblocks.forms import _as_items, smith_normal_form
 from gvblocks.surfaces import (
+    SurfaceSpec,
     _enumerate_classes,
+    _genus,
     enumerate_decompositions,
     make_pants_decomposition,
     make_surface,
 )
 
-from conftest import det_reference, glued_dim_oracle, make_pointed, mat_mul_int
+from conftest import (
+    det_reference,
+    glued_dim_oracle,
+    group_shapes,
+    make_pointed,
+    mat_mul_int,
+    random_qform,
+)
 
 F = Fraction
 
@@ -309,6 +319,179 @@ class TestGluingPath:
                 assert abs(det_reference(U)) == 1
                 UA = mat_mul_int(U, A) if edges else []
                 assert all(not any(row) for row in UA[nv - 1 :])
+
+
+def fold_meets(C, spec):
+    """The condition as a per-label fold, one ``FinAbGroup.reduce`` and one
+    ``add`` per label: the reference for the one-pass reader."""
+    group = C.group
+    total = group.scale(_genus(spec.genus) - 1, C.g0)
+    for lab in _as_items(spec.boundary_labels, "forms.bad_element", "labels"):
+        total = group.add(total, group.reduce(lab))
+    return total == group.zero
+
+
+def fold_direct(C, spec):
+    if not fold_meets(C, spec):
+        return 0
+    genus, order = int(spec.genus), C.group.order
+    if genus * math.log2(order) >= gv.blocks.DIM_BITS_CAP:
+        raise CapacityError("blocks.overflow", f"{order}^{genus} has more than 2^24 bits")
+    return order**genus
+
+
+def fold_glued(C, pd, labels):
+    labels = _as_items(labels, "blocks.label_mismatch", "labels")
+    if len(labels) != pd.n:
+        raise ValidationError(
+            "blocks.label_mismatch",
+            f"decomposition has {pd.n} boundary legs, got {len(labels)} labels",
+        )
+    return fold_direct(C, SurfaceSpec(pd.genus, labels))
+
+
+def outcome(call, *args):
+    """The type and value of a call's result, or its refusal as
+    (class, code, message)."""
+    try:
+        result = call(*args)
+    except gv.GVBlocksError as e:
+        return type(e), e.code, str(e)
+    return type(result), result
+
+
+# labels on the condition on Z/4 x Z/6 with g0 = (2, 4): three at genus 0,
+# three at genus 1 and two at genus 1
+MET0 = [(1, 5), (2, 3), (3, 2)]
+MET1 = [(1, 5), (2, 3), (1, 4)]
+MET1_TWO = [(1, 5), (3, 1)]
+LABEL, COUNT, GENUS = "forms.bad_element", "blocks.label_mismatch", "surfaces.bad_genus"
+OVERFLOW = "blocks.overflow"
+
+
+def second(labels, lab):
+    """``labels`` with its second label replaced by ``lab``."""
+    return [labels[0], lab, *labels[2:]]
+
+
+# (genus, labels, the code of meets_condition, block_dim_direct and
+# block_dim_glued, None where it gives a result)
+READER_CASES = [
+    # a coordinate that is a float, a bool, a string or a list, in a tuple and in a list
+    *[(0, second(MET0, lab), (LABEL,) * 3)
+      for lab in [(2.0, 3), (True, 3), ("2", 3), ([2], 3), [2, 3.0], [2, False], [2, "3"], [[2], 3]]],
+    # the wrong length; a tuple is measured before its coordinates are read, a list after
+    *[(0, second(MET0, lab), (LABEL,) * 3)
+      for lab in [(2,), (), (2, 3, 0), (2.5, 3, 0), [2], [2.5, 3, 0], np.array([2, 3, 0])]],
+    # a label that is a scalar, a set, a string, bytes, a mapping or None
+    *[(0, second(MET0, lab), (LABEL,) * 3)
+      for lab in [5, np.int64(5), np.array(5), {2, 3}, "23", b"23", {0: 2, 1: 3}, None]],
+    # labels that are not a sequence
+    *[(0, labels, (LABEL, LABEL, COUNT)) for labels in [5, "abc", b"abc", {(1, 5): 1}, None, 1.5]],
+    # the wrong label count, which only the glued count has
+    (1, MET1_TWO, (None, None, COUNT)),
+    (1, MET1 + [(0, 0)], (None, None, COUNT)),
+    (1, [], (None, None, COUNT)),
+    # a bad genus, which only a surface has
+    *[(genus, MET1, (GENUS, GENUS, None)) for genus in [-1, 1.5, True, "1", None, np.float64(1)]],
+    # two faults at once: the genus or the count before the labels
+    (-1, second(MET1, (2.0, 3)), (GENUS, GENUS, LABEL)),
+    (1.5, 5, (GENUS, GENUS, COUNT)),
+    (1, second(MET1_TWO, (3.0, 1)), (LABEL, LABEL, COUNT)),
+    (1, second(MET1, (2, 3, 0)) + [(0, 0)], (LABEL, LABEL, COUNT)),
+    # accepted off the condition
+    (1, second(MET1, (2, 4)), (None,) * 3),
+]
+# accepted on the condition: numpy integer coordinates, list and array
+# labels, unreduced integers
+ACCEPTED = [
+    (0, [(np.int64(1), np.int32(5)), [np.int8(2), 3], np.array([3, 2])]),
+    (0, np.array(MET0)),
+    (0, [(1 + 4 * 10**30, 5 - 6 * 10**40), (-2, 3), [-1, 2]]),
+    (1, MET1),
+]
+READER_CASES += [(genus, labels, (None,) * 3) for genus, labels in ACCEPTED]
+
+
+class TestLabelReader:
+    """``meets_condition``, ``block_dim_direct`` and ``block_dim_glued`` read
+    the labels in one pass, and give what the per-label fold gives: the same
+    result, or the same refusal class, code and message, faults taken in the
+    same order."""
+
+    @pytest.fixture(scope="class")
+    def C(self):
+        return make_pointed([4, 6], [[F(1, 8), 0], [0, F(1, 12)]], (1, 2))
+
+    @staticmethod
+    def check(C, genus, labels, codes):
+        """Each reader against its fold; the glued count runs on every class
+        with three legs of ``genus``, or of genus 1 where ``genus`` is not 0
+        or 1."""
+        spec = SurfaceSpec(genus, labels)
+        g = genus if type(genus) is int and genus in (0, 1) else 1
+        pds = enumerate_decompositions(make_surface(g, [(0, 0)] * 3))
+        pairs = [
+            (outcome(gv.blocks.meets_condition, C, spec), outcome(fold_meets, C, spec), codes[0]),
+            (outcome(gv.block_dim_direct, C, spec), outcome(fold_direct, C, spec), codes[1]),
+        ] + [
+            (outcome(gv.block_dim_glued, C, pd, labels), outcome(fold_glued, C, pd, labels), codes[2])
+            for pd in pds
+        ]
+        for got, want, code in pairs:
+            assert got == want
+            assert (got[1] if len(got) == 3 else None) == code
+
+    @pytest.mark.parametrize("genus, labels, codes", READER_CASES)
+    def test_same_outcome_as_the_fold(self, C, genus, labels, codes):
+        self.check(C, genus, labels, codes)
+
+    def test_accepted_labels_meet_the_condition(self, C):
+        for genus, labels in ACCEPTED:
+            assert gv.block_dim_direct(C, SurfaceSpec(genus, labels)) == 24**genus
+
+    def test_labels_before_the_overflow(self, C, monkeypatch):
+        # 2^24 * log2(24) bits at genus 2^24, with the labels closed onto the condition
+        group, big = C.group, 2**24
+        head = [(1, 5)]
+        last = group.neg(group.add(group.scale(big - 1, C.g0), head[0]))
+        self.check(C, big, head + [last], (None, OVERFLOW, COUNT))
+        self.check(C, big, head + [(last[0], float(last[1]))], (LABEL, LABEL, COUNT))
+        # log2(24) bits at genus 1 under a cap of 4 bits: the glued count too
+        monkeypatch.setattr(gv.blocks, "DIM_BITS_CAP", 4)
+        self.check(C, 1, MET1, (None, OVERFLOW, OVERFLOW))
+        self.check(C, 1, second(MET1, (2, 3.0)), (LABEL, LABEL, LABEL))
+        self.check(C, 1, MET1_TWO, (None, OVERFLOW, COUNT))
+        self.check(C, 1, second(MET1_TWO, [3, 1.0]), (LABEL, LABEL, COUNT))
+
+    def test_one_pass_equals_the_fold(self):
+        # every (g, n) of complexity 1-4 on every group shape of order <= 24:
+        # random unreduced labels, and the same closed onto the condition
+        rng = random.Random(28)
+        nonzero = 0
+        for factors in [(1,)] + group_shapes(24):
+            group = gv.make_group(factors)
+            h0 = tuple(rng.randrange(f) for f in factors)
+            C = gv.make_category(group, random_qform(rng, group), h0)
+            for g, n in surfaces_up_to_complexity(4):
+                pds = enumerate_decompositions(make_surface(g, [group.zero] * n))
+                for _ in range(3):
+                    labels = [tuple(rng.randrange(-3 * f, 3 * f) for f in factors)
+                              for _ in range(n)]
+                    label_sets = [labels]
+                    if n:
+                        total = group.scale(g - 1, C.g0)
+                        for lab in labels[:-1]:
+                            total = group.add(total, group.reduce(lab))
+                        label_sets.append(labels[:-1] + [group.neg(total)])
+                    for labs in label_sets:
+                        spec = SurfaceSpec(g, labs)
+                        assert gv.blocks.meets_condition(C, spec) == fold_meets(C, spec)
+                        direct = gv.block_dim_direct(C, spec)
+                        assert direct == fold_direct(C, spec)
+                        assert {gv.block_dim_glued(C, pd, labs) for pd in pds} == {direct}
+                        nonzero += direct != 0
+        assert nonzero > 1000
 
 
 class TestModularData:

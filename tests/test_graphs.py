@@ -175,10 +175,10 @@ class TestCanonicalForm:
             {"x": ["p1", "p2", "p3"], "y": ["q1", "q2", "q3"]},
             [("p1", "q2"), ("p2", "q3"), ("p3", "q1")],
         )
-        assert gv.is_isomorphic(g1, g2)
+        assert gv.canonical_form(g1) == gv.canonical_form(g2)
 
     def test_theta_vs_dumbbell(self):
-        assert not gv.is_isomorphic(theta_graph(), dumbbell_graph())
+        assert gv.canonical_form(theta_graph()) != gv.canonical_form(dumbbell_graph())
 
     def test_marks_distinguish(self):
         g = gv.make_graph({"u": ["a", "x"], "v": ["b", "y"]}, [("x", "y")])
@@ -270,7 +270,7 @@ class TestSerialization:
         edge b e
         edge c f
         """
-        assert gv.is_isomorphic(gv.graph_from_text(text), theta_graph())
+        assert gv.canonical_form(gv.graph_from_text(text)) == gv.canonical_form(theta_graph())
 
     @pytest.mark.parametrize(
         "bad",

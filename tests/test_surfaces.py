@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import math
 import random
@@ -386,3 +387,40 @@ class TestValidByConstruction:
                     dual = gv.make_graph(dict(out.dual.vertex_half_edges), out.dual.pairing)
                     ref = gv.make_pants_decomposition(dual, out.leg_map)
                     assert (ref.dual, ref.leg_order) == (out.dual, out.leg_order)
+
+
+class TestFlipsCarryWhatTheyKeep:
+    def test_flipped_graph_takes_the_source_half_edges_legs_and_involution(self):
+        # every flip, both re-associations, of every class of complexity 1-5
+        flips = 0
+        for g, n in surfaces_up_to_complexity(5):
+            for pd in enumerate_decompositions(make_surface(g, [(0,)] * n)):
+                for a, b in pd.dual.pairing:
+                    if pd.dual.attach_map[a] == pd.dual.attach_map[b]:
+                        continue
+                    for side in (0, 1):
+                        flipped = _reassociate(pd, a, side)[1]
+                        derived = gv.make_graph(dict(flipped.vertex_half_edges), flipped.pairing)
+                        assert derived == flipped
+                        for name in ("half_edges", "legs", "involution"):
+                            assert vars(flipped)[name] is getattr(pd.dual, name)
+                            assert vars(flipped)[name] == getattr(derived, name)
+                        flips += 1
+        assert flips > 5000
+
+    def test_classes_and_moves_keep_their_digest(self):
+        # SHA-256 of (dual, leg_order, moves, canonical_key) of every class of
+        # complexity 1-5 and of its move at every edge, as the enumeration
+        # and moves gave them before flips handed on the kept structure
+        digest, count = hashlib.sha256(), 0
+        for g, n in surfaces_up_to_complexity(5):
+            for pd in enumerate_decompositions(make_surface(g, [(0,)] * n)):
+                outs = [pd]
+                for a, b in pd.dual.pairing:
+                    loop = pd.dual.attach_map[a] == pd.dual.attach_map[b]
+                    outs.append((gv.s_move if loop else gv.whitehead_move)(pd, a))
+                for out in outs:
+                    digest.update(repr((out.dual, out.leg_order, out.moves, out.canonical_key)).encode())
+                    count += 1
+        assert count == 7830
+        assert digest.hexdigest() == "2868ae964f07787b8bcb5feea2c40bff80593a14cf7fdc219ecd82849c9af338"
