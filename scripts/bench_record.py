@@ -12,9 +12,11 @@ one seed can be kept apart by copying each ``perfbench/out/`` aside.
 
 The record holds, per measured workload of ``BENCHMARK.json``, every
 end-to-end metric with both sides' runs, medians and inclusive quartiles,
-the median ratio (change over parent), how many pairs the change won, and
+the median ratio (change over parent), how many pairs the change won,
 whether the change's median is worse than the parent's by more than the
-metric's ``bound`` (a relative change);
+metric's ``bound`` (a relative change), and whether the runs show a gain:
+the change wins at least nine tenths of the pairs and its median is better
+than the parent's by more than the parent's q3 - q1;
 the operations and failures of every run; the ``caps`` probe on seed 1; and,
 as ``traced_<workload>_seed1``, the traced runs on seed 1 of each measured
 workload, each per-layer metric as a list in run order (metrics that read 0
@@ -71,10 +73,12 @@ def _workload(name: str, metrics: list[dict], sides: dict, holdout: int | None) 
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         entry = {side: _summary(v) for side, v in values.items()}
         ratio = entry["change"]["median"] / entry["parent"]["median"]
+        gain = sign * (entry["change"]["median"] - entry["parent"]["median"])
         entry.update(
             better=m["better"],
             bound=m["bound"],
             change_wins=f"{wins}/{len(seeds)}",
+            gain_shown=10 * wins >= 9 * len(seeds) and gain > entry["parent"]["q3"] - entry["parent"]["q1"],
             median_ratio=ratio,
             worse_than_bound=sign * (ratio - 1) < -m["bound"],
         )

@@ -397,17 +397,21 @@ def anomaly(C: PointedGVCategory) -> AnomalyReport:
 
 @dataclass(frozen=True)
 class FusionReport:
-    """Fusion multiplicities recovered from S, with the rounding residual."""
+    """Fusion multiplicities recovered from S, with the rounding residual.
+    ``path`` says how the Verlinde sum was formed: ``"fourier"`` from the
+    character table, ``"dense"`` by matrix products."""
 
     tensor: np.ndarray  # integer N[x, y, z]
     residual: float
+    path: str
 
 
-#: Entries, pairs (x, y) times labels z, of one :func:`fusion_from_s` block.
-#: The block holds five temporaries of that size, so it is a quarter of the
-#: 2^16 entries of :func:`~gvblocks.forms._chunks`.  On a 2-vCPU Xeon with
-#: one BLAS thread it was within 3% of the fastest of 2^12 to 2^16 at ranks
-#: 36, 54, 64, 128 and 256; at rank 64, 2^16 took 5.9 ms against its 3.1 ms.
+#: Entries, pairs (x, y) times labels z, of one block of the dense
+#: :func:`fusion_from_s` path; the Fourier path forms no block.  The block
+#: holds five temporaries of that size, so it is a quarter of the 2^16
+#: entries of :func:`~gvblocks.forms._chunks`.  On a 2-vCPU Xeon with one
+#: BLAS thread it was within 3% of the fastest of 2^12 to 2^16 at ranks 36,
+#: 54, 64, 128 and 256; at rank 64, 2^16 took 5.9 ms against its 3.1 ms.
 _FUSION_BLOCK = 2**14
 
 
@@ -415,7 +419,31 @@ def fusion_from_s(md: ModularData) -> FusionReport:
     """N_xy^z = sum_w S_xw S_yw conj(S_zw) / S_0w, rounded to integers.
 
     The dense tensor has rank^3 entries, so ranks above 256 (2^24 entries)
-    are refused before anything is allocated.  The sum is symmetric in x
+    are refused before anything is allocated.  The two paths run this one
+    sum and differ only in how S multiplies; ``residual`` is the largest
+    |raw - N| over the tensor on both.
+
+    Data that carries the character table its S is built from (only
+    :func:`st_matrices` attaches one) takes one transform.  S is then
+    K_yw = |G|^(-1/2) e(-k(y)·w), k a bijective homomorphism, so
+    S_yw·conj(S_zw) = |G|^(-1) e(k(z - y)·w) and
+
+        sum_w S_xw S_yw conj(S_zw) / S_0w = g_x[k(z - y)],
+        g_x = ifftn(S_x / S_0),  ifftn(f)[u] = |G|^(-1) sum_w f(w) e(u·w),
+
+    the transform running over the group grid.  This is the exact product
+    for any row x of S, not a use of the fusion rule it checks.  One batched
+    ifftn of S / S_0, gathered at ``_table``, gives R[x, v] = g_x[k(v)], so
+    raw N_xy^z = R[x, z - y]: rounding and the residual run over rank^2
+    values, each of them an entry of the tensor (y = 0, z = v).  The group
+    law N_xy = delta_(x+y) holds for every pair iff rounded R is the
+    identity, as N_xy^z = R[x, z - y].  If row x of R is the first that is
+    not, the pairs of rows before it pass and (x, 0) fails, as
+    N_x0^v = R[x, v]: that is the first bad pair in row-major order.  The
+    tensor is then R[:, D], D[y, z] the index of z - y, read by
+    :meth:`~gvblocks.forms.FinAbGroup.translates` at the rows -y.
+
+    Data without a table takes the dense path.  The sum is symmetric in x
     and y, so each unordered pair {x, y} is formed once; in floats
     S_xw·S_yw and S_yw·S_xw have the same real part and imaginary parts at
     most an ulp apart (numpy may fuse a multiply-add), far inside the
@@ -425,8 +453,8 @@ def fusion_from_s(md: ModularData) -> FusionReport:
     at or past stop, to N[y, x].  A rank whose tensor fits one block (up
     to 25) is one product, as when every pair was formed.  No temporary
     besides the int64 result exceeds a block.  k = rint(Re raw) is
-    subtracted from raw in place, so ``residual``, the largest |raw - N|,
-    comes from the rounding pass.
+    subtracted from raw in place, so ``residual`` comes from the rounding
+    pass.
 
     For pointed data each row (x, y) must be the group-law delta at x + y,
     read through :meth:`~gvblocks.forms.FinAbGroup.translates`: its entry
@@ -447,7 +475,25 @@ def fusion_from_s(md: ModularData) -> FusionReport:
         raise CapacityError(
             "torus.capacity", f"rank {n} exceeds the fusion cap 256 (rank^3 entries)"
         )
-    right = (md.S.conj() / _vacuum(md.S[0])).T
+    vacuum = _vacuum(md.S[0])
+    if md._table is not None:
+        group = md.group
+        factors = group.invariant_factors
+        g = np.fft.ifftn((md.S / vacuum).reshape(n, *factors), axes=range(1, 1 + len(factors)))
+        raw = g.reshape(n, n)[:, md._table]  # R[x, v]
+        k = np.rint(raw.real)
+        raw.real -= k
+        residual = float(np.abs(raw).max())
+        R = k.astype(np.int64)
+        bad = (R != np.eye(n, dtype=np.int64)).any(axis=1)
+        if bad.any():
+            x = md.elements[int(bad.argmax())]
+            raise InternalError(
+                "torus.group_law", f"fusion from S disagrees with the group law at ({x}, {group.zero})"
+            )
+        D = group.translates(np.arange(n)[group.wrap_index], group.neg_index)  # index of z - y
+        return FusionReport(R[:, D], residual, "fourier")
+    right = (md.S.conj() / vacuum).T
     tensor = np.empty((n, n, n), dtype=np.int64)
     residual = 0.0
     start = 0
@@ -472,4 +518,4 @@ def fusion_from_s(md: ModularData) -> FusionReport:
                     "torus.group_law", f"fusion from S disagrees with the group law at ({x}, {y})"
                 )
         start = stop
-    return FusionReport(tensor, residual)
+    return FusionReport(tensor, residual, "dense")

@@ -104,3 +104,23 @@ def test_traced_runs_of_every_workload(tmp_path):
         "change": {"blocks.block_dim_glued.busy_s": [0.2, 0.3]},
     }
     assert "traced_catalog_seed1" not in out and "gluing" not in out
+
+
+def test_gain_shown(tmp_path):
+    # ten pairs; parent latency_p90_ms runs 3.0..3.9 (q1 3.225, q3 3.675,
+    # median 3.45), ops_per_s 100..109 (q1 102.25, q3 106.75, median 104.5)
+    for seed in range(10):
+        p_ops, p_p90 = 100 + seed, 3.0 + seed / 10
+        # p90: the change wins 9/10 by 1 ms, more than the 0.45 IQR;
+        # ops_per_s: wins 10/10 by 4, less than the 4.5 IQR;
+        # peak_rss_mb: wins 8/10 by 10, more than its zero IQR
+        c_p90 = p_p90 + 1 if seed == 9 else p_p90 - 1
+        c_rss = 90 if seed < 8 else 110
+        write_run(tmp_path / "p", "catalog", seed, 0, {**e2e(p_ops, 100), "latency_p90_ms": p_p90})
+        write_run(tmp_path / "c", "catalog", seed, 0, {**e2e(p_ops + 4, c_rss), "latency_p90_ms": c_p90})
+    cat = bench_record.build([tmp_path / "p"], [tmp_path / "c"], "abc", "test", None)["catalog"]
+    assert cat["latency_p90_ms"]["change_wins"] == "9/10" and cat["latency_p90_ms"]["gain_shown"]
+    assert cat["ops_per_s"]["change_wins"] == "10/10" and not cat["ops_per_s"]["gain_shown"]
+    assert cat["peak_rss_mb"]["change_wins"] == "8/10" and not cat["peak_rss_mb"]["gain_shown"]
+    # a metric the change never moves shows no gain
+    assert cat["setup_s"]["change_wins"] == "0/10" and not cat["setup_s"]["gain_shown"]

@@ -689,6 +689,71 @@ class TestFusion:
             gv.fusion_from_s(dataclasses.replace(md, group=gv.make_group([2, 2])))
         assert e.value.code == "torus.group_law" and e.value.exit_code == 3
 
+    def test_path_follows_the_character_table(self):
+        # st_matrices attaches the table; the builtins and data rebuilt by
+        # dataclasses.replace carry none
+        md = gv.st_matrices(make_pointed([3, 18], [[F(1, 3), 0], [0, F(1, 36)]], (0, 0)))
+        assert gv.fusion_from_s(md).path == "fourier"
+        assert gv.fusion_from_s(dataclasses.replace(md)).path == "dense"
+        for name in gv.torus.BUILTIN_NAMES:
+            assert gv.fusion_from_s(gv.builtin_modular_data(name)).path == "dense"
+
+    def test_fourier_and_dense_paths_agree(self):
+        # dataclasses.replace keeps the group and drops the table, so the
+        # second call runs the dense sum on the same S
+        mds = [
+            gv.st_matrices(C)
+            for G in map(gv.make_group, group_shapes(16))
+            for C in (gv.make_category(G, q, G.zero) for q in enumerate_qforms(G))
+            if C.radical.is_trivial
+        ]
+        mds += [
+            gv.st_matrices(make_pointed(factors, matrix, (0,) * len(factors)))
+            for factors, matrix in [
+                ([3, 18], [[F(1, 3), 0], [0, F(1, 36)]]),
+                ([2, 64], [[F(1, 4), 0], [0, F(5, 128)]]),
+                ([256], [[F(1, 512)]]),
+            ]
+        ]
+        assert len(mds) == 8003
+        for md in mds:
+            fourier, dense = gv.fusion_from_s(md), gv.fusion_from_s(dataclasses.replace(md))
+            assert (fourier.path, dense.path) == ("fourier", "dense")
+            assert np.array_equal(fourier.tensor, dense.tensor), md.labels[:2]
+            assert fourier.residual < 1e-9 and dense.residual < 1e-9
+
+    @pytest.mark.parametrize(
+        ("factors", "matrix", "wrong", "pair"),
+        [
+            # k composed with a transposition of labels i < j: rows i and j
+            # of the rounded table are off the identity, so i is named
+            ([8], [[F(1, 16)]], lambda t: t[[0, 1, 5, 3, 4, 2, 6, 7]], "((2,), (0,))"),
+            ([8], [[F(1, 16)]], lambda t: t[[1, 0, 2, 3, 4, 5, 6, 7]], "((0,), (0,))"),
+            ([2, 4], [[F(1, 4), 0], [0, F(1, 8)]], lambda t: t[[0, 1, 2, 6, 4, 5, 3, 7]], "((0, 3), (0, 0))"),
+            # k(-v): every row x with x != -x is off, the first is 1
+            ([3, 3], [[F(1, 3), 0], [0, F(1, 3)]], lambda t: t[gv.make_group([3, 3]).neg_index], "((0, 1), (0, 0))"),
+        ],
+    )
+    def test_fourier_path_refuses_a_wrong_table(self, factors, matrix, wrong, pair):
+        # attached as st_matrices attaches its own table
+        md = gv.st_matrices(make_pointed(factors, matrix, (0,) * len(factors)))
+        object.__setattr__(md, "_table", wrong(md._table))
+        with pytest.raises(gv.InternalError) as e:
+            gv.fusion_from_s(md)
+        assert (e.value.code, e.value.exit_code) == ("torus.group_law", 3)
+        assert e.value.message == f"fusion from S disagrees with the group law at {pair}"
+
+    def test_fourier_peak_at_the_cap_is_the_result_and_8_mb(self):
+        md = gv.st_matrices(make_pointed([256], [[F(1, 512)]], (0,)))
+        tracemalloc.start()
+        try:
+            rep = gv.fusion_from_s(md)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.path == "fourier" and rep.tensor.nbytes == 2**27
+        assert peak <= 2**27 + 8 * 2**20
+
 
 class TestConnectedness:
     def test_semion(self, semion):
