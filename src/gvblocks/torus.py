@@ -101,6 +101,15 @@ def _sq_norm(M: np.ndarray) -> float:
     return float(np.vdot(M, M).real)
 
 
+def _rounded(raw: np.ndarray) -> tuple[np.ndarray, float]:
+    """k = rint(Re raw) as int64, and the largest |raw - k|; k is
+    subtracted from ``raw`` in place, so no temporary of its size is made
+    besides k."""
+    k = np.rint(raw.real)
+    raw.real -= k
+    return k.astype(np.int64), float(np.abs(raw).max())
+
+
 def _scan(S: np.ndarray, conjugation: Sequence[int]) -> tuple[float, float, float, float]:
     """The largest entries of |S - Sᵀ| and |S·S̄ᵀ - 1|, then ||S - C·S̄||
     (C·S̄ the row gather ``conjugation`` of S̄) and ||S·S̄ᵀ - 1||, in one pass
@@ -420,8 +429,9 @@ def fusion_from_s(md: ModularData) -> FusionReport:
 
     The dense tensor has rank^3 entries, so ranks above 256 (2^24 entries)
     are refused before anything is allocated.  The two paths run this one
-    sum and differ only in how S multiplies; ``residual`` is the largest
-    |raw - N| over the tensor on both.
+    sum and differ only in how S multiplies, and both round with
+    :func:`_rounded`, so ``residual`` is the largest |raw - N| over the
+    tensor on both.
 
     Data that carries the character table its S is built from (only
     :func:`st_matrices` attaches one) takes one transform.  S is then
@@ -452,9 +462,7 @@ def fusion_from_s(md: ModularData) -> FusionReport:
     entries but one row x at least, and is written to N[x, y] and, for y
     at or past stop, to N[y, x].  A rank whose tensor fits one block (up
     to 25) is one product, as when every pair was formed.  No temporary
-    besides the int64 result exceeds a block.  k = rint(Re raw) is
-    subtracted from raw in place, so ``residual`` comes from the rounding
-    pass.
+    besides the int64 result exceeds a block.
 
     For pointed data each row (x, y) must be the group-law delta at x + y,
     read through :meth:`~gvblocks.forms.FinAbGroup.translates`: its entry
@@ -480,11 +488,7 @@ def fusion_from_s(md: ModularData) -> FusionReport:
         group = md.group
         factors = group.invariant_factors
         g = np.fft.ifftn((md.S / vacuum).reshape(n, *factors), axes=range(1, 1 + len(factors)))
-        raw = g.reshape(n, n)[:, md._table]  # R[x, v]
-        k = np.rint(raw.real)
-        raw.real -= k
-        residual = float(np.abs(raw).max())
-        R = k.astype(np.int64)
+        R, residual = _rounded(g.reshape(n, n)[:, md._table])  # R[x, v]
         bad = (R != np.eye(n, dtype=np.int64)).any(axis=1)
         if bad.any():
             x = md.elements[int(bad.argmax())]
@@ -500,11 +504,8 @@ def fusion_from_s(md: ModularData) -> FusionReport:
     while start < n:
         stop = min(n, start + max(1, _FUSION_BLOCK // ((n - start) * n)))
         rows = slice(start, stop)
-        raw = (md.S[rows, None] * md.S[start:]).reshape(-1, n) @ right
-        k = np.rint(raw.real)
-        raw.real -= k
-        residual = max(residual, float(np.abs(raw).max()))
-        N = k.astype(np.int64)
+        N, block_residual = _rounded((md.S[rows, None] * md.S[start:]).reshape(-1, n) @ right)
+        residual = max(residual, block_residual)
         block = N.reshape(stop - start, n - start, n)
         tensor[rows, start:] = block
         tensor[stop:, rows] = block[:, stop - start :].transpose(1, 0, 2)
