@@ -17,7 +17,10 @@ whether the change's median is worse than the parent's by more than the
 metric's ``bound`` (a relative change), and whether the runs show a gain:
 the change wins at least nine tenths of the pairs and its median is better
 than the parent's by more than the parent's q3 - q1;
-the operations and failures of every run; the ``caps`` probe on seed 1; and,
+the operations and failures of every run; each side's ``peak_rss_mb``
+against its operations completed, as the least-squares slope in MB per
+100 000 operations and the intercept, so that a memory rise that only
+follows throughput shows as such; the ``caps`` probe on seed 1; and,
 as ``traced_<workload>_seed1``, the traced runs on seed 1 of each measured
 workload, each per-layer metric as a list in run order (metrics that read 0
 in every run are left out).  Untraced runs are paired by seed, and both
@@ -87,7 +90,23 @@ def _workload(name: str, metrics: list[dict], sides: dict, holdout: int | None) 
         side: [[runs[side][s]["detail"]["latency_samples"], len(runs[side][s]["failures"])] for s in seeds]
         for side in runs
     }
+    out["peak_rss_mb_vs_operations"] = {
+        side: _rss_slope(
+            [runs[side][s]["detail"]["latency_samples"] for s in seeds],
+            [runs[side][s]["metrics"]["peak_rss_mb"]["value"] for s in seeds],
+        )
+        for side in runs
+    }
     return out
+
+
+def _rss_slope(operations: list[int], rss: list[float]) -> dict | None:
+    """The least-squares line of peak RSS over operations completed, or
+    None when the operations do not vary."""
+    if len(set(operations)) < 2:
+        return None
+    slope, intercept = statistics.linear_regression(operations, rss)
+    return {"mb_per_100k_ops": slope * 100_000, "intercept_mb": intercept}
 
 
 def _caps(records: list[dict]) -> dict | None:

@@ -35,8 +35,12 @@ def _vanishes(C: PointedGVCategory, genus: int, labels: tuple) -> bool:
     :meth:`~gvblocks.forms.FinAbGroup.reduce` reads it, with its refusal
     codes, messages and order; the coordinates are added as Python ints and
     reduced once mod each n_i, which is the same test, as a sum of the
-    a_i mod n is congruent to the sum of the a_i."""
-    rank = C.group.rank
+    a_i mod n is congruent to the sum of the a_i.  A coordinate whose type
+    is ``int`` is added as it is, which is what :func:`as_int` returns for
+    it; any other one, a bool, an int subclass or a numpy integer among
+    them, is read by ``as_int``."""
+    factors = C.group.invariant_factors
+    rank = len(factors)
     total = [(genus - 1) * a for a in C.g0]
     for lab in labels:
         vec = lab if type(lab) is tuple else as_coordinates(lab, "coordinate")
@@ -45,8 +49,8 @@ def _vanishes(C: PointedGVCategory, genus: int, labels: tuple) -> bool:
                 "forms.bad_element", f"element has {len(vec)} coordinates, group has rank {rank}"
             )
         for i, v in enumerate(vec):
-            total[i] += as_int(v, "forms.bad_element", "coordinate")
-    return not any(t % n for t, n in zip(total, C.group.invariant_factors))
+            total[i] += v if type(v) is int else as_int(v, "forms.bad_element", "coordinate")
+    return not any(t % n for t, n in zip(total, factors))
 
 
 def _dimension(C: PointedGVCategory, genus: int, labels: tuple) -> int:

@@ -45,7 +45,13 @@ def _c12(z: complex) -> list[float]:
 
 
 def _matrix12(m) -> list[list[list[float]]]:
-    return [[_c12(complex(x)) for x in row] for row in m]
+    """:func:`_c12` of every entry of a numpy matrix, its real and imaginary
+    parts read as Python floats a row at a time and rounded as :func:`_r12`
+    rounds them."""
+    return [
+        [[round(a, 12) + 0.0, round(b, 12) + 0.0] for a, b in zip(re.tolist(), im.tolist())]
+        for re, im in zip(m.real, m.imag)
+    ]
 
 
 def _frac(f: Fraction) -> str:

@@ -249,6 +249,27 @@ def canonical_form(g: Graph, leg_marks: Mapping[str, object] | None = None):
     interchangeable; only ``None`` means no marks, and anything else that is
     not a mapping, or a mapping with a key that is not a leg, is refused.
     Graphs with more than ``CANONICAL_CAP`` vertices are refused.
+
+    Colours are the ranks 0..k-1 of the k classes throughout.  The search
+    visits the same leaves, with the same certificates, as one that starts
+    from the (loop count, marks) tuples, runs a refinement round on every
+    colouring, discrete ones included, and individualises v in cell t by
+    giving it 2t and every other w 2·colour(w) + 1:
+
+    - A refinement round ranks the pairs (colour, sorted neighbour
+      colours).  A strictly increasing relabelling of the colours keeps the
+      order and the equalities of these pairs, so the round returns the
+      same ranks on the start tuples as on their ranks.
+    - Individualising v in cell t gives v rank t, the rest of its cell
+      t + 1 and each later class one more: the ranks of the 2t, 2c + 1
+      colouring, so again the next round returns the same ranks.
+    - On a discrete colouring the pairs are ordered by their first entry,
+      so a round would return the colouring's own ranks; the certificate is
+      read off them at once.
+    - Twins are tested when a cell is split, on two vertices of that cell,
+      which refines the start colouring, so they have one start colour.
+      What is left to test is the neighbour multiset once u and v are left
+      out, which counts the edges from u and from v to every other vertex.
     """
     nv = len(g.vertices)
     if nv > CANONICAL_CAP:
@@ -261,58 +282,62 @@ def canonical_form(g: Graph, leg_marks: Mapping[str, object] | None = None):
         raise ValidationError(
             "graphs.bad_graph", f"leg marks {sorted(map(repr, stray))} are not legs of the graph"
         )
-    index = {v: i for i, v in enumerate(g.vertices)}
+    index = dict(zip(g.vertices, range(nv)))
     at = g.attach_map
     edges = [(index[at[a]], index[at[b]]) for a, b in g.pairing]
     legs = [(index[at[h]], repr(marks.get(h))) for h in g.legs]
     neighbours: list[list[int]] = [[] for _ in range(nv)]
     marks_at: list[list[str]] = [[] for _ in range(nv)]
-    mult = [[0] * nv for _ in range(nv)]
+    loops = [0] * nv
     for i, j in edges:
         neighbours[i].append(j)
         neighbours[j].append(i)
-        mult[i][j] += 1
-        mult[j][i] += i != j
+        loops[i] += i == j
     for v, mark in legs:
         marks_at[v].append(mark)
-    start = [(mult[v][v], tuple(sorted(marks_at[v]))) for v in range(nv)]
+    start = [(loops[v], tuple(sorted(marks_at[v]))) for v in range(nv)]
+    rank = {s: r for r, s in enumerate(sorted(set(start)))}
+    start = [rank[s] for s in start]
 
-    def twins(u, v):
-        return start[u] == start[v] and all(
-            mult[u][w] == mult[v][w] for w in range(nv) if w != u and w != v
+    def twins(u, v):  # of one cell, so of one start colour
+        return sorted([w for w in neighbours[u] if w != u and w != v]) == sorted(
+            [w for w in neighbours[v] if w != u and w != v]
         )
 
     best = None
 
-    def search(colour):
+    def search(colour, classes):
         nonlocal best
-        classes = len(set(colour))
-        while True:  # refine until no class splits; ranks 0, 1, ... as colours
-            sig = [
-                (c, tuple(sorted([colour[w] for w in neighbours[v]])))
-                for v, c in enumerate(colour)
-            ]
+        while classes < nv:  # refine until no class splits
+            sig = [(c, tuple(sorted([colour[w] for w in nb]))) for c, nb in zip(colour, neighbours)]
             rank = {s: r for r, s in enumerate(sorted(set(sig)))}
             colour = [rank[s] for s in sig]
-            if len(rank) in (classes, nv):
+            if len(rank) == classes:
                 break
             classes = len(rank)
-        if len(rank) == nv:
+        if classes == nv:
+            c = colour
             cert = (
-                tuple(sorted(tuple(sorted((colour[i], colour[j]))) for i, j in edges)),
-                tuple(sorted([(colour[v], mark) for v, mark in legs])),
+                tuple(sorted([(c[i], c[j]) if c[i] <= c[j] else (c[j], c[i]) for i, j in edges])),
+                tuple(sorted([(c[v], mark) for v, mark in legs])),
             )
             if best is None or cert < best:
                 best = cert
             return
-        target = min((n, c) for c, n in Counter(colour).items() if n > 1)[1]
+        sizes = [0] * classes
+        for c in colour:
+            sizes[c] += 1
+        target = min((n, c) for c, n in enumerate(sizes) if n > 1)[1]
         tried: list[int] = []
         for v in range(nv):
             if colour[v] == target and not any(twins(u, v) for u in tried):
                 tried.append(v)
-                search([2 * c + (w != v) for w, c in enumerate(colour)])
+                search(
+                    [c + (c > target or (c == target and w != v)) for w, c in enumerate(colour)],
+                    classes + 1,
+                )
 
-    search(start)
+    search(start, len(rank))
     return (nv,) + best
 
 

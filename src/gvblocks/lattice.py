@@ -10,6 +10,7 @@ the discriminant form is q(x) = <x, x>/2 mod 1 evaluated on rational lifts.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -137,15 +138,21 @@ class DiscriminantData:
 
     def element_of(self, lattice: LatticeData, y: Sequence[Fraction]) -> Element:
         """Class in the discriminant group of a dual vector y (basis coords),
-        read as :func:`make_lattice` reads xi."""
-        k = lattice.rank
-        y = _dual_coordinates(y, k)
-        x = [sum(Fraction(lattice.gram[i][j]) * y[j] for j in range(k)) for i in range(k)]
-        for i, c in enumerate(x):
-            if c.denominator != 1:
-                raise ValidationError("lattice.xi_not_dual", f"<e_{i}, xi> = {c} is not an integer")
-        coords = [sum(row[j] * int(x[j]) for j in range(k)) for row in self.proj_rows]
-        return self.group.reduce(coords)
+        read as :func:`make_lattice` reads xi.  The product gram·y is read
+        in integers over the common denominator of y's coordinates."""
+        y = _dual_coordinates(y, lattice.rank)
+        den = math.lcm(*(c.denominator for c in y))
+        num = [c.numerator * (den // c.denominator) for c in y]
+        x = []
+        for i, row in enumerate(lattice.gram):
+            total = sum(map(operator.mul, row, num))
+            if total % den:
+                raise ValidationError(
+                    "lattice.xi_not_dual",
+                    f"<e_{i}, xi> = {Fraction(total, den)} is not an integer",
+                )
+            x.append(total // den)
+        return self.group.reduce([sum(map(operator.mul, row, x)) for row in self.proj_rows])
 
 
 def discriminant_data(lattice: LatticeData) -> DiscriminantData:
@@ -159,20 +166,22 @@ def discriminant_form(lattice: LatticeData) -> QForm:
     """q(x) = <lift(x), lift(x)>/2 mod 1 on the discriminant group.
 
     Evenness of the lattice makes this independent of the choice of lifts;
-    the result passes full quadratic-form validation.
+    the result passes full quadratic-form validation.  The lift of
+    generator a is column i_a of V over d_a, so the matrix entry
+    <lift(a), lift(b)>/2 is the integer (VᵀGV)_{i_a i_b} over 2·d_a·d_b.
     """
     data = discriminant_data(lattice)
-    k = lattice.rank
-    r = data.group.rank
-    mat = [[Fraction(0)] * r for _ in range(r)]
-    for a in range(r):
-        for b in range(r):
-            pair = sum(
-                data.lifts[a][i] * lattice.gram[i][j] * data.lifts[b][j]
-                for i in range(k)
-                for j in range(k)
-            )
-            mat[a][b] = pair / 2
+    _, d, v, _ = lattice._smith
+    cols = [[row[i] for row in v] for i in range(lattice.rank) if d[i][i] != 1]
+    gram_cols = [[sum(map(operator.mul, row, col)) for row in lattice.gram] for col in cols]
+    factors = data.group.invariant_factors
+    mat = [
+        [
+            Fraction(sum(map(operator.mul, col, gc)), 2 * da * db)
+            for gc, db in zip(gram_cols, factors)
+        ]
+        for col, da in zip(cols, factors)
+    ]
     return make_qform(data.group, mat)
 
 

@@ -166,8 +166,7 @@ def _enumerate_classes(genus: int, n: int) -> tuple[PantsDecomposition, ...]:
             if pd.dual.attach_map[a] == pd.dual.attach_map[b]:
                 continue
             for side in (0, 1):
-                _, flipped = _reassociate(pd, a, side)
-                out = PantsDecomposition(flipped, pd.leg_order)
+                out = _flipped(pd, _reassociate(pd, a, side)[1], ())
                 if out.canonical_key not in found:
                     found[out.canonical_key] = out
                     queue.append(out)
@@ -194,12 +193,15 @@ def _reassociate(pd: PantsDecomposition, half_edge: str, side: int) -> tuple[str
     The edge still joins u and v and every moved half-edge stays on {u, v},
     so each path of ``pd`` maps to one of the flip, which stays connected.
     The half-edges and the pairing, so the legs and their order, are kept.
-    Only vertices change, so ``attach`` stays in half-edge order, and the
-    flipped graph takes the source's ``half_edges``, ``legs`` and
-    ``involution`` as they are."""
+    Only the vertices of the two moved half-edges change, so ``attach``
+    stays in half-edge order with two entries rewritten, ``attach_map`` is
+    the source's with the same two entries rewritten, and the flipped graph
+    takes the source's ``half_edges``, ``legs`` and ``involution`` as they
+    are."""
     a_he, b_he = _find_edge(pd, half_edge)
     g = pd.dual
-    u, v = g.attach_map[a_he], g.attach_map[b_he]
+    at = g.attach_map
+    u, v = at[a_he], at[b_he]
     if u == v:
         raise MoveNotApplicable(
             "surfaces.move_not_applicable", f"edge {a_he}-{b_he} is a loop at {u!r}"
@@ -207,11 +209,24 @@ def _reassociate(pd: PantsDecomposition, half_edge: str, side: int) -> tuple[str
     rest_u = sorted(h for h in g.vertex_half_edges[u] if h != a_he)
     rest_v = sorted(h for h in g.vertex_half_edges[v] if h != b_he)
     moved = {rest_u[1]: v, rest_v[side]: u}
-    attach = tuple((h, moved.get(h, w)) for h, w in g.attach)
-    flipped = Graph(vertices=g.vertices, attach=attach, pairing=g.pairing)
-    for name in ("half_edges", "legs", "involution"):
-        vars(flipped)[name] = getattr(g, name)
+    attach = list(g.attach)
+    for h, w in moved.items():
+        attach[g.half_edges.index(h)] = (h, w)
+    flipped = Graph(vertices=g.vertices, attach=tuple(attach), pairing=g.pairing)
+    vars(flipped).update(
+        half_edges=g.half_edges, legs=g.legs, involution=g.involution, attach_map={**at, **moved}
+    )
     return f"F:{a_he}-{b_he}", flipped
+
+
+def _flipped(pd: PantsDecomposition, flipped: Graph, moves: tuple[str, ...]) -> PantsDecomposition:
+    """The decomposition of a flipped dual graph; a flip keeps the legs and
+    their order, so it takes ``pd``'s ``leg_map`` when that is cached, as
+    :func:`s_move` does."""
+    out = PantsDecomposition(flipped, pd.leg_order, moves)
+    if "leg_map" in vars(pd):
+        vars(out)["leg_map"] = vars(pd)["leg_map"]
+    return out
 
 
 def whitehead_move(pd: PantsDecomposition, half_edge: str) -> PantsDecomposition:
@@ -223,7 +238,7 @@ def whitehead_move(pd: PantsDecomposition, half_edge: str) -> PantsDecomposition
     Preserves genus and boundary count.
     """
     entry, flipped = _reassociate(pd, half_edge, 1)
-    return PantsDecomposition(flipped, pd.leg_order, pd.moves + (entry,))
+    return _flipped(pd, flipped, pd.moves + (entry,))
 
 
 def s_move(pd: PantsDecomposition, half_edge: str) -> PantsDecomposition:

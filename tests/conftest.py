@@ -276,6 +276,71 @@ def canonical_form_reference(g, leg_marks=None):
     return (len(g.vertices),) + best
 
 
+def canonical_form_tuple_colours(g, leg_marks=None):
+    """The colour-refinement search of ``gv.canonical_form`` in its first
+    form, kept as written for certificate identity: tuple start colours, the
+    multiplicity table built up front, and a refinement round on every
+    colouring, discrete ones included.  It returns the same certificate, not
+    only the same partition into classes."""
+    from collections import Counter
+
+    nv = len(g.vertices)
+    marks = {} if leg_marks is None else dict(leg_marks)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    at = g.attach_map
+    edges = [(index[at[a]], index[at[b]]) for a, b in g.pairing]
+    legs = [(index[at[h]], repr(marks.get(h))) for h in g.legs]
+    neighbours = [[] for _ in range(nv)]
+    marks_at = [[] for _ in range(nv)]
+    mult = [[0] * nv for _ in range(nv)]
+    for i, j in edges:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+        mult[i][j] += 1
+        mult[j][i] += i != j
+    for v, mark in legs:
+        marks_at[v].append(mark)
+    start = [(mult[v][v], tuple(sorted(marks_at[v]))) for v in range(nv)]
+
+    def twins(u, v):
+        return start[u] == start[v] and all(
+            mult[u][w] == mult[v][w] for w in range(nv) if w != u and w != v
+        )
+
+    best = None
+
+    def search(colour):
+        nonlocal best
+        classes = len(set(colour))
+        while True:
+            sig = [
+                (c, tuple(sorted([colour[w] for w in neighbours[v]])))
+                for v, c in enumerate(colour)
+            ]
+            rank = {s: r for r, s in enumerate(sorted(set(sig)))}
+            colour = [rank[s] for s in sig]
+            if len(rank) in (classes, nv):
+                break
+            classes = len(rank)
+        if len(rank) == nv:
+            cert = (
+                tuple(sorted(tuple(sorted((colour[i], colour[j]))) for i, j in edges)),
+                tuple(sorted([(colour[v], mark) for v, mark in legs])),
+            )
+            if best is None or cert < best:
+                best = cert
+            return
+        target = min((n, c) for c, n in Counter(colour).items() if n > 1)[1]
+        tried = []
+        for v in range(nv):
+            if colour[v] == target and not any(twins(u, v) for u in tried):
+                tried.append(v)
+                search([2 * c + (w != v) for w, c in enumerate(colour)])
+
+    search(start)
+    return (nv,) + best
+
+
 def reference_key(pd):
     return canonical_form_reference(pd.dual, pd.leg_map)
 

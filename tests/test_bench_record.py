@@ -124,3 +124,20 @@ def test_gain_shown(tmp_path):
     assert cat["peak_rss_mb"]["change_wins"] == "8/10" and not cat["peak_rss_mb"]["gain_shown"]
     # a metric the change never moves shows no gain
     assert cat["setup_s"]["change_wins"] == "0/10" and not cat["setup_s"]["gain_shown"]
+
+
+def test_peak_rss_slope_against_operations(tmp_path):
+    # parent: 50 MB at 100k operations, +2 MB per 100k; change: flat 60 MB
+    for seed, ops in zip((1, 2, 3), (100_000, 200_000, 300_000)):
+        write_run(tmp_path / "p", "gluing", seed, 0, e2e(1.0, 48 + 2 * ops / 100_000), samples=ops)
+        write_run(tmp_path / "c", "gluing", seed, 0, e2e(1.0, 60.0), samples=ops)
+    slopes = bench_record.build([tmp_path / "p"], [tmp_path / "c"], "abc", "test", None)["gluing"][
+        "peak_rss_mb_vs_operations"
+    ]
+    assert slopes["parent"] == pytest.approx({"mb_per_100k_ops": 2.0, "intercept_mb": 48.0})
+    assert slopes["change"] == pytest.approx({"mb_per_100k_ops": 0.0, "intercept_mb": 60.0})
+    # one run, or runs of one operation count, give no line
+    write_run(tmp_path / "q", "gluing", 1, 0, e2e(1.0, 50.0))
+    write_run(tmp_path / "d", "gluing", 1, 0, e2e(1.0, 50.0))
+    out = bench_record.build([tmp_path / "q"], [tmp_path / "d"], "abc", "test", None)
+    assert out["gluing"]["peak_rss_mb_vs_operations"] == {"parent": None, "change": None}

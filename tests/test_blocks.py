@@ -10,7 +10,7 @@ import pytest
 
 import gvblocks as gv
 from gvblocks.errors import CapacityError, DegenerateDataError, ValidationError
-from gvblocks.forms import _as_items, smith_normal_form
+from gvblocks.forms import _as_items, as_int, smith_normal_form
 from gvblocks.surfaces import (
     SurfaceSpec,
     _enumerate_classes,
@@ -374,6 +374,10 @@ def second(labels, lab):
     return [labels[0], lab, *labels[2:]]
 
 
+class Coordinate(int):
+    """An int subclass, which ``as_int`` refuses as it refuses a bool."""
+
+
 # (genus, labels, the code of meets_condition, block_dim_direct and
 # block_dim_glued, None where it gives a result)
 READER_CASES = [
@@ -411,6 +415,8 @@ ACCEPTED = [
     (1, MET1),
 ]
 READER_CASES += [(genus, labels, (None,) * 3) for genus, labels in ACCEPTED]
+# a coordinate that is an int subclass, in a tuple and in a list
+READER_CASES += [(0, second(MET0, lab), (LABEL,) * 3) for lab in [(Coordinate(2), 3), [2, Coordinate(3)]]]
 
 
 class TestLabelReader:
@@ -463,6 +469,28 @@ class TestLabelReader:
         self.check(C, 1, second(MET1, (2, 3.0)), (LABEL, LABEL, LABEL))
         self.check(C, 1, MET1_TWO, (None, OVERFLOW, COUNT))
         self.check(C, 1, second(MET1_TWO, [3, 1.0]), (LABEL, LABEL, COUNT))
+
+    def test_only_python_ints_skip_as_int(self, C, monkeypatch):
+        # a coordinate of type int is added as it is; a bool, an int
+        # subclass and a numpy integer are handed to as_int
+        read = []
+
+        def counting(x, code, what):
+            read.append(x)
+            return as_int(x, code, what)
+
+        monkeypatch.setattr(gv.blocks, "as_int", counting)
+        pds = enumerate_decompositions(make_surface(0, [(0, 0)] * 3))
+        assert gv.block_dim_glued(C, pds[0], MET0) == 1 and read == []
+        others = [np.int64(2), np.uint8(3), Coordinate(2), True]
+        labels = [MET0[0], (others[0], others[1]), MET0[2]]
+        assert gv.block_dim_glued(C, pds[0], labels) == 1
+        assert read == others[:2]
+        for lab in [(others[2], 3), (2, others[3])]:
+            read.clear()
+            with pytest.raises(ValidationError) as e:
+                gv.block_dim_glued(C, pds[0], second(MET0, lab))
+            assert e.value.code == LABEL and read == [x for x in lab if type(x) is not int]
 
     def test_one_pass_equals_the_fold(self):
         # every (g, n) of complexity 1-4 on every group shape of order <= 24:

@@ -2,8 +2,10 @@ import json
 import random
 import sys
 
+import numpy as np
 import pytest
 
+import gvblocks as gv
 from gvblocks import cli
 from gvblocks.config import parse_config, parse_config_data
 from gvblocks.errors import ConfigError, ValidationError
@@ -552,6 +554,22 @@ class TestSubcommands:
         assert json.dumps(cli._c12(complex(0.5, -1e-17))) == "[0.5, 0.0]"
         assert json.dumps(cli._r12(-4e-13)) == "0.0"
         assert cli._r12(-0.25) == -0.25
+
+    def test_matrix_rows_print_as_entry_by_entry_rounding(self):
+        # _matrix12 reads each row's parts as floats at once; its JSON is the
+        # bytes of _c12 on each entry, signs of zero and half-way digits included
+        rng = np.random.default_rng(30)
+        noisy = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        noisy[rng.random((6, 6)) < 0.3] *= 1e-17
+        noisy[0] = [-1e-17 - 1e-17j, -0.0 + 0j, 0.5 + 5e-13j, 0.1234567890125, -2.5e-13, 1e300]
+        group = gv.make_group([3, 6])
+        qform = gv.make_qform(group, [["1/3", 0], [0, "1/12"]])
+        md = gv.st_matrices(gv.make_category(group, qform, (0, 0)))
+        cases = [noisy, noisy.real, md.S, np.diag(md.T), np.zeros((0, 0), complex)]
+        cases += [gv.builtin_modular_data(name).S for name in ("fibonacci", "ising")]
+        for m in cases:
+            want = [[cli._c12(complex(x)) for x in row] for row in m]
+            assert json.dumps(cli._matrix12(m)) == json.dumps(want)
 
     def test_json_output_is_stable(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FF8)

@@ -6,9 +6,12 @@ import pytest
 import gvblocks as gv
 from gvblocks.errors import CapacityError, CompositionError, ValidationError
 
+from gvblocks.surfaces import _reassociate, enumerate_decompositions, make_surface
+
 from conftest import (
     attach_morphism,
     canonical_form_reference,
+    canonical_form_tuple_colours,
     random_graph,
     random_leg_pairing,
 )
@@ -252,6 +255,92 @@ class TestCanonicalForm:
         g = gv.make_graph({f"v{i}": [] for i in range(9)})
         with pytest.raises(CapacityError):
             gv.canonical_form(g)
+
+    def test_refusals_their_codes_messages_and_order(self):
+        g = loop_with_leg()
+        with pytest.raises(ValidationError) as e:
+            gv.canonical_form(g, leg_marks={"r": 0, "p": 1, "zz": 2})
+        assert e.value.code == "graphs.bad_graph"
+        assert e.value.message == "leg marks [\"'p'\", \"'zz'\"] are not legs of the graph"
+        # the cap is checked before the marks are read
+        big = gv.make_graph({f"v{i}": [f"l{i}"] for i in range(9)})
+        for marks in (None, {"l0": 1}, {"nowhere": 1}, 5):
+            with pytest.raises(CapacityError) as e:
+                gv.canonical_form(big, leg_marks=marks)
+            assert e.value.code == "graphs.capacity"
+            assert e.value.message == "9 vertices exceed canonical-form cap 8"
+        assert gv.canonical_form(gv.make_graph({f"v{i}": [] for i in range(8)}))[0] == 8
+
+
+def caps_eight_vertex_graph():
+    """The 8-vertex graph of the benchmark's ``canonical_8v`` probe: an
+    8-cycle with the four long diagonals, so every vertex looks alike."""
+    vertices = {f"v{i}": [f"a{i}", f"b{i}", f"c{i}"] for i in range(8)}
+    edges = [(f"a{i}", f"b{(i + 1) % 8}") for i in range(8)]
+    edges += [(f"c{i}", f"c{i + 4}") for i in range(4)]
+    return vertices, edges
+
+
+class TestCanonicalFormCertificates:
+    """``canonical_form`` returns the certificate of the tuple-colour search
+    of ``conftest``, entry for entry, not only the same classes."""
+
+    @staticmethod
+    def same(g, marks=None):
+        key = gv.canonical_form(g, leg_marks=marks)
+        assert key == canonical_form_tuple_colours(g, marks)
+        return key
+
+    def test_every_class_and_flip_of_complexity_1_to_5(self):
+        # both re-associations at every non-loop edge, with and without marks
+        graphs = 0
+        for genus in range(4):
+            for n in range(8):
+                if not 1 <= 2 * genus - 2 + n <= 5:
+                    continue
+                for pd in enumerate_decompositions(make_surface(genus, [(0,)] * n)):
+                    duals = [pd.dual] + [
+                        _reassociate(pd, a, side)[1]
+                        for a, b in pd.dual.pairing
+                        if pd.dual.attach_map[a] != pd.dual.attach_map[b]
+                        for side in (0, 1)
+                    ]
+                    for dual in duals:
+                        self.same(dual)
+                        self.same(dual, pd.leg_map)
+                        graphs += 1
+        assert graphs == 13757
+
+    def test_seeded_random_graphs(self):
+        # 1-8 vertices of degree <= 4, with loops and parallel edges, and
+        # marks that repeat, are missing, or are absent altogether
+        rng = random.Random(30)
+        seen = Counter()
+        for _ in range(20_000):
+            g = random_graph(rng, max_vertices=8, max_degree=4)
+            pool = [0, 1, 2, "a", None][: rng.randint(1, 5)]
+            marks = None if rng.random() < 0.2 else {
+                h: rng.choice(pool) for h in g.legs if rng.random() < 0.8
+            }
+            self.same(g, marks)
+            ends = [(g.attach_map[a], g.attach_map[b]) for a, b in g.pairing]
+            seen["loop"] += any(u == v for u, v in ends)
+            seen["parallel"] += len(set(map(frozenset, ends))) < len(ends)
+            seen["eight"] += len(g.vertices) == 8
+            seen["repeated mark"] += marks is not None and len(set(marks.values())) < len(marks)
+            seen["unmarked leg"] += marks is not None and len(marks) < len(g.legs)
+        assert min(seen.values()) > 1000, seen
+
+    def test_caps_graph_under_random_relabelling(self):
+        rng = random.Random(8)
+        vertices, edges = caps_eight_vertex_graph()
+        key = self.same(gv.make_graph(vertices, edges))
+        for _ in range(20):
+            names = [f"w{i}" for i in range(8)]
+            rng.shuffle(names)
+            rename = dict(zip(vertices, names))
+            shuffled = gv.make_graph({rename[v]: hs for v, hs in vertices.items()}, edges)
+            assert self.same(shuffled) == key
 
 
 class TestSerialization:

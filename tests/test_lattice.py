@@ -215,6 +215,72 @@ class TestDiscriminantForm:
             built += 1
 
 
+def form_matrix_reference(L):
+    """The discriminant form's matrix as Fraction triple products
+    <lift_a, lift_b>/2 over the lifts of ``discriminant_data``."""
+    data, k = discriminant_data(L), L.rank
+    return tuple(
+        tuple(
+            sum(la[i] * L.gram[i][j] * lb[j] for i in range(k) for j in range(k)) / 2
+            for lb in data.lifts
+        )
+        for la in data.lifts
+    )
+
+
+def element_of_reference(L, y):
+    """The class of y, or the refusal (code, message), from gram·y summed in
+    Fractions."""
+    data, k = discriminant_data(L), L.rank
+    x = [sum(F(L.gram[i][j]) * F(y[j]) for j in range(k)) for i in range(k)]
+    for i, c in enumerate(x):
+        if c.denominator != 1:
+            return ("lattice.xi_not_dual", f"<e_{i}, xi> = {c} is not an integer")
+    return data.group.reduce([sum(r[j] * int(x[j]) for j in range(k)) for r in data.proj_rows])
+
+
+class TestIntegerArithmetic:
+    """The form matrix and the classes of dual vectors, read in integers,
+    are the Fraction results, entry for entry."""
+
+    @staticmethod
+    def lattices():
+        rng = random.Random(30)
+        grams = [E8, [[2, 0, 0], [0, 4, 0], [0, 0, 6]], [[4, 0, 0], [0, 4, 2], [0, 2, 8]]]
+        while len(grams) < 150:
+            k = rng.randint(1, 5)
+            m = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+            gram = [[m[i][j] + m[j][i] for j in range(k)] for i in range(k)]
+            if det_reference(gram) != 0:
+                grams.append(gram)
+        return rng, [gv.make_lattice(g, [0] * len(g)) for g in grams]
+
+    def test_form_matrix(self):
+        ranks = set()
+        for L in self.lattices()[1]:
+            q = gv.discriminant_form(L)
+            assert q.matrix == form_matrix_reference(L)
+            assert all(type(a) is F for row in q.matrix for a in row)
+            ranks.add(q.group.rank)
+        assert {0, 1, 2, 3} <= ranks
+
+    def test_element_of(self):
+        rng, lattices = self.lattices()
+        refused = 0
+        for L in lattices:
+            data = discriminant_data(L)
+            for _ in range(10):
+                y = [F(rng.randint(-30, 30), rng.choice([1, 2, 3, 4, 6, 12])) for _ in range(L.rank)]
+                want = element_of_reference(L, y)
+                try:
+                    got = data.element_of(L, y)
+                except ValidationError as e:
+                    got = (e.code, e.message)
+                    refused += 1
+                assert got == want
+        assert 100 < refused < 1400
+
+
 class TestToPointedGV:
     def test_a1_zero_xi(self):
         C = gv.to_pointed_gv(gv.make_lattice([[2]], [0]))

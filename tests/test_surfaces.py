@@ -405,8 +405,26 @@ class TestFlipsCarryWhatTheyKeep:
                         for name in ("half_edges", "legs", "involution"):
                             assert vars(flipped)[name] is getattr(pd.dual, name)
                             assert vars(flipped)[name] == getattr(derived, name)
+                        # the attachment map is the source's with two entries
+                        # rewritten, in a dict of its own
+                        assert vars(flipped)["attach_map"] == derived.attach_map
+                        assert vars(flipped)["attach_map"] is not pd.dual.attach_map
+                        changed = {h for h, w in flipped.attach if pd.dual.attach_map[h] != w}
+                        assert len(changed) == 2
                         flips += 1
         assert flips > 5000
+
+    def test_moves_and_the_enumeration_hand_on_the_leg_map(self):
+        pds = enumerate_decompositions(make_surface(1, [(0,)] * 4))
+        # every class holds the seed's leg map, handed on by each flip
+        assert len({id(vars(pd)["leg_map"]) for pd in pds}) == 1
+        pd = pds[7]
+        edge = next(a for a, b in pd.dual.pairing if pd.dual.attach_map[a] != pd.dual.attach_map[b])
+        fresh = gv.make_pants_decomposition(pd.dual, pd.leg_map)
+        assert "leg_map" not in vars(gv.whitehead_move(fresh, edge))
+        moved = gv.whitehead_move(pd, edge)
+        assert vars(moved)["leg_map"] is pd.leg_map
+        assert moved.canonical_key == reference_key(moved)
 
     def test_classes_and_moves_keep_their_digest(self):
         # SHA-256 of (dual, leg_order, moves, canonical_key) of every class of
